@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke cluster-race fmt
+.PHONY: build test race bench-smoke bench-harness cluster-race fmt
 
 build:
 	$(GO) build ./...
@@ -31,3 +31,9 @@ cluster-race:
 	$(GO) test -race -count=1 ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestE16|TestE12StandbyPromotion|TestE17' ./internal/experiments/
+
+# The benchmark harness is its own module (benchmark/go.mod), so the
+# root `go build ./...` and `go test ./...` never compile it: an
+# internal/ signature change could break feedbench unnoticed.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...

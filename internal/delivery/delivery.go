@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"bistro/internal/backoff"
-	"bistro/internal/batch"
 	"bistro/internal/clock"
 	"bistro/internal/config"
 	"bistro/internal/diskfault"
@@ -77,6 +76,11 @@ type Metrics struct {
 	ChannelDetaches *metrics.CounterVec
 	ChannelCatchup  *metrics.CounterVec
 	ChannelMembers  *metrics.GaugeVec
+	// ReceiptBatchSize observes how many delivery receipts each
+	// committer transaction carried; ReceiptsPending gauges transfers
+	// acked on the wire whose receipt is not yet durable.
+	ReceiptBatchSize *metrics.Histogram
+	ReceiptsPending  *metrics.Gauge
 	// Propagation observes end-to-end source→subscriber latency
 	// (arrival to successful delivery, seconds) for real-time jobs —
 	// the paper's sub-minute claim. Backfill is excluded: its latency
@@ -112,6 +116,11 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 			"Catch-up deliveries to lagging channel members.", "channel"),
 		ChannelMembers: r.GaugeVec("bistro_channel_members",
 			"Members currently attached to the delivery channel.", "channel"),
+		ReceiptBatchSize: r.Histogram("bistro_delivery_receipt_batch_size",
+			"Delivery receipts per committer transaction.",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+		ReceiptsPending: r.Gauge("bistro_delivery_receipts_pending",
+			"Transfers acked on the wire whose delivery receipt is not yet durable."),
 		Propagation: r.Histogram("bistro_delivery_propagation_seconds",
 			"End-to-end arrival→delivery latency for real-time jobs.", nil),
 	}
@@ -302,9 +311,21 @@ type Engine struct {
 	chanFeeds   map[string][]*channel
 	memberChans map[string][]string
 
+	// acked is the receipt committer's FIFO (committer.go); unrecorded
+	// holds, per subscriber, the files in it; trigLanes holds the
+	// per-subscriber trigger lanes the committer feeds. unrecMu guards
+	// both maps.
+	acked      chan ackedDelivery
+	commitDone chan struct{}
+	unrecMu    sync.Mutex
+	unrecorded map[string]map[uint64]struct{}
+	trigLanes  map[string]*triggerLane
+	trigWG     sync.WaitGroup
+
 	wg      sync.WaitGroup
 	stopCh  chan struct{}
 	stopMu  sync.Mutex
+	started bool
 	stopped bool
 }
 
@@ -377,6 +398,10 @@ func New(opts Options) (*Engine, error) {
 		channels:    make(map[string]*channel),
 		chanFeeds:   make(map[string][]*channel),
 		memberChans: make(map[string][]string),
+		acked:       make(chan ackedDelivery, receiptQueueDepth),
+		commitDone:  make(chan struct{}),
+		unrecorded:  make(map[string]map[uint64]struct{}),
+		trigLanes:   make(map[string]*triggerLane),
 		stopCh:      make(chan struct{}),
 	}
 	for _, s := range opts.Subscribers {
@@ -516,6 +541,10 @@ func (e *Engine) Triggers() *trigger.Engine { return e.trig }
 // every subscriber's undelivered history (covers server restart, new
 // subscribers, and revised feed definitions uniformly).
 func (e *Engine) Start() {
+	e.stopMu.Lock()
+	e.started = true
+	e.stopMu.Unlock()
+	go e.commitLoop()
 	for pi, pc := range e.sched.Partitions() {
 		rt := pc.Workers - pc.BackfillWorkers
 		for w := 0; w < rt; w++ {
@@ -539,7 +568,9 @@ func (e *Engine) Start() {
 	}
 }
 
-// Stop drains workers and closes open trigger batches.
+// Stop drains workers, commits the receipt of every transfer already
+// acked on the wire, runs the triggers of those deliveries, and closes
+// open trigger batches. The receipt store must outlive the call.
 func (e *Engine) Stop() {
 	e.stopMu.Lock()
 	if e.stopped {
@@ -547,10 +578,17 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.stopped = true
+	started := e.started
 	close(e.stopCh)
 	e.stopMu.Unlock()
 	e.sched.Close()
 	e.wg.Wait()
+	// Only workers queue receipts and they have all exited.
+	close(e.acked)
+	if started {
+		<-e.commitDone
+	}
+	e.stopTriggers()
 	e.trig.Flush()
 }
 
@@ -587,7 +625,7 @@ func (e *Engine) EnqueueFile(meta receipts.FileMeta) {
 		e.mu.Lock()
 		off := e.offline[s.Name]
 		e.mu.Unlock()
-		if off {
+		if off || e.isUnrecorded(s.Name, meta.ID) {
 			continue
 		}
 		feed := firstCommon(s.Feeds, meta.Feeds)
@@ -673,9 +711,7 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 			m.ReceiptMissing.Inc()
 		}
 		for _, j := range jobs {
-			e.bumpStats(j.Subscriber, false, 0)
-			e.emit(Event{Kind: EvDeliveryFailed, Subscriber: j.Subscriber, Feed: j.Feed,
-				Name: j.Path, FileID: j.FileID, Err: ErrReceiptMissing})
+			e.failJob(j, ErrReceiptMissing)
 			e.sched.Done(j)
 		}
 		return
@@ -706,7 +742,7 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 			subJobs = nil
 		} else if !(errors.Is(err, fs.ErrNotExist) && e.opts.ArchiveOpen != nil) {
 			for _, j := range subJobs {
-				e.emit(Event{Kind: EvDeliveryFailed, Subscriber: j.Subscriber, Feed: j.Feed, Name: j.Path, FileID: j.FileID, Err: err})
+				e.failJob(j, err)
 				e.sched.Done(j)
 			}
 			subJobs = nil
@@ -722,7 +758,7 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 		// Staged file vanished (expired mid-queue, no archive):
 		// complete the jobs without delivery; receipts keep the truth.
 		for _, j := range append(append(subJobs, chJobs...), xformJobs...) {
-			e.emit(Event{Kind: EvDeliveryFailed, Subscriber: j.Subscriber, Feed: j.Feed, Name: j.Path, FileID: j.FileID, Err: err})
+			e.failJob(j, err)
 			e.sched.Done(j)
 		}
 		return
@@ -752,9 +788,7 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 func (e *Engine) deliverTransformed(j *scheduler.Job, data []byte, meta receipts.FileMeta) {
 	out, err := e.opts.Transform(j.Feed)(data)
 	if err != nil {
-		e.bumpStats(j.Subscriber, false, 0)
-		e.emit(Event{Kind: EvDeliveryFailed, Subscriber: j.Subscriber, Feed: j.Feed,
-			Name: j.Path, FileID: j.FileID, Err: fmt.Errorf("delivery transform: %w", err)})
+		e.failJob(j, fmt.Errorf("delivery transform: %w", err))
 		e.sched.Done(j)
 		return
 	}
@@ -785,8 +819,10 @@ func (e *Engine) readStaged(stagedPath, abs string) ([]byte, error) {
 	return data, nil
 }
 
-// deliverOne pushes one file to one subscriber and updates liveness
-// bookkeeping.
+// deliverOne is the wire half of a delivery: it pushes one file to one
+// subscriber, updates liveness bookkeeping and, once the subscriber has
+// acked the bytes, hands the receipt to the committer (committer.go)
+// and frees the subscriber's slot.
 func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, meta receipts.FileMeta) {
 	s := e.subscriber(j.Subscriber)
 	if s == nil {
@@ -803,10 +839,6 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, met
 		Size:   meta.Size,
 	}
 	st := e.stateFor(j.Subscriber)
-	kind := EvDelivered
-	if s.Method == config.MethodNotify {
-		kind = EvNotified
-	}
 	started := e.clk.Now()
 	// The per-transfer deadline bounds how long one attempt can hold a
 	// worker; a late attempt counts as a transient failure.
@@ -818,44 +850,30 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, met
 		}
 		return e.trans.Deliver(j.Subscriber, f)
 	})
-	if err == nil {
-		// Feed the scheduler's responsiveness estimate (drives dynamic
-		// partition migration when enabled).
-		e.sched.Observe(j.Subscriber, e.clk.Now().Sub(started))
-	}
 	if err != nil {
 		// transferFailed either requeues the job or drops it; both
 		// release its scheduler slot.
 		e.transferFailed(j, err)
 		return
 	}
-	defer e.sched.Done(j)
-	// The transfer succeeded, so the subscriber is alive regardless of
-	// what the receipt store says below.
+	// Acked on the wire: feed the scheduler's responsiveness estimate
+	// (drives dynamic partition migration when enabled) and mark the
+	// subscriber alive, whatever the receipt store says later. The
+	// slot is released without waiting for the commit, so the
+	// subscriber's next file goes out at once.
+	now := e.clk.Now()
+	e.sched.Observe(j.Subscriber, now.Sub(started))
 	e.markAlive(j.Subscriber)
-	if rerr := e.store.RecordDelivery(j.FileID, j.Subscriber, e.clk.Now()); rerr != nil {
-		// Receipt write failure: the subscriber has the file but the
-		// ledger does not know. Do not retry the transfer (re-sending
-		// after restart is the safe direction) and do not account the
-		// job as delivered — one outcome, the distinct
-		// receipt-write-failed counter + event the server alarms on.
-		if m := e.opts.Metrics; m != nil {
-			m.ReceiptWriteFailures.Inc()
-		}
-		e.bumpStats(j.Subscriber, false, 0)
-		e.emit(Event{Kind: EvReceiptWriteFailed, Subscriber: j.Subscriber, Feed: j.Feed, Name: f.Name, FileID: j.FileID, Err: rerr})
-		return
-	}
-	e.bumpStats(j.Subscriber, true, meta.Size)
-	if m := e.opts.Metrics; m != nil && !j.Backfill {
-		m.Propagation.Observe(e.clk.Now().Sub(meta.Arrived).Seconds())
-	}
-	e.emit(Event{Kind: kind, Subscriber: j.Subscriber, Feed: j.Feed, Name: f.Name, FileID: j.FileID})
-	e.trig.FileDelivered(j.Subscriber, j.Feed, s.Trigger, batch.File{
-		Name:     f.Name,
-		FileID:   j.FileID,
-		DataTime: meta.DataTime,
-		Arrived:  meta.Arrived,
+	e.queueReceipt(s, j, ackedDelivery{
+		fileID:   j.FileID,
+		sub:      j.Subscriber,
+		feed:     j.Feed,
+		name:     f.Name,
+		size:     meta.Size,
+		arrived:  meta.Arrived,
+		dataTime: meta.DataTime,
+		at:       now,
+		backfill: j.Backfill,
 	})
 }
 
@@ -864,13 +882,21 @@ func destName(s *config.Subscriber, stagedPath string) string {
 	return filepath.ToSlash(filepath.Join(s.Dest, stagedPath))
 }
 
+// failJob accounts one failed attempt at a job — the subscriber's
+// failure counter and the EvDeliveryFailed event — for every way a job
+// can fail before or on the wire. Releasing or requeueing the job's
+// scheduler slot stays with the caller.
+func (e *Engine) failJob(j *scheduler.Job, err error) {
+	e.bumpStats(j.Subscriber, false, 0)
+	e.emit(Event{Kind: EvDeliveryFailed, Subscriber: j.Subscriber, Feed: j.Feed, Name: j.Path, FileID: j.FileID, Err: err})
+}
+
 // transferFailed classifies a failure and routes it: permanent errors
 // drop the job outright; transient ones feed the circuit breaker and
 // either requeue with a backoff delay or — once the breaker opens —
 // flag the subscriber offline, drop its queue, and start the prober.
 func (e *Engine) transferFailed(j *scheduler.Job, err error) {
-	e.bumpStats(j.Subscriber, false, 0)
-	e.emit(Event{Kind: EvDeliveryFailed, Subscriber: j.Subscriber, Feed: j.Feed, Name: j.Path, FileID: j.FileID, Err: err})
+	e.failJob(j, err)
 	if backoff.Classify(err) == backoff.ClassPermanent {
 		// Retrying cannot help and says nothing about liveness; the
 		// receipt database keeps the file pending should config change.
@@ -975,6 +1001,10 @@ func (e *Engine) QueueBackfill(sub string) []uint64 {
 	for _, ch := range e.channelsOf(sub) {
 		e.startCatchup(ch, sub)
 	}
+	// Snapshot first, store second (see unrecordedFor): files the
+	// subscriber has acked but whose receipts are still with the
+	// committer look undelivered to the store and must not go out again.
+	unrecorded := e.unrecordedFor(sub)
 	pending := e.store.PendingFor(sub, s.Feeds)
 	if len(pending) == 0 {
 		return nil
@@ -982,6 +1012,9 @@ func (e *Engine) QueueBackfill(sub string) []uint64 {
 	ids := make([]uint64, 0, len(pending))
 	now := e.clk.Now()
 	for _, meta := range pending {
+		if _, acked := unrecorded[meta.ID]; acked {
+			continue
+		}
 		// Files on channel-covered feeds reach the member via the
 		// shared fan-out or its catch-up, never as individual backfill.
 		if e.channelCovered(sub, meta.Feeds) {

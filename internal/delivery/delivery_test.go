@@ -23,7 +23,7 @@ import (
 
 // harness bundles an engine with its store and staging dir.
 type harness struct {
-	t       *testing.T
+	t       testing.TB
 	engine  *Engine
 	store   *receipts.Store
 	staging string
@@ -55,8 +55,15 @@ func (l *eventLog) count(k EventKind) int {
 
 func newHarness(t *testing.T, trans transport.Transport, subs []*config.Subscriber, mutate func(*Options)) *harness {
 	t.Helper()
+	return newHarnessStore(t, receipts.Options{NoSync: true}, trans, subs, mutate)
+}
+
+// newHarnessStore is newHarness over a receipt store opened with so
+// (real fsyncs, a flush window, a fault-injecting FS).
+func newHarnessStore(t testing.TB, so receipts.Options, trans transport.Transport, subs []*config.Subscriber, mutate func(*Options)) *harness {
+	t.Helper()
 	dir := t.TempDir()
-	store, err := receipts.Open(filepath.Join(dir, "db"), receipts.Options{NoSync: true})
+	store, err := receipts.Open(filepath.Join(dir, "db"), so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,36 +459,58 @@ func TestTransientFailureRetriesWithoutOffline(t *testing.T) {
 	}
 }
 
+// heldTransport parks the Deliver to subscriber "gate" until released,
+// so a test can queue jobs behind a worker it knows to be busy.
+type heldTransport struct {
+	transport.Transport
+	entered, release chan struct{}
+}
+
+func (h *heldTransport) Deliver(sub string, f transport.File) error {
+	if sub == "gate" {
+		close(h.entered)
+		<-h.release
+	}
+	return h.Transport.Deliver(sub, f)
+}
+
 func TestFeedPriorityOrdersPrioEDF(t *testing.T) {
 	// A single slow worker with a prioritized policy must deliver the
 	// high-priority fault feed ahead of earlier-queued bulk files.
 	lt := transport.NewLocalDir()
 	lt.Register("wh", t.TempDir())
+	lt.Register("gate", t.TempDir())
+	held := &heldTransport{Transport: lt, entered: make(chan struct{}), release: make(chan struct{})}
 	var mu sync.Mutex
 	var order []string
-	h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BULK", "FAULTS")}, func(o *Options) {
+	subs := []*config.Subscriber{sub("wh", "BULK", "FAULTS"), sub("gate", "GATE")}
+	h := newHarness(t, held, subs, func(o *Options) {
 		o.Scheduler = scheduler.Config{
 			Partitions:               []scheduler.PartitionConfig{{Name: "p", Workers: 1, Policy: scheduler.PrioEDF}},
 			MaxInFlightPerSubscriber: 4,
 		}
 		o.FeedPriority = map[string]int{"FAULTS": 10}
 		o.OnEvent = func(ev Event) {
-			if ev.Kind == EvDelivered {
+			if ev.Kind == EvDelivered && ev.Subscriber == "wh" {
 				mu.Lock()
 				order = append(order, ev.Feed)
 				mu.Unlock()
 			}
 		}
 	})
-	// Stage everything before the engine starts; the startup backfill
-	// queues all four at once, so the policy (not arrival timing)
-	// decides the order.
+	h.engine.Start()
+	defer h.engine.Stop()
+	// Keep the one worker busy on another subscriber's file while the
+	// backfill pass queues all four, so the policy (not which job the
+	// worker happened to claim mid-pass) decides the order.
+	h.engine.EnqueueFile(h.stage("GATE/g.csv", []string{"GATE"}, []byte("g")))
+	<-held.entered
 	for i := 0; i < 3; i++ {
 		h.stage(fmt.Sprintf("BULK/b%d.csv", i), []string{"BULK"}, []byte("b"))
 	}
 	h.stage("FAULTS/alert.log", []string{"FAULTS"}, []byte("f"))
-	h.engine.Start()
-	defer h.engine.Stop()
+	h.engine.QueueBackfill("wh")
+	close(held.release)
 	waitFor(t, "all delivered", func() bool {
 		mu.Lock()
 		defer mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"bistro/internal/normalize"
 	"bistro/internal/receipts"
 	"bistro/internal/server"
+	"bistro/internal/subclient"
 )
 
 // E12CrashConsistency is the randomized crash-restart property harness
@@ -132,6 +134,12 @@ type CrashRoundsConfig struct {
 	// GroupCommit enables the WAL flush window (small batch/delay, so
 	// every round crosses many batch boundaries).
 	GroupCommit bool
+	// TCPSubscriber delivers over TCP to a subscriber daemon with
+	// DedupByID that outlives every crash of the server, as a
+	// subscriber's machine does. A cut between a file's wire ack and
+	// its receipt commit then shows up as a counted, suppressed re-send
+	// (Resent) instead of a silent overwrite in a local directory.
+	TCPSubscriber bool
 }
 
 // CrashRoundsResult aggregates the harness counters.
@@ -154,6 +162,9 @@ type CrashRoundsResult struct {
 	// after the final clean run drained all queues.
 	Undelivered int
 	Duplicates  int
+	// Resent counts re-sends the TCP subscriber's DedupByID suppressed:
+	// files acked on the wire whose receipt a cut kept from committing.
+	Resent int
 }
 
 // Violations is the number of invariant breaches (zero for a healthy
@@ -204,6 +215,17 @@ func RunCrashRounds(cfg CrashRoundsConfig) (*CrashRoundsResult, error) {
 	defer os.RemoveAll(root)
 
 	confText := e12ConfigText(cfg)
+	var daemon *subclient.Daemon
+	if cfg.TCPSubscriber {
+		// DestDir is root, so pushed files land in the same root/in/CPU
+		// tree the local-directory shape fills.
+		daemon, err = subclient.Start("127.0.0.1:0", subclient.Options{Name: "wh", DestDir: root, DedupByID: true})
+		if err != nil {
+			return nil, err
+		}
+		defer daemon.Stop()
+		confText = strings.Replace(confText, "subscriber wh {", fmt.Sprintf("subscriber wh { host %q", daemon.Addr()), 1)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &CrashRoundsResult{Rounds: cfg.Rounds}
 	acked := make(map[string]string) // original name -> payload
@@ -327,6 +349,9 @@ func RunCrashRounds(cfg CrashRoundsConfig) (*CrashRoundsResult, error) {
 		if err != nil || string(got) != payload {
 			res.Undelivered++
 		}
+	}
+	if daemon != nil {
+		res.Resent = daemon.DuplicatesSuppressed()
 	}
 	mu.Lock()
 	res.Duplicates = deliveredEvents - (st.Files - st.Quarantined)

@@ -85,6 +85,41 @@ func TestE12GroupCommitSharded(t *testing.T) {
 	}
 }
 
+// TestE12CutBetweenWireAckAndReceiptCommit runs the harness against a
+// TCP subscriber that outlives the server: delivery frees the
+// subscriber's slot at wire ack and commits receipts in batches behind
+// the flush window, so a power cut can now strand a whole batch of
+// acked-but-unrecorded files. The contract: none is lost, the restarted
+// server re-sends exactly those, and the subscriber's DedupByID
+// swallows the re-sends.
+func TestE12CutBetweenWireAckAndReceiptCommit(t *testing.T) {
+	res, err := RunCrashRounds(CrashRoundsConfig{
+		Rounds:        30,
+		PerRound:      9,
+		Seed:          1307,
+		Workers:       4,
+		GroupCommit:   true,
+		TCPSubscriber: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Violations(); v != 0 {
+		t.Fatalf("%d invariant violations with batched receipts over TCP: %+v", v, res)
+	}
+	if res.MidOpCrashes < 15 {
+		t.Fatalf("only %d mid-operation cuts — harness not biting", res.MidOpCrashes)
+	}
+	if res.Acked == 0 {
+		t.Fatal("no deposits acknowledged — harness vacuous")
+	}
+	// Some cut must have landed inside the window this test is about.
+	if res.Resent == 0 {
+		t.Fatalf("no re-send was ever needed: no cut fell between a wire ack and its receipt commit: %+v", res)
+	}
+	t.Logf("%d acked, %d mid-op cuts, %d re-sends suppressed by DedupByID", res.Acked, res.MidOpCrashes, res.Resent)
+}
+
 // TestE12DetectsNonDurableRename deliberately reintroduces the bug
 // class the harness targets: a lying fsync on the staging temp files
 // makes the promote rename non-durable again (the pre-hardening

@@ -359,17 +359,78 @@ func (tp TimeParts) Granularity() time.Duration {
 
 // Match reports whether name matches the pattern and, if so, returns
 // the extracted fields. Matching backtracks over variable-width
-// conversions; a filename must match in its entirety.
+// conversions; a filename must match in its entirety. A name that does
+// not match costs no allocation: captures accumulate on the stack and
+// are copied into a Fields only on success.
 func (p *Pattern) Match(name string) (*Fields, bool) {
-	f := &Fields{}
-	st := matchState{budget: 4 * (len(name) + 1) * (len(p.segs) + 1)}
-	if !p.match(name, 0, 0, f, &st) {
+	var c captures
+	if !p.matchInto(name, &c) {
 		return nil, false
 	}
-	if !f.Time.Valid() {
-		return nil, false
+	f := &Fields{Time: c.time}
+	if c.nStrs > 0 {
+		f.Strings = make([]string, c.nStrs)
+		copy(f.Strings[copy(f.Strings, c.strs[:]):], c.moreStrs)
+	}
+	if c.nInts > 0 {
+		f.Ints = make([]int64, c.nInts)
+		copy(f.Ints[copy(f.Ints, c.ints[:]):], c.moreInts)
 	}
 	return f, true
+}
+
+// inlineCaptures is how many %s and how many %i captures a match holds
+// in fixed arrays; only a pattern with more spills to the heap.
+const inlineCaptures = 8
+
+// captures is the match in progress. It holds arrays and counts, not
+// slices of the arrays, so that a pointer to it can be passed down the
+// recursion without forcing it off the caller's stack.
+type captures struct {
+	time         TimeParts
+	nStrs, nInts int
+	strs         [inlineCaptures]string
+	ints         [inlineCaptures]int64
+	moreStrs     []string // captures past inlineCaptures
+	moreInts     []int64
+}
+
+func (c *captures) pushStr(s string) {
+	if c.nStrs < inlineCaptures {
+		c.strs[c.nStrs] = s
+	} else {
+		c.moreStrs = append(c.moreStrs, s)
+	}
+	c.nStrs++
+}
+
+func (c *captures) popStr() {
+	c.nStrs--
+	if c.nStrs >= inlineCaptures {
+		c.moreStrs = c.moreStrs[:c.nStrs-inlineCaptures]
+	}
+}
+
+func (c *captures) pushInt(v int64) {
+	if c.nInts < inlineCaptures {
+		c.ints[c.nInts] = v
+	} else {
+		c.moreInts = append(c.moreInts, v)
+	}
+	c.nInts++
+}
+
+func (c *captures) popInt() {
+	c.nInts--
+	if c.nInts >= inlineCaptures {
+		c.moreInts = c.moreInts[:c.nInts-inlineCaptures]
+	}
+}
+
+// matchInto runs the whole match, captures going to c.
+func (p *Pattern) matchInto(name string, c *captures) bool {
+	st := matchState{budget: 4 * (len(name) + 1) * (len(p.segs) + 1)}
+	return p.match(name, 0, 0, c, &st) && c.time.Valid()
 }
 
 // matchState bounds backtracking. Patterns like %i%i%i or repeated
@@ -385,21 +446,21 @@ type matchState struct {
 }
 
 // Matches is Match without field extraction cost for callers that only
-// need the boolean.
+// need the boolean; it does not allocate.
 func (p *Pattern) Matches(name string) bool {
-	_, ok := p.Match(name)
-	return ok
+	var c captures
+	return p.matchInto(name, &c)
 }
 
-// match attempts to match name[pos:] against segs[si:], appending
-// captures to f. On backtrack it truncates the captures it added.
+// match attempts to match name[pos:] against segs[si:], pushing
+// captures onto c. On backtrack it pops the captures it added.
 // Whether (pos, si) can match is independent of the captures taken so
 // far, so failed states can be memoized once backtracking blows the
 // call budget.
-func (p *Pattern) match(name string, pos, si int, f *Fields, st *matchState) bool {
+func (p *Pattern) match(name string, pos, si int, c *captures, st *matchState) bool {
 	st.calls++
 	if st.calls <= st.budget {
-		return p.matchSeg(name, pos, si, f, st)
+		return p.matchSeg(name, pos, si, c, st)
 	}
 	key := int32(pos*(len(p.segs)+1) + si)
 	if st.failed == nil {
@@ -407,14 +468,14 @@ func (p *Pattern) match(name string, pos, si int, f *Fields, st *matchState) boo
 	} else if _, ok := st.failed[key]; ok {
 		return false
 	}
-	ok := p.matchSeg(name, pos, si, f, st)
+	ok := p.matchSeg(name, pos, si, c, st)
 	if !ok {
 		st.failed[key] = struct{}{}
 	}
 	return ok
 }
 
-func (p *Pattern) matchSeg(name string, pos, si int, f *Fields, st *matchState) bool {
+func (p *Pattern) matchSeg(name string, pos, si int, c *captures, st *matchState) bool {
 	if si == len(p.segs) {
 		return pos == len(name)
 	}
@@ -424,7 +485,7 @@ func (p *Pattern) matchSeg(name string, pos, si int, f *Fields, st *matchState) 
 		if !strings.HasPrefix(name[pos:], seg.Lit) {
 			return false
 		}
-		return p.match(name, pos+len(seg.Lit), si+1, f, st)
+		return p.match(name, pos+len(seg.Lit), si+1, c, st)
 
 	case KString, KWild:
 		min := 1
@@ -438,13 +499,13 @@ func (p *Pattern) matchSeg(name string, pos, si int, f *Fields, st *matchState) 
 		}
 		for end := limit; end >= pos+min; end-- {
 			if seg.Kind == KString {
-				f.Strings = append(f.Strings, name[pos:end])
+				c.pushStr(name[pos:end])
 			}
-			if p.match(name, end, si+1, f, st) {
+			if p.match(name, end, si+1, c, st) {
 				return true
 			}
 			if seg.Kind == KString {
-				f.Strings = f.Strings[:len(f.Strings)-1]
+				c.popStr()
 			}
 		}
 		return false
@@ -460,11 +521,11 @@ func (p *Pattern) matchSeg(name string, pos, si int, f *Fields, st *matchState) 
 			if err != nil {
 				continue
 			}
-			f.Ints = append(f.Ints, v)
-			if p.match(name, end, si+1, f, st) {
+			c.pushInt(v)
+			if p.match(name, end, si+1, c, st) {
 				return true
 			}
-			f.Ints = f.Ints[:len(f.Ints)-1]
+			c.popInt()
 		}
 		return false
 
@@ -479,12 +540,12 @@ func (p *Pattern) matchSeg(name string, pos, si int, f *Fields, st *matchState) 
 			}
 		}
 		v, _ := strconv.Atoi(name[pos : pos+w])
-		saved := f.Time
-		setTimePart(&f.Time, seg.Kind, v)
-		if p.match(name, pos+w, si+1, f, st) {
+		saved := c.time
+		setTimePart(&c.time, seg.Kind, v)
+		if p.match(name, pos+w, si+1, c, st) {
 			return true
 		}
-		f.Time = saved
+		c.time = saved
 		return false
 	}
 }

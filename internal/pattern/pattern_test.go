@@ -1,7 +1,9 @@
 package pattern
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -402,11 +404,69 @@ func TestQuickRegexpAgreement(t *testing.T) {
 		}
 		if rm && !pm {
 			// Acceptable only when the calendar check rejected it.
-			f := &Fields{}
-			if p.match(name, 0, 0, f, &matchState{budget: 1 << 20}) && f.Time.Valid() {
+			var c captures
+			if p.match(name, 0, 0, &c, &matchState{budget: 1 << 20}) && c.time.Valid() {
 				t.Fatalf("regexp matched %q but pattern did not, and calendar is valid", name)
 			}
 		}
+	}
+}
+
+// A name that does not match must cost no allocation — the classifier
+// tries every indexed candidate per file — and Matches none at all; a
+// hit pays only for the Fields it returns.
+func TestMatchAllocs(t *testing.T) {
+	p := MustCompile("src%i/BPS_NE_poller%i_%Y%m%d%H%M%S.csv")
+	hit := "src1/BPS_NE_poller7_20100925045100.csv"
+	// Shares the literal prefix and the first capture, fails later: the
+	// shape of the 99 misses per file on a 100-feed source directory.
+	miss := "src1/PPS_SW_poller7_20100925045100.csv"
+	if _, ok := p.Match(hit); !ok {
+		t.Fatal("hit did not match")
+	}
+	if p.Matches(miss) {
+		t.Fatal("miss matched")
+	}
+	if n := testing.AllocsPerRun(200, func() { p.Match(miss) }); n != 0 {
+		t.Errorf("Match on a miss allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { p.Matches(miss) }); n != 0 {
+		t.Errorf("Matches on a miss allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { p.Matches(hit) }); n != 0 {
+		t.Errorf("Matches on a hit allocates %v times, want 0", n)
+	}
+	// The Fields and its one capture slice (Ints; no %s here).
+	if n := testing.AllocsPerRun(200, func() { p.Match(hit) }); n > 2 {
+		t.Errorf("Match on a hit allocates %v times, want <= 2", n)
+	}
+}
+
+// Captures past the inline bound spill to the heap and come back in
+// pattern order, through backtracking.
+func TestMatchManyCaptures(t *testing.T) {
+	p := MustCompile(strings.Repeat("%s_%i-", inlineCaptures+3) + "end")
+	var name strings.Builder
+	var wantS []string
+	var wantI []int64
+	for i := 0; i < inlineCaptures+3; i++ {
+		// The %s capture itself contains '_', so the greedy match has to
+		// back off through pushes and pops on both sides of the bound.
+		fmt.Fprintf(&name, "a_b%d_%d-", i, i*7)
+		wantS = append(wantS, fmt.Sprintf("a_b%d", i))
+		wantI = append(wantI, int64(i*7))
+	}
+	name.WriteString("end")
+	f, ok := p.Match(name.String())
+	if !ok {
+		t.Fatalf("no match for %q", name.String())
+	}
+	if !reflect.DeepEqual(f.Strings, wantS) || !reflect.DeepEqual(f.Ints, wantI) {
+		t.Fatalf("captures = %q %v, want %q %v", f.Strings, f.Ints, wantS, wantI)
+	}
+	got, err := p.Render(f)
+	if err != nil || got != name.String() {
+		t.Fatalf("render = %q, %v", got, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package receipts
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -258,8 +259,14 @@ func (s *Store) applyLocked(o op) {
 	}
 }
 
+// ErrCheckpoint wraps the failure of an automatic checkpoint that ran
+// behind a transaction already logged, synced and applied: the
+// transaction stands, only the WAL was not compacted.
+var ErrCheckpoint = errors.New("receipts: checkpoint after commit failed")
+
 // commit encodes ops as one transaction, appends it durably, and then
-// applies it to memory.
+// applies it to memory. An error wrapping ErrCheckpoint means the
+// transaction itself stands.
 func (s *Store) commit(ops []op) error {
 	payload := make([]byte, 0, 64*len(ops))
 	for _, o := range ops {
@@ -286,7 +293,9 @@ func (s *Store) commit(ops []op) error {
 		m.WALBytes.Set(walBytes)
 	}
 	if doCkpt {
-		return s.Checkpoint()
+		if err := s.Checkpoint(); err != nil {
+			return fmt.Errorf("%w: %w", ErrCheckpoint, err)
+		}
 	}
 	return nil
 }
@@ -444,12 +453,21 @@ func (s *Store) RecordDelivery(id uint64, sub string, at time.Time) error {
 	return s.commit([]op{{kind: recDelivery, id: id, sub: sub, at: at}})
 }
 
-// RecordDeliveries records several deliveries in one transaction (used
-// when the same staged file is pushed to a subscriber group).
-func (s *Store) RecordDeliveries(id uint64, subs []string, at time.Time) error {
-	ops := make([]op, len(subs))
-	for i, sub := range subs {
-		ops[i] = op{kind: recDelivery, id: id, sub: sub, at: at}
+// DeliveryRecord is one (file, subscriber) delivery receipt.
+type DeliveryRecord struct {
+	ID  uint64
+	Sub string
+	At  time.Time
+}
+
+// RecordDeliveryBatch records several deliveries — any files, any
+// subscribers — in one WAL transaction: all of them survive a crash or
+// none does. The delivery engine's receipt committer uses it to pay
+// one flush window for everything acked on the wire meanwhile.
+func (s *Store) RecordDeliveryBatch(recs []DeliveryRecord) error {
+	ops := make([]op, len(recs))
+	for i, r := range recs {
+		ops[i] = op{kind: recDelivery, id: r.ID, sub: r.Sub, at: r.At}
 	}
 	return s.commit(ops)
 }

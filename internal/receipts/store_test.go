@@ -259,21 +259,29 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
-func TestRecordDeliveriesTransaction(t *testing.T) {
+func TestRecordDeliveryBatchTransaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
-	id, _ := s.RecordArrival(meta("a", "bps"))
-	subs := []string{"s1", "s2", "s3"}
-	if err := s.RecordDeliveries(id, subs, t0); err != nil {
+	a, _ := s.RecordArrival(meta("a", "bps"))
+	b, _ := s.RecordArrival(meta("b", "bps"))
+	commits := s.Stats().Commits
+	recs := []DeliveryRecord{{ID: a, Sub: "s1", At: t0}, {ID: a, Sub: "s2", At: t0}, {ID: b, Sub: "s1", At: t0}}
+	if err := s.RecordDeliveryBatch(recs); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Stats().Commits - commits; got != 1 {
+		t.Fatalf("batch took %d transactions, want 1", got)
 	}
 	s.Close()
 	s2 := openTest(t, dir, Options{})
 	defer s2.Close()
-	for _, sub := range subs {
-		if !s2.Delivered(id, sub) {
-			t.Fatalf("group delivery to %s lost", sub)
+	for _, r := range recs {
+		if !s2.Delivered(r.ID, r.Sub) {
+			t.Fatalf("batched delivery of %d to %s lost", r.ID, r.Sub)
 		}
+	}
+	if s2.Delivered(b, "s2") {
+		t.Fatal("delivery of b to s2 was never recorded")
 	}
 }
 

@@ -94,7 +94,6 @@ func (s *Server) processPlanned(prog *plan.Program, matches []classifier.Match, 
 	for _, meta := range metas[1:] {
 		s.logger.FileClassified(meta.Feeds[0], name, meta.Size, dataTime)
 	}
-	s.recordMatched(feeds, name, now, metas[0].Size)
 	return metas, nil
 }
 

@@ -99,8 +99,9 @@ type Options struct {
 	// deposits (fault injection, crash simulation). Default: the real
 	// filesystem.
 	FS diskfault.FS
-	// AnalyzerSample bounds how many observations per feed (and
-	// unmatched) the analyzer retains. Default 10000.
+	// AnalyzerSample bounds how many unmatched observations the
+	// analyzer retains, and how many of each feed's newest receipts it
+	// reads back as that feed's matched stream. Default 10000.
 	AnalyzerSample int
 	// NodeName overrides the cluster block's self entry — the usual
 	// way one shared config file runs as different nodes per host.
@@ -149,7 +150,6 @@ type Server struct {
 	mu        sync.Mutex
 	conns     map[*protocol.Conn]struct{}
 	unmatched []discovery.Observation
-	matched   map[string][]discovery.Observation
 	stopCh    chan struct{}
 	wg        sync.WaitGroup
 	stopped   bool
@@ -192,14 +192,13 @@ func New(opts Options) (*Server, error) {
 		fsys = diskfault.NoSync(fsys)
 	}
 	s := &Server{
-		opts:    opts,
-		cfg:     cfg,
-		clk:     opts.Clock,
-		fs:      fsys,
-		root:    opts.Root,
-		matched: make(map[string][]discovery.Observation),
-		conns:   make(map[*protocol.Conn]struct{}),
-		stopCh:  make(chan struct{}),
+		opts:   opts,
+		cfg:    cfg,
+		clk:    opts.Clock,
+		fs:     fsys,
+		root:   opts.Root,
+		conns:  make(map[*protocol.Conn]struct{}),
+		stopCh: make(chan struct{}),
 	}
 	s.stage = s.resolveDir(cfg.StagingDir, "staging")
 	s.dbDir = filepath.Join(opts.Root, "receipts")
@@ -1278,9 +1277,16 @@ func (s *Server) processArrival(root, rel string) ([]receipts.FileMeta, error) {
 	if ts, ok := primary.Fields.Time.Timestamp(time.UTC); ok {
 		dataTime = ts
 	}
+	// A receipt stays in memory for the file's whole retention window.
+	// The staged path usually ends in the arrival name: let one string
+	// back both instead of also keeping the decoder's copy alive.
+	stagedPath := filepath.ToSlash(stagedName)
+	if strings.HasSuffix(stagedPath, name) {
+		name = stagedPath[len(stagedPath)-len(name):]
+	}
 	meta := receipts.FileMeta{
 		Name:       name,
-		StagedPath: filepath.ToSlash(stagedName),
+		StagedPath: stagedPath,
 		Feeds:      feeds,
 		Size:       res.Size,
 		Checksum:   res.Checksum,
@@ -1295,7 +1301,6 @@ func (s *Server) processArrival(root, rel string) ([]receipts.FileMeta, error) {
 	for _, m := range matches {
 		s.logger.FileClassified(m.Feed.Path, name, res.Size, dataTime)
 	}
-	s.recordMatched(feeds, name, now, res.Size)
 	return []receipts.FileMeta{meta}, nil
 }
 
@@ -1329,16 +1334,6 @@ func (s *Server) recordUnmatched(name string, at time.Time, size int64) {
 	defer s.mu.Unlock()
 	if len(s.unmatched) < s.opts.AnalyzerSample {
 		s.unmatched = append(s.unmatched, discovery.Observation{Name: name, Arrived: at, Size: size})
-	}
-}
-
-func (s *Server) recordMatched(feeds []string, name string, at time.Time, size int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range feeds {
-		if len(s.matched[f]) < s.opts.AnalyzerSample {
-			s.matched[f] = append(s.matched[f], discovery.Observation{Name: name, Arrived: at, Size: size})
-		}
 	}
 }
 
@@ -1454,19 +1449,33 @@ func (s *Server) Analyze() AnalyzerReport {
 	s.mu.Lock()
 	unmatched := make([]discovery.Observation, len(s.unmatched))
 	copy(unmatched, s.unmatched)
-	matched := make(map[string][]discovery.Observation, len(s.matched))
-	for f, obs := range s.matched {
-		cp := make([]discovery.Observation, len(obs))
-		copy(cp, obs)
-		matched[f] = cp
-	}
 	s.mu.Unlock()
 
+	// The matched streams are read back from the receipt store — every
+	// classified arrival already has its name, arrival time and size
+	// there — newest AnalyzerSample files per feed, so the sample
+	// follows current traffic and survives a restart.
 	var defs []analyzer.FeedDef
+	matched := make(map[string][]discovery.Observation)
 	for _, f := range s.cfg.Feeds {
 		for _, p := range f.Patterns {
 			defs = append(defs, analyzer.FeedDef{Name: f.Path, Pattern: p})
 		}
+		if len(f.Patterns) == 0 {
+			continue // derived feeds have no filename stream to analyze
+		}
+		files := s.store.FilesInFeed(f.Path)
+		if len(files) == 0 {
+			continue
+		}
+		if n := s.opts.AnalyzerSample; len(files) > n {
+			files = files[len(files)-n:]
+		}
+		obs := make([]discovery.Observation, len(files))
+		for i, m := range files {
+			obs[i] = discovery.Observation{Name: m.Name, Arrived: m.Arrived, Size: m.Size}
+		}
+		matched[f.Path] = obs
 	}
 	var rep AnalyzerReport
 	an := discovery.New(discovery.DefaultOptions())

@@ -491,6 +491,58 @@ func TestAnalyzeSuggestsGroups(t *testing.T) {
 	}
 }
 
+// Analyze reads a feed's matched stream back from the receipt store:
+// the newest AnalyzerSample files that have not expired.
+func TestAnalyzeMatchedStreamFollowsReceipts(t *testing.T) {
+	cfgSrc := `
+window 1h
+archive "arch"
+feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt" }
+subscriber wh { dest "in" subscribe CPU }
+`
+	s := newServer(t, cfgSrc, func(o *Options) {
+		o.ExpiryInterval = -1
+		o.AnalyzerSample = 3
+	})
+	cpuTotal := func() int {
+		for _, r := range s.Analyze().Subfeeds {
+			if r.Feed == "CPU" {
+				return r.Total
+			}
+		}
+		return 0
+	}
+	// Data times in 2010 are far outside the 1h window.
+	for i := 0; i < 2; i++ {
+		if err := s.Deposit(fmt.Sprintf("CPU_POLL1_20100925045%d.txt", i), []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cpuTotal(); got != 2 {
+		t.Fatalf("matched stream holds %d files, want 2", got)
+	}
+	waitFor(t, "delivery", func() bool {
+		st, _ := s.Logger().Stats("CPU")
+		return st.Delivered == 2
+	})
+	if n, err := s.Archiver().ExpireOnce(); err != nil || n != 2 {
+		t.Fatalf("expire = %d, %v", n, err)
+	}
+	if got := cpuTotal(); got != 0 {
+		t.Fatalf("matched stream holds %d expired files", got)
+	}
+	now := time.Now().UTC()
+	for i := 0; i < 5; i++ {
+		name := "CPU_POLL1_" + now.Add(-time.Duration(i)*time.Minute).Format("200601021504") + ".txt"
+		if err := s.Deposit(name, []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cpuTotal(); got != 3 {
+		t.Fatalf("matched stream holds %d files, want the newest AnalyzerSample = 3", got)
+	}
+}
+
 func TestFetchFallsBackToArchive(t *testing.T) {
 	cfgSrc := `
 window 1h

@@ -82,13 +82,18 @@ type tcpTransport struct {
 	clk     clock.Clock
 	pol     backoff.Policy
 
-	mu    sync.Mutex
-	conns map[string]*protocol.Conn
-	gates map[string]*dialGate
+	mu    sync.Mutex // guards the hosts map only, never held across I/O
+	hosts map[string]*hostConn
 }
 
-// dialGate throttles redial attempts to one unreachable host.
-type dialGate struct {
+// hostConn is one host's cached connection and redial throttle. Its
+// lock is held across the dial and the whole exchange — the protocol is
+// strictly request/response per connection — so a slow or unreachable
+// host delays only the calls addressed to it.
+type hostConn struct {
+	mu   sync.Mutex
+	conn *protocol.Conn // nil = not connected
+	// Redial throttle after a failed dial (bo nil = no failure on record).
 	bo        *backoff.Backoff
 	notBefore time.Time
 	lastErr   error
@@ -102,45 +107,48 @@ func newTCPTransport(timeout time.Duration, clk clock.Clock, pol backoff.Policy)
 		timeout: timeout,
 		clk:     clk,
 		pol:     pol.WithDefaults(),
-		conns:   make(map[string]*protocol.Conn),
-		gates:   make(map[string]*dialGate),
+		hosts:   make(map[string]*hostConn),
 	}
 }
 
-// withConn runs fn holding the (cached) connection to host, dropping
-// the connection on any error so the next call redials. The lock is
-// held across the exchange: the protocol is strictly request/response
-// per connection.
-func (t *tcpTransport) withConn(host string, fn func(*protocol.Conn) error) error {
+// hostConn returns (creating on first use) host's connection state.
+func (t *tcpTransport) hostConn(host string) *hostConn {
 	t.mu.Lock()
-	conn, ok := t.conns[host]
-	if !ok {
-		g := t.gates[host]
-		if g != nil && t.clk.Now().Before(g.notBefore) {
-			err := g.lastErr
-			t.mu.Unlock()
-			return fmt.Errorf("server: dial %s suppressed by backoff: %w", host, err)
+	defer t.mu.Unlock()
+	h := t.hosts[host]
+	if h == nil {
+		h = &hostConn{}
+		t.hosts[host] = h
+	}
+	return h
+}
+
+// withConn runs fn holding the (cached) connection to host, dropping
+// the connection on any error so the next call redials.
+func (t *tcpTransport) withConn(host string, fn func(*protocol.Conn) error) error {
+	h := t.hostConn(host)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.conn == nil {
+		if h.bo != nil && t.clk.Now().Before(h.notBefore) {
+			return fmt.Errorf("server: dial %s suppressed by backoff: %w", host, h.lastErr)
 		}
-		var err error
-		conn, err = protocol.Dial(host, t.timeout)
+		conn, err := protocol.Dial(host, t.timeout)
 		if err != nil {
-			if g == nil {
-				g = &dialGate{bo: backoff.New(t.pol, backoff.Seed(host))}
-				t.gates[host] = g
+			if h.bo == nil {
+				h.bo = backoff.New(t.pol, backoff.Seed(host))
 			}
-			g.notBefore = t.clk.Now().Add(g.bo.Next())
-			g.lastErr = err
-			t.mu.Unlock()
+			h.notBefore = t.clk.Now().Add(h.bo.Next())
+			h.lastErr = err
 			return err
 		}
-		delete(t.gates, host) // dialed fine: forget the backoff history
+		h.bo = nil // dialed fine: forget the backoff history
 		conn.Timeout = t.timeout
-		t.conns[host] = conn
+		h.conn = conn
 	}
-	defer t.mu.Unlock()
-	if err := fn(conn); err != nil {
-		conn.Close()
-		delete(t.conns, host)
+	if err := fn(h.conn); err != nil {
+		h.conn.Close()
+		h.conn = nil
 		return err
 	}
 	return nil
@@ -231,9 +239,17 @@ func (t *tcpTransport) ping(host string) error {
 // close shuts every cached connection.
 func (t *tcpTransport) close() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	for host, c := range t.conns {
-		c.Close()
-		delete(t.conns, host)
+	hosts := make([]*hostConn, 0, len(t.hosts))
+	for _, h := range t.hosts {
+		hosts = append(hosts, h)
+	}
+	t.mu.Unlock()
+	for _, h := range hosts {
+		h.mu.Lock()
+		if h.conn != nil {
+			h.conn.Close()
+			h.conn = nil
+		}
+		h.mu.Unlock()
 	}
 }

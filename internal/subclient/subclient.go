@@ -31,7 +31,8 @@ type Options struct {
 	// AllowTriggers permits remote trigger execution (via /bin/sh).
 	AllowTriggers bool
 	// OnFile, when set, is called after each pushed file is written
-	// (relative path). Cascading servers ingest from here.
+	// (relative path) and takes the place of the Received list.
+	// Cascading servers ingest from here.
 	OnFile func(relPath string)
 	// OnNotify receives availability notifications (hybrid push-pull).
 	OnNotify func(n protocol.Notify)
@@ -211,13 +212,7 @@ func (d *Daemon) handleStream(conn *protocol.Conn, m protocol.DeliverBegin) prot
 				os.Remove(tmp.Name())
 				return protocol.Ack{OK: false, Error: err.Error()}
 			}
-			d.mu.Lock()
-			d.received = append(d.received, m.Name)
-			d.mu.Unlock()
-			d.markDelivered(m.FileID)
-			if d.opts.OnFile != nil {
-				d.opts.OnFile(m.Name)
-			}
+			d.fileWritten(m.FileID, m.Name)
 			return protocol.Ack{OK: true}
 		default:
 			return fail(fmt.Sprintf("unexpected %T inside stream", msg))
@@ -264,6 +259,21 @@ func (d *Daemon) markDelivered(fileID uint64) {
 	d.mu.Unlock()
 }
 
+// fileWritten books one pushed file whose content is in place. Its
+// name goes to the OnFile hook when there is one and onto the Received
+// list otherwise: a daemon that hands every name on must not also keep
+// them all for as long as it runs.
+func (d *Daemon) fileWritten(fileID uint64, name string) {
+	d.markDelivered(fileID)
+	if d.opts.OnFile != nil {
+		d.opts.OnFile(name)
+		return
+	}
+	d.mu.Lock()
+	d.received = append(d.received, name)
+	d.mu.Unlock()
+}
+
 func (d *Daemon) handleDeliver(m protocol.Deliver) protocol.Ack {
 	if d.isDuplicate(m.FileID) {
 		return protocol.Ack{OK: true}
@@ -296,13 +306,7 @@ func (d *Daemon) handleDeliver(m protocol.Deliver) protocol.Ack {
 		os.Remove(tmp.Name())
 		return protocol.Ack{OK: false, Error: err.Error()}
 	}
-	d.mu.Lock()
-	d.received = append(d.received, m.Name)
-	d.mu.Unlock()
-	d.markDelivered(m.FileID)
-	if d.opts.OnFile != nil {
-		d.opts.OnFile(m.Name)
-	}
+	d.fileWritten(m.FileID, m.Name)
 	return protocol.Ack{OK: true}
 }
 
@@ -333,7 +337,8 @@ func (d *Daemon) handleTrigger(m protocol.Trigger) protocol.Ack {
 	return protocol.Ack{OK: true}
 }
 
-// Received returns the pushed file names so far.
+// Received returns the pushed file names so far (always empty with an
+// OnFile hook, which gets the names instead).
 func (d *Daemon) Received() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()

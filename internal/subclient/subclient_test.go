@@ -102,6 +102,10 @@ func TestOnFileCallback(t *testing.T) {
 	if len(seen) != 1 || seen[0] != "a.txt" {
 		t.Fatalf("seen = %v", seen)
 	}
+	// The hook got the name; a long-running daemon keeps no second copy.
+	if rx := d.Received(); len(rx) != 0 {
+		t.Fatalf("Received() = %v alongside an OnFile hook", rx)
+	}
 }
 
 func TestNotify(t *testing.T) {
