@@ -2,8 +2,10 @@ package config
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"bistro/internal/backoff"
@@ -90,51 +92,51 @@ type Feed struct {
 	// Path is the full hierarchy path, e.g. "SNMP/ROUTER/CPU".
 	Path string
 	// Patterns match incoming filenames into this feed.
-	Patterns []*pattern.Pattern
+	Patterns []*pattern.Pattern `cfg:"pattern"`
 	// Normalize, when set, renders matched files into this layout in
 	// the staging area.
-	Normalize *pattern.Pattern
+	Normalize *pattern.Pattern `cfg:"normalize"`
 	// Compress selects content normalization.
-	Compress Compression
+	Compress Compression `cfg:"compress,enum=none|gzip|gunzip|bunzip2"`
 	// ExpectPeriod is the feed's expected generation interval, used by
 	// monitoring to detect stalls and incomplete intervals (0 = none).
-	ExpectPeriod time.Duration
+	ExpectPeriod time.Duration `cfg:"expect,hook"`
 	// ExpectSources is the expected file count per interval.
 	ExpectSources int
 	// Priority raises this feed's delivery urgency under prioritized
 	// scheduling policies (0 = default). The paper's delay-sensitive
 	// feeds (link faults, alarms) want this.
-	Priority int
+	Priority int `cfg:"priority"`
 	// Plan, when set, replaces the fixed classify→normalize path with
 	// a declared operator chain (see PlanSpec). Nil keeps the implicit
 	// default plan, byte for byte.
-	Plan *PlanSpec
+	Plan *PlanSpec `cfg:"plan,hook"`
 }
 
 // Subscriber is one registered feed consumer.
 type Subscriber struct {
-	Name string
+	Name string `cfg:",name"`
 	// Host is the subscriber daemon address (host:port); empty for
 	// local-directory delivery.
-	Host string
+	Host string `cfg:"host"`
 	// Dest is the destination directory (remote or local).
-	Dest string
+	Dest string `cfg:"dest"`
 	// Subscriptions holds the feed or group paths as written.
-	Subscriptions []string
+	Subscriptions []string `cfg:"subscribe,path,sorted,need=subscribes to nothing"`
 	// Feeds is the resolved flat list of leaf feed paths.
 	Feeds []string
 	// Method selects push or hybrid notify delivery.
-	Method Method
+	Method Method `cfg:"method,enum=push|notify"`
 	// Trigger configures notifications.
-	Trigger TriggerSpec
+	Trigger TriggerSpec `cfg:"trigger,hook"`
 	// Retry is the offline-subscriber retry probe interval.
-	Retry time.Duration
+	Retry time.Duration `cfg:"retry,default=30s"`
 	// Class is the scheduling partition hint: "" (auto), "interactive",
 	// or "bulk".
-	Class string
+	Class string `cfg:"class,enum=interactive|bulk"`
 	// Backoff, when non-nil, overrides the server-wide retry and
 	// circuit-breaker policy for this subscriber.
-	Backoff *BackoffSpec
+	Backoff *BackoffSpec `cfg:"backoff"`
 }
 
 // BackoffSpec is a backoff { ... } block: retry and circuit-breaker
@@ -144,22 +146,22 @@ type Subscriber struct {
 // a meaningful override of the jitter-on default.
 type BackoffSpec struct {
 	// Base is the first retry delay.
-	Base time.Duration
+	Base time.Duration `cfg:"base"`
 	// Max caps the grown delay.
-	Max time.Duration
+	Max time.Duration `cfg:"max"`
 	// Multiplier grows the delay per consecutive failure.
-	Multiplier float64
+	Multiplier float64 `cfg:"multiplier,min=1"`
 	// NoJitter disables full jitter (meaningful when JitterSet).
-	NoJitter bool
+	NoJitter bool `cfg:"jitter,invert,set=JitterSet"`
 	// JitterSet records that the block spelled out jitter on|off.
 	JitterSet bool
 	// Threshold is the consecutive-failure count that opens the circuit
 	// (and flags the subscriber offline).
-	Threshold int
+	Threshold int `cfg:"threshold,min=1"`
 	// Deadline bounds one transfer attempt.
-	Deadline time.Duration
+	Deadline time.Duration `cfg:"deadline"`
 	// Retries bounds bounded retry loops (dial, upload).
-	Retries int
+	Retries int `cfg:"retries,min=1"`
 }
 
 // Apply layers the spec's written fields over a base policy.
@@ -201,33 +203,40 @@ func (b *BackoffSpec) Policy() backoff.Policy {
 type PartitionSpec struct {
 	// Name labels the partition; "interactive" receives subscribers
 	// with class interactive.
-	Name string
+	Name string `cfg:",name"`
 	// Workers is the fixed worker allocation (required, > 0).
-	Workers int
+	Workers int `cfg:"workers,need=needs workers"`
 	// Backfill reserves this many of the workers for backfill.
-	Backfill int
+	Backfill int `cfg:"backfill"`
 	// Policy is "fifo", "edf", "prio-edf", or "max-benefit"
 	// (default edf).
-	Policy string
+	Policy string `cfg:"policy,enum=fifo|edf|prio-edf|max-benefit,default=edf"`
 	// MaxService is the responsiveness band for dynamic migration
 	// (0 = unbounded).
-	MaxService time.Duration
+	MaxService time.Duration `cfg:"maxservice"`
+}
+
+func (s *PartitionSpec) check() error {
+	if s.Backfill >= s.Workers {
+		return fmt.Errorf("partition %s: backfill must leave real-time workers", s.Name)
+	}
+	return nil
 }
 
 // SchedulerSpec configures the delivery scheduler from the
 // configuration language.
 type SchedulerSpec struct {
-	// Partitions in decreasing responsiveness order.
-	Partitions []PartitionSpec
 	// Migrate enables observation-driven partition migration.
-	Migrate bool
+	Migrate bool `cfg:"migrate"`
+	// Partitions in decreasing responsiveness order.
+	Partitions []PartitionSpec `cfg:"partition,need=needs at least one partition"`
 }
 
 // AdminSpec is an admin { ... } block: the observability HTTP endpoint
 // serving /metrics (Prometheus text), /healthz, and /statusz (JSON).
 type AdminSpec struct {
 	// Listen is the admin HTTP address ("127.0.0.1:0" for ephemeral).
-	Listen string
+	Listen string `cfg:"listen,need=needs listen"`
 }
 
 // PrincipalSpec is one principal { ... } entry in an http block: a
@@ -236,12 +245,12 @@ type AdminSpec struct {
 // set the ACL is enforced against.
 type PrincipalSpec struct {
 	// Name identifies the principal (basic-auth username, log label).
-	Name string
+	Name string `cfg:",name"`
 	// Token is the shared secret: the bearer token, or the basic-auth
 	// password.
-	Token string
+	Token string `cfg:"token,need=needs a token"`
 	// Subscriptions holds the feed or group paths as written.
-	Subscriptions []string
+	Subscriptions []string `cfg:"feed,path,sorted,need=grants no feeds"`
 	// Feeds is the resolved flat list of leaf feed paths the principal
 	// may read and write.
 	Feeds []string
@@ -253,22 +262,48 @@ type PrincipalSpec struct {
 type HTTPSpec struct {
 	// Listen is the HTTP data-plane address ("127.0.0.1:0" for
 	// ephemeral).
-	Listen string
+	Listen string `cfg:"listen,need=needs listen"`
 	// MaxBody caps POST ingest bodies in bytes (0 = the server
 	// default).
-	MaxBody int64
+	MaxBody int64 `cfg:"max_body,min=1"`
 	// Principals in definition order. Empty means the plane is open
 	// (documented for lab use; production configs declare principals).
-	Principals []*PrincipalSpec
+	Principals []*PrincipalSpec `cfg:"principal,noun=http principal"`
+}
+
+func (s *HTTPSpec) check() error {
+	names := make(map[string]bool, len(s.Principals))
+	tokens := make(map[string]string, len(s.Principals))
+	for _, pr := range s.Principals {
+		if names[pr.Name] {
+			return fmt.Errorf("duplicate http principal %q", pr.Name)
+		}
+		names[pr.Name] = true
+		if other, dup := tokens[pr.Token]; dup {
+			// Two principals sharing a token would make bearer
+			// authentication ambiguous (the token alone names the
+			// principal).
+			return fmt.Errorf("http principals %q and %q share a token", other, pr.Name)
+		}
+		tokens[pr.Token] = pr.Name
+	}
+	return nil
 }
 
 // GroupCommitSpec is a group_commit { ... } block inside ingest:
 // tuning for the receipt WAL's batched-fsync flush window.
 type GroupCommitSpec struct {
 	// MaxBatch flushes once this many receipt transactions are queued.
-	MaxBatch int
+	MaxBatch int `cfg:"max_batch,min=1"`
 	// MaxDelay is how long a flush leader waits for companion commits.
-	MaxDelay time.Duration
+	MaxDelay time.Duration `cfg:"max_delay,pos"`
+}
+
+func (s *GroupCommitSpec) check() error {
+	if s.MaxBatch == 0 && s.MaxDelay == 0 {
+		return fmt.Errorf("group_commit block needs max_batch and/or max_delay")
+	}
+	return nil
 }
 
 // IngestSpec is an ingest { ... } block: the parallel landing→staging
@@ -278,11 +313,12 @@ type GroupCommitSpec struct {
 // backpressure to sources when delivery falls behind.
 type IngestSpec struct {
 	// Workers is the shard count (>= 1; 1 reproduces the serial path).
-	Workers int
+	// Format writes it even at its default.
+	Workers int `cfg:"workers,min=1,default=1,explicit"`
 	// Queue is the bounded delivery hand-off depth (0 = default).
-	Queue int
+	Queue int `cfg:"queue,min=1"`
 	// GroupCommit, when non-nil, enables the WAL flush window.
-	GroupCommit *GroupCommitSpec
+	GroupCommit *GroupCommitSpec `cfg:"group_commit"`
 }
 
 // ReplaySpec is a replay { ... } block: historical catch-up from the
@@ -291,24 +327,32 @@ type IngestSpec struct {
 // partition to the scheduler layout.
 type ReplaySpec struct {
 	// Rate caps replay streaming in files/second (0 = unlimited).
-	Rate int
-	// Workers sizes the replay partition (0 = default 1).
-	Workers int
+	Rate int `cfg:"rate"`
+	// Workers sizes the replay partition (0 = default 1); written as
+	// partition { workers N }.
+	Workers int `cfg:"partition.workers,min=1"`
 	// NoManifest disables the archive manifest ("manifest off").
 	// Replay sessions need the manifest, so they are refused when it
 	// is off; expiry then skips manifest writes entirely.
-	NoManifest bool
+	NoManifest bool `cfg:"manifest,invert"`
 }
 
 // ClusterNodeSpec is one node { ... } entry in a cluster block.
 type ClusterNodeSpec struct {
 	// Name is the unique node name.
-	Name string
+	Name string `cfg:",name,quoted"`
 	// Addr is the node's source/subscriber protocol address.
-	Addr string
+	Addr string `cfg:"addr,need=needs addr"`
 	// Standby, when non-empty, is the replication listen address of
 	// this node's warm standby.
-	Standby string
+	Standby string `cfg:"standby"`
+}
+
+func (s *ClusterNodeSpec) check() error {
+	if s.Name == "" {
+		return fmt.Errorf("cluster node needs a non-empty name")
+	}
+	return nil
 }
 
 // FailoverSpec is the failover { ... } sub-block of a cluster block:
@@ -316,14 +360,21 @@ type ClusterNodeSpec struct {
 type FailoverSpec struct {
 	// Lease is how long a standby tolerates owner silence before
 	// declaring it dead (0 = default 10s).
-	Lease time.Duration
+	Lease time.Duration `cfg:"lease,pos"`
 	// Heartbeat is the owner's idle lease-renewal cadence on the
 	// replication stream (0 = lease/5). Must be shorter than the lease.
-	Heartbeat time.Duration
+	Heartbeat time.Duration `cfg:"heartbeat,pos"`
 	// Auto enables unattended standby promotion on lease expiry
 	// ("auto on"); off, expiry is observed and alarmed but a human
 	// promotes.
-	Auto bool
+	Auto bool `cfg:"auto"`
+}
+
+func (s *FailoverSpec) check() error {
+	if s.Lease > 0 && s.Heartbeat > 0 && s.Heartbeat >= s.Lease {
+		return fmt.Errorf("failover heartbeat (%s) must be shorter than the lease (%s)", s.Heartbeat, s.Lease)
+	}
+	return nil
 }
 
 // ClusterSpec is a cluster { ... } block: the static feed-sharding
@@ -333,14 +384,28 @@ type FailoverSpec struct {
 type ClusterSpec struct {
 	// Self names the node this process runs as (may be overridden at
 	// startup).
-	Self string
+	Self string `cfg:"self"`
 	// VNodes is the consistent-hash ring points per node (0 = default).
-	VNodes int
+	VNodes int `cfg:"vnodes,min=1"`
 	// Failover configures lease-based failure detection (nil = manual
 	// promotion only, with default lease/heartbeat timings for status).
-	Failover *FailoverSpec
+	Failover *FailoverSpec `cfg:"failover"`
 	// Nodes is every daemon in the cluster, in definition order.
-	Nodes []ClusterNodeSpec
+	Nodes []ClusterNodeSpec `cfg:"node,noun=cluster node,need=needs at least one node"`
+}
+
+func (s *ClusterSpec) check() error {
+	names := make(map[string]bool, len(s.Nodes))
+	for _, n := range s.Nodes {
+		if names[n.Name] {
+			return fmt.Errorf("duplicate cluster node %q", n.Name)
+		}
+		names[n.Name] = true
+	}
+	if s.Self != "" && !names[s.Self] {
+		return fmt.Errorf("cluster self %q is not a listed node", s.Self)
+	}
+	return nil
 }
 
 // ChannelGroupSpec is one group { ... } entry in a channels block: a
@@ -349,61 +414,63 @@ type ClusterSpec struct {
 // kept per group rather than per member.
 type ChannelGroupSpec struct {
 	// Name is the channel (and receipt-store subscription-group) name.
-	Name string
+	Name string `cfg:",name"`
 	// Feed is the leaf feed the channel fans out.
-	Feed string
+	Feed string `cfg:"feed,path,need=needs a feed"`
 	// Members are the configured member subscribers, in definition
 	// order. Each must be a declared subscriber subscribed to Feed.
-	Members []string
+	Members []string `cfg:"member,ident"`
 }
 
 // ChannelsSpec is a channels { ... } block: the shared fan-out
 // channels the delivery engine brokers.
 type ChannelsSpec struct {
 	// Groups in definition order.
-	Groups []ChannelGroupSpec
+	Groups []ChannelGroupSpec `cfg:"group,noun=channel group,need=needs at least one group"`
 }
 
 // Config is a fully parsed and validated Bistro server configuration.
+// Its fields are declared in the order Format writes them.
 type Config struct {
 	// Window is the retention window for staged files (0 = infinite).
-	Window time.Duration
+	Window time.Duration `cfg:"window"`
 	// LandingDir, StagingDir, ArchiveDir locate the server work areas.
-	LandingDir string
-	StagingDir string
-	ArchiveDir string
+	LandingDir string `cfg:"landing,default=landing"`
+	StagingDir string `cfg:"staging,default=staging"`
+	ArchiveDir string `cfg:"archive"`
 	// QuarantineDir is where startup reconciliation moves staged files
 	// that diverge from their receipts (missing, corrupt, or orphaned).
-	// Defaults to "quarantine" under the server root.
-	QuarantineDir string
-	// Feeds are all leaf feeds, in definition order.
-	Feeds []*Feed
-	// Groups maps each group path to its descendant leaf feed paths.
-	Groups map[string][]string
-	// Subscribers in definition order.
-	Subscribers []*Subscriber
+	// Empty means "quarantine" under the server root.
+	QuarantineDir string `cfg:"quarantine"`
 	// Scheduler, when non-nil, overrides the server's default
 	// partition layout.
-	Scheduler *SchedulerSpec
+	Scheduler *SchedulerSpec `cfg:"scheduler"`
 	// Backoff, when non-nil, sets the server-wide retry and
 	// circuit-breaker policy.
-	Backoff *BackoffSpec
+	Backoff *BackoffSpec `cfg:"backoff"`
 	// Admin, when non-nil, enables the observability HTTP endpoint.
-	Admin *AdminSpec
+	Admin *AdminSpec `cfg:"admin"`
 	// HTTP, when non-nil, enables the pull data plane (feeds as
 	// authenticated HTTP logs).
-	HTTP *HTTPSpec
+	HTTP *HTTPSpec `cfg:"http"`
 	// Ingest, when non-nil, configures the parallel ingest pipeline
 	// (shard workers, hand-off queue, WAL group-commit window).
-	Ingest *IngestSpec
-	// Replay, when non-nil, enables historical replay from the archive.
-	Replay *ReplaySpec
+	Ingest *IngestSpec `cfg:"ingest"`
 	// Cluster, when non-nil, shards feed ownership across the listed
 	// nodes; absent, the server is the single-node degenerate case.
-	Cluster *ClusterSpec
+	Cluster *ClusterSpec `cfg:"cluster"`
+	// Replay, when non-nil, enables historical replay from the archive.
+	Replay *ReplaySpec `cfg:"replay"`
 	// Channels, when non-nil, declares shared per-feed delivery
-	// channels (one staged read fanned out to every member).
-	Channels *ChannelsSpec
+	// channels (one staged read fanned out to every member). A config
+	// may hold several channels blocks; their groups merge.
+	Channels *ChannelsSpec `cfg:"channels,merge"`
+	// Feeds are all leaf feeds, in definition order.
+	Feeds []*Feed `cfg:"feed,hook"`
+	// Groups maps each group path to its descendant leaf feed paths.
+	Groups map[string][]string `cfg:"feedgroup,hook"`
+	// Subscribers in definition order.
+	Subscribers []*Subscriber `cfg:"subscriber"`
 }
 
 // FeedByPath returns the feed with the given full path.
@@ -431,11 +498,14 @@ func (c *Config) SubscribersOf(feedPath string) []string {
 	return out
 }
 
-// parser implements recursive descent over the token stream.
+// parser holds the token stream. The regular `{ keyword value … }`
+// statements are parsed by the schema walker (schema.go); the methods
+// here are the token plumbing and the positional grammars the schema
+// reaches through hook fields: feed/feedgroup nesting, `expect`,
+// `trigger`, and the plan operators (plan.go).
 type parser struct {
 	lex      *lexer
 	tok      token
-	peeked   *token
 	prevLine int // line of the most recently consumed token
 }
 
@@ -446,148 +516,8 @@ func Parse(src string) (*Config, error) {
 		return nil, err
 	}
 	cfg := &Config{Groups: make(map[string][]string)}
-	for p.tok.kind != tokEOF {
-		if p.tok.kind != tokIdent {
-			return nil, p.errf("expected a statement keyword, got %s", p.tok.kind)
-		}
-		switch p.tok.text {
-		case "window":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			d, err := p.duration()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Window = d
-		case "landing":
-			s, err := p.keywordString()
-			if err != nil {
-				return nil, err
-			}
-			cfg.LandingDir = s
-		case "staging":
-			s, err := p.keywordString()
-			if err != nil {
-				return nil, err
-			}
-			cfg.StagingDir = s
-		case "archive":
-			s, err := p.keywordString()
-			if err != nil {
-				return nil, err
-			}
-			cfg.ArchiveDir = s
-		case "quarantine":
-			s, err := p.keywordString()
-			if err != nil {
-				return nil, err
-			}
-			cfg.QuarantineDir = s
-		case "feed":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			f, err := p.feed("")
-			if err != nil {
-				return nil, err
-			}
-			cfg.Feeds = append(cfg.Feeds, f)
-		case "feedgroup":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if err := p.feedgroup("", cfg); err != nil {
-				return nil, err
-			}
-		case "subscriber":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			s, err := p.subscriber()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Subscribers = append(cfg.Subscribers, s)
-		case "scheduler":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.schedulerSpec()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Scheduler = spec
-		case "backoff":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.backoffSpec()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Backoff = spec
-		case "admin":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.adminSpec()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Admin = spec
-		case "http":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.httpSpec()
-			if err != nil {
-				return nil, err
-			}
-			cfg.HTTP = spec
-		case "ingest":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.ingestSpec()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Ingest = spec
-		case "replay":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.replaySpec()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Replay = spec
-		case "cluster":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.clusterSpec()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Cluster = spec
-		case "channels":
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			spec, err := p.channelsSpec()
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Channels == nil {
-				cfg.Channels = spec
-			} else {
-				cfg.Channels.Groups = append(cfg.Channels.Groups, spec.Groups...)
-			}
-		default:
-			return nil, p.errf("unknown statement %q", p.tok.text)
-		}
+	if err := p.statements(configSchema, reflect.ValueOf(cfg).Elem(), site{line: 1}, tokEOF); err != nil {
+		return nil, err
 	}
 	if err := resolve(cfg); err != nil {
 		return nil, err
@@ -597,11 +527,6 @@ func Parse(src string) (*Config, error) {
 
 func (p *parser) advance() error {
 	p.prevLine = p.tok.line
-	if p.peeked != nil {
-		p.tok = *p.peeked
-		p.peeked = nil
-		return nil
-	}
 	t, err := p.lex.next()
 	if err != nil {
 		return err
@@ -610,15 +535,19 @@ func (p *parser) advance() error {
 	return nil
 }
 
+func errAt(line int, format string, args ...any) error {
+	return fmt.Errorf("config: line %d: %s", line, fmt.Sprintf(format, args...))
+}
+
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("config: line %d: %s", p.tok.line, fmt.Sprintf(format, args...))
+	return errAt(p.tok.line, format, args...)
 }
 
 // errPrevf reports an error about the token that was just consumed
 // (e.g. an unknown keyword value), so line numbers point at it rather
 // than at the following token.
 func (p *parser) errPrevf(format string, args ...any) error {
-	return fmt.Errorf("config: line %d: %s", p.prevLine, fmt.Sprintf(format, args...))
+	return errAt(p.prevLine, format, args...)
 }
 
 // expect consumes a token of the given kind and returns its text.
@@ -633,14 +562,6 @@ func (p *parser) expect(k tokKind) (string, error) {
 	return text, nil
 }
 
-// keywordString consumes the current keyword and a following string.
-func (p *parser) keywordString() (string, error) {
-	if err := p.advance(); err != nil {
-		return "", err
-	}
-	return p.expect(tokString)
-}
-
 // duration consumes a number token and parses it as a duration;
 // a bare integer means seconds.
 func (p *parser) duration() (time.Duration, error) {
@@ -653,7 +574,7 @@ func (p *parser) duration() (time.Duration, error) {
 	}
 	d, err := time.ParseDuration(text)
 	if err != nil {
-		return 0, fmt.Errorf("config: bad duration %q: %w", text, err)
+		return 0, p.errPrevf("bad duration %q: %v", text, err)
 	}
 	return d, nil
 }
@@ -666,7 +587,7 @@ func (p *parser) integer() (int, error) {
 	}
 	n, err := strconv.Atoi(text)
 	if err != nil {
-		return 0, fmt.Errorf("config: bad integer %q: %w", text, err)
+		return 0, p.errPrevf("bad integer %q: %v", text, err)
 	}
 	return n, nil
 }
@@ -691,6 +612,33 @@ func (p *parser) path() (string, error) {
 	return out, nil
 }
 
+// hook runs the hand-written grammar behind the hook field kw of owner;
+// the keyword, on the given line, has just been consumed. formatHook
+// (format.go) is its rendering twin.
+func (p *parser) hook(kw string, owner any, line int) (err error) {
+	switch o := owner.(type) {
+	case *Config:
+		if kw == "feedgroup" {
+			return p.feedgroup("", o)
+		}
+		return p.feed("", o, line)
+	case *Feed:
+		if kw == "plan" {
+			o.Plan, err = p.planSpec(o.Path)
+			return err
+		}
+		// expect <period> <sources>
+		if o.ExpectPeriod, err = p.duration(); err != nil {
+			return err
+		}
+		o.ExpectSources, err = p.integer()
+		return err
+	case *Subscriber:
+		return p.trigger(&o.Trigger)
+	}
+	panic("config: no hook for " + kw)
+}
+
 // feedgroup parses: NAME { (feed | feedgroup)* }
 func (p *parser) feedgroup(prefix string, cfg *Config) error {
 	name, err := p.expect(tokIdent)
@@ -711,181 +659,30 @@ func (p *parser) feedgroup(prefix string, cfg *Config) error {
 		}
 		switch kw {
 		case "feed":
-			f, err := p.feed(path)
-			if err != nil {
-				return err
-			}
-			cfg.Feeds = append(cfg.Feeds, f)
+			err = p.feed(path, cfg, p.prevLine)
 		case "feedgroup":
-			if err := p.feedgroup(path, cfg); err != nil {
-				return err
-			}
+			err = p.feedgroup(path, cfg)
 		default:
-			return p.errPrevf("unknown feedgroup statement %q", kw)
+			err = p.errPrevf("unknown feedgroup statement %q", kw)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return p.advance() // consume '}'
 }
 
-// feed parses: NAME { body }
-func (p *parser) feed(prefix string) (*Feed, error) {
+// feed parses: NAME { body } — the body is schema-driven. A feed may
+// omit patterns only when it is the target of some plan's split/route
+// operator — checked in resolvePlans, which can see the whole config.
+func (p *parser) feed(prefix string, cfg *Config, line int) error {
 	name, err := p.expect(tokIdent)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f := &Feed{Name: name, Path: joinPath(prefix, name)}
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "pattern":
-			src, err := p.expect(tokString)
-			if err != nil {
-				return nil, err
-			}
-			pat, err := pattern.Compile(src)
-			if err != nil {
-				return nil, fmt.Errorf("config: feed %s: %w", f.Path, err)
-			}
-			f.Patterns = append(f.Patterns, pat)
-		case "normalize":
-			src, err := p.expect(tokString)
-			if err != nil {
-				return nil, err
-			}
-			pat, err := pattern.Compile(src)
-			if err != nil {
-				return nil, fmt.Errorf("config: feed %s normalize: %w", f.Path, err)
-			}
-			f.Normalize = pat
-		case "expect":
-			if f.ExpectPeriod, err = p.duration(); err != nil {
-				return nil, err
-			}
-			if f.ExpectSources, err = p.integer(); err != nil {
-				return nil, err
-			}
-		case "priority":
-			if f.Priority, err = p.integer(); err != nil {
-				return nil, err
-			}
-		case "plan":
-			if f.Plan != nil {
-				return nil, p.errPrevf("feed %s: duplicate plan block", f.Path)
-			}
-			if f.Plan, err = p.planSpec(f.Path); err != nil {
-				return nil, err
-			}
-		case "compress":
-			mode, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			switch mode {
-			case "none":
-				f.Compress = CompressNone
-			case "gzip":
-				f.Compress = CompressGzip
-			case "gunzip":
-				f.Compress = CompressGunzip
-			case "bunzip2":
-				f.Compress = CompressBunzip2
-			default:
-				return nil, p.errPrevf("feed %s: unknown compress mode %q", f.Path, mode)
-			}
-		default:
-			return nil, p.errPrevf("unknown feed statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	// A feed may omit patterns only when it is the target of some
-	// plan's split/route operator — checked in resolvePlans, which can
-	// see the whole config.
-	return f, nil
-}
-
-// subscriber parses: NAME { body }
-func (p *parser) subscriber() (*Subscriber, error) {
-	name, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	s := &Subscriber{Name: name, Retry: 30 * time.Second}
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "host":
-			if s.Host, err = p.expect(tokString); err != nil {
-				return nil, err
-			}
-		case "dest":
-			if s.Dest, err = p.expect(tokString); err != nil {
-				return nil, err
-			}
-		case "subscribe":
-			path, err := p.path()
-			if err != nil {
-				return nil, err
-			}
-			s.Subscriptions = append(s.Subscriptions, path)
-		case "method":
-			m, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			switch m {
-			case "push":
-				s.Method = MethodPush
-			case "notify":
-				s.Method = MethodNotify
-			default:
-				return nil, p.errPrevf("subscriber %s: unknown method %q", name, m)
-			}
-		case "retry":
-			if s.Retry, err = p.duration(); err != nil {
-				return nil, err
-			}
-		case "class":
-			c, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			if c != "interactive" && c != "bulk" {
-				return nil, p.errPrevf("subscriber %s: unknown class %q", name, c)
-			}
-			s.Class = c
-		case "trigger":
-			if err := p.trigger(&s.Trigger); err != nil {
-				return nil, err
-			}
-		case "backoff":
-			if s.Backoff, err = p.backoffSpec(); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, p.errPrevf("unknown subscriber statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	if len(s.Subscriptions) == 0 {
-		return nil, fmt.Errorf("config: subscriber %s subscribes to nothing", name)
-	}
-	return s, nil
+	cfg.Feeds = append(cfg.Feeds, f)
+	return p.body(feedSchema, reflect.ValueOf(f).Elem(), site{noun: "feed", name: f.Path, line: line})
 }
 
 // trigger parses:
@@ -941,713 +738,6 @@ func (p *parser) trigger(spec *TriggerSpec) error {
 	}
 }
 
-// backoffSpec parses:
-//
-//	backoff {
-//	    base D  max D  multiplier F  jitter on|off
-//	    threshold N  deadline D  retries N
-//	}
-func (p *parser) backoffSpec() (*BackoffSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &BackoffSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "base":
-			if spec.Base, err = p.duration(); err != nil {
-				return nil, err
-			}
-		case "max":
-			if spec.Max, err = p.duration(); err != nil {
-				return nil, err
-			}
-		case "multiplier":
-			text, err := p.expect(tokNumber)
-			if err != nil {
-				return nil, err
-			}
-			m, err := strconv.ParseFloat(text, 64)
-			if err != nil || m < 1 {
-				return nil, p.errPrevf("multiplier must be a number >= 1, got %q", text)
-			}
-			spec.Multiplier = m
-		case "jitter":
-			v, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			switch v {
-			case "on":
-				spec.NoJitter = false
-			case "off":
-				spec.NoJitter = true
-			default:
-				return nil, p.errPrevf("jitter takes on or off, got %q", v)
-			}
-			spec.JitterSet = true
-		case "threshold":
-			if spec.Threshold, err = p.integer(); err != nil {
-				return nil, err
-			}
-			if spec.Threshold < 1 {
-				return nil, p.errPrevf("threshold must be >= 1")
-			}
-		case "deadline":
-			if spec.Deadline, err = p.duration(); err != nil {
-				return nil, err
-			}
-		case "retries":
-			if spec.Retries, err = p.integer(); err != nil {
-				return nil, err
-			}
-			if spec.Retries < 1 {
-				return nil, p.errPrevf("retries must be >= 1")
-			}
-		default:
-			return nil, p.errPrevf("unknown backoff statement %q", kw)
-		}
-	}
-	return spec, p.advance() // consume '}'
-}
-
-// adminSpec parses: { listen "addr" }
-func (p *parser) adminSpec() (*AdminSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &AdminSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "listen":
-			if spec.Listen, err = p.expect(tokString); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, p.errPrevf("unknown admin statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if spec.Listen == "" {
-		return nil, fmt.Errorf("config: admin block needs listen")
-	}
-	return spec, nil
-}
-
-// httpSpec parses:
-//
-//	http {
-//	    listen "addr"
-//	    max_body N
-//	    principal NAME { token "..." feed PATH+ }
-//	}
-func (p *parser) httpSpec() (*HTTPSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &HTTPSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "listen":
-			if spec.Listen, err = p.expect(tokString); err != nil {
-				return nil, err
-			}
-		case "max_body":
-			n, err := p.integer()
-			if err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, p.errPrevf("http max_body must be >= 1")
-			}
-			spec.MaxBody = int64(n)
-		case "principal":
-			pr, err := p.principalSpec()
-			if err != nil {
-				return nil, err
-			}
-			spec.Principals = append(spec.Principals, pr)
-		default:
-			return nil, p.errPrevf("unknown http statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if spec.Listen == "" {
-		return nil, fmt.Errorf("config: http block needs listen")
-	}
-	seen := make(map[string]bool, len(spec.Principals))
-	tokens := make(map[string]string, len(spec.Principals))
-	for _, pr := range spec.Principals {
-		if seen[pr.Name] {
-			return nil, fmt.Errorf("config: duplicate http principal %q", pr.Name)
-		}
-		seen[pr.Name] = true
-		if other, dup := tokens[pr.Token]; dup {
-			// Two principals sharing a token would make bearer
-			// authentication ambiguous (the token alone names the
-			// principal).
-			return nil, fmt.Errorf("config: http principals %q and %q share a token", other, pr.Name)
-		}
-		tokens[pr.Token] = pr.Name
-	}
-	return spec, nil
-}
-
-// principalSpec parses: NAME { token "..." feed PATH+ }
-func (p *parser) principalSpec() (*PrincipalSpec, error) {
-	spec := &PrincipalSpec{}
-	var err error
-	if spec.Name, err = p.expect(tokIdent); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "token":
-			if spec.Token, err = p.expect(tokString); err != nil {
-				return nil, err
-			}
-		case "feed":
-			path, err := p.path()
-			if err != nil {
-				return nil, err
-			}
-			spec.Subscriptions = append(spec.Subscriptions, path)
-		default:
-			return nil, p.errPrevf("unknown principal statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if spec.Token == "" {
-		return nil, fmt.Errorf("config: http principal %s needs a token", spec.Name)
-	}
-	if len(spec.Subscriptions) == 0 {
-		return nil, fmt.Errorf("config: http principal %s grants no feeds", spec.Name)
-	}
-	return spec, nil
-}
-
-// ingestSpec parses:
-//
-//	ingest {
-//	    workers N
-//	    queue N
-//	    group_commit { max_batch N  max_delay D }
-//	}
-func (p *parser) ingestSpec() (*IngestSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &IngestSpec{Workers: 1}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "workers":
-			if spec.Workers, err = p.integer(); err != nil {
-				return nil, err
-			}
-			if spec.Workers < 1 {
-				return nil, p.errPrevf("ingest workers must be >= 1")
-			}
-		case "queue":
-			if spec.Queue, err = p.integer(); err != nil {
-				return nil, err
-			}
-			if spec.Queue < 1 {
-				return nil, p.errPrevf("ingest queue must be >= 1")
-			}
-		case "group_commit":
-			if spec.GroupCommit, err = p.groupCommitSpec(); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, p.errPrevf("unknown ingest statement %q", kw)
-		}
-	}
-	return spec, p.advance() // consume '}'
-}
-
-// groupCommitSpec parses: { max_batch N  max_delay D }
-func (p *parser) groupCommitSpec() (*GroupCommitSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &GroupCommitSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "max_batch":
-			if spec.MaxBatch, err = p.integer(); err != nil {
-				return nil, err
-			}
-			if spec.MaxBatch < 1 {
-				return nil, p.errPrevf("group_commit max_batch must be >= 1")
-			}
-		case "max_delay":
-			if spec.MaxDelay, err = p.duration(); err != nil {
-				return nil, err
-			}
-			if spec.MaxDelay <= 0 {
-				return nil, p.errPrevf("group_commit max_delay must be > 0")
-			}
-		default:
-			return nil, p.errPrevf("unknown group_commit statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if spec.MaxBatch == 0 && spec.MaxDelay == 0 {
-		return nil, fmt.Errorf("config: group_commit block needs max_batch and/or max_delay")
-	}
-	return spec, nil
-}
-
-// replaySpec parses:
-//
-//	replay {
-//	    rate N
-//	    partition { workers N }
-//	    manifest on|off
-//	}
-func (p *parser) replaySpec() (*ReplaySpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &ReplaySpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "rate":
-			if spec.Rate, err = p.integer(); err != nil {
-				return nil, err
-			}
-			if spec.Rate < 0 {
-				return nil, p.errPrevf("replay rate must be >= 0")
-			}
-		case "partition":
-			if spec.Workers, err = p.replayPartitionSpec(); err != nil {
-				return nil, err
-			}
-		case "manifest":
-			v, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			switch v {
-			case "on":
-				spec.NoManifest = false
-			case "off":
-				spec.NoManifest = true
-			default:
-				return nil, p.errPrevf("manifest takes on or off, got %q", v)
-			}
-		default:
-			return nil, p.errPrevf("unknown replay statement %q", kw)
-		}
-	}
-	return spec, p.advance() // consume '}'
-}
-
-// replayPartitionSpec parses: { workers N }
-func (p *parser) replayPartitionSpec() (int, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return 0, err
-	}
-	workers := 0
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return 0, err
-		}
-		switch kw {
-		case "workers":
-			if workers, err = p.integer(); err != nil {
-				return 0, err
-			}
-			if workers < 1 {
-				return 0, p.errPrevf("replay partition workers must be >= 1")
-			}
-		default:
-			return 0, p.errPrevf("unknown replay partition statement %q", kw)
-		}
-	}
-	return workers, p.advance() // consume '}'
-}
-
-// clusterSpec parses:
-//
-//	cluster {
-//	    self "a"
-//	    vnodes 64
-//	    node "a" { addr "host:port" standby "host:port" }
-//	    node "b" { addr "host:port" }
-//	}
-func (p *parser) clusterSpec() (*ClusterSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &ClusterSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "self":
-			if spec.Self, err = p.expect(tokString); err != nil {
-				return nil, err
-			}
-		case "vnodes":
-			if spec.VNodes, err = p.integer(); err != nil {
-				return nil, err
-			}
-			if spec.VNodes < 1 {
-				return nil, p.errPrevf("cluster vnodes must be >= 1")
-			}
-		case "failover":
-			fo, err := p.failoverSpec()
-			if err != nil {
-				return nil, err
-			}
-			spec.Failover = fo
-		case "node":
-			n, err := p.clusterNodeSpec()
-			if err != nil {
-				return nil, err
-			}
-			spec.Nodes = append(spec.Nodes, n)
-		default:
-			return nil, p.errPrevf("unknown cluster statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if len(spec.Nodes) == 0 {
-		return nil, fmt.Errorf("config: cluster block needs at least one node")
-	}
-	seen := make(map[string]bool, len(spec.Nodes))
-	for _, n := range spec.Nodes {
-		if seen[n.Name] {
-			return nil, fmt.Errorf("config: duplicate cluster node %q", n.Name)
-		}
-		seen[n.Name] = true
-	}
-	if spec.Self != "" && !seen[spec.Self] {
-		return nil, fmt.Errorf("config: cluster self %q is not a listed node", spec.Self)
-	}
-	return spec, nil
-}
-
-// failoverSpec parses: failover { [lease DUR] [heartbeat DUR] [auto on|off] }
-func (p *parser) failoverSpec() (*FailoverSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &FailoverSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "lease":
-			if spec.Lease, err = p.duration(); err != nil {
-				return nil, err
-			}
-			if spec.Lease <= 0 {
-				return nil, p.errPrevf("failover lease must be positive")
-			}
-		case "heartbeat":
-			if spec.Heartbeat, err = p.duration(); err != nil {
-				return nil, err
-			}
-			if spec.Heartbeat <= 0 {
-				return nil, p.errPrevf("failover heartbeat must be positive")
-			}
-		case "auto":
-			v, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			switch v {
-			case "on":
-				spec.Auto = true
-			case "off":
-				spec.Auto = false
-			default:
-				return nil, p.errPrevf("auto takes on or off, got %q", v)
-			}
-		default:
-			return nil, p.errPrevf("unknown failover statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if spec.Lease > 0 && spec.Heartbeat > 0 && spec.Heartbeat >= spec.Lease {
-		return nil, fmt.Errorf("config: failover heartbeat (%s) must be shorter than the lease (%s)",
-			spec.Heartbeat, spec.Lease)
-	}
-	return spec, nil
-}
-
-// clusterNodeSpec parses: node "name" { addr "..." [standby "..."] }
-func (p *parser) clusterNodeSpec() (ClusterNodeSpec, error) {
-	n := ClusterNodeSpec{}
-	var err error
-	if n.Name, err = p.expect(tokString); err != nil {
-		return n, err
-	}
-	if n.Name == "" {
-		return n, p.errPrevf("cluster node needs a non-empty name")
-	}
-	if _, err := p.expect(tokLBrace); err != nil {
-		return n, err
-	}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return n, err
-		}
-		switch kw {
-		case "addr":
-			if n.Addr, err = p.expect(tokString); err != nil {
-				return n, err
-			}
-		case "standby":
-			if n.Standby, err = p.expect(tokString); err != nil {
-				return n, err
-			}
-		default:
-			return n, p.errPrevf("unknown cluster node statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return n, err
-	}
-	if n.Addr == "" {
-		return n, fmt.Errorf("config: cluster node %q needs addr", n.Name)
-	}
-	return n, nil
-}
-
-// channelsSpec parses:
-//
-//	channels {
-//	    group ticks {
-//	        feed market/bps
-//	        member wh1
-//	        member wh2
-//	    }
-//	}
-func (p *parser) channelsSpec() (*ChannelsSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &ChannelsSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "group":
-			g, err := p.channelGroupSpec()
-			if err != nil {
-				return nil, err
-			}
-			spec.Groups = append(spec.Groups, g)
-		default:
-			return nil, p.errPrevf("unknown channels statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if len(spec.Groups) == 0 {
-		return nil, fmt.Errorf("config: channels block needs at least one group")
-	}
-	return spec, nil
-}
-
-// channelGroupSpec parses: group NAME { feed PATH member NAME+ }
-func (p *parser) channelGroupSpec() (ChannelGroupSpec, error) {
-	g := ChannelGroupSpec{}
-	var err error
-	if g.Name, err = p.expect(tokIdent); err != nil {
-		return g, err
-	}
-	if _, err := p.expect(tokLBrace); err != nil {
-		return g, err
-	}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return g, err
-		}
-		switch kw {
-		case "feed":
-			if g.Feed != "" {
-				return g, p.errPrevf("channel group %s: duplicate feed statement", g.Name)
-			}
-			if g.Feed, err = p.path(); err != nil {
-				return g, err
-			}
-		case "member":
-			m, err := p.expect(tokIdent)
-			if err != nil {
-				return g, err
-			}
-			g.Members = append(g.Members, m)
-		default:
-			return g, p.errPrevf("unknown channel group statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return g, err
-	}
-	if g.Feed == "" {
-		return g, fmt.Errorf("config: channel group %s needs a feed", g.Name)
-	}
-	return g, nil
-}
-
-// schedulerSpec parses: { [migrate on|off] partition NAME { ... }+ }
-func (p *parser) schedulerSpec() (*SchedulerSpec, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	spec := &SchedulerSpec{}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "migrate":
-			v, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			switch v {
-			case "on":
-				spec.Migrate = true
-			case "off":
-				spec.Migrate = false
-			default:
-				return nil, p.errPrevf("migrate takes on or off, got %q", v)
-			}
-		case "partition":
-			part, err := p.partitionSpec()
-			if err != nil {
-				return nil, err
-			}
-			spec.Partitions = append(spec.Partitions, part)
-		default:
-			return nil, p.errPrevf("unknown scheduler statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil { // consume '}'
-		return nil, err
-	}
-	if len(spec.Partitions) == 0 {
-		return nil, fmt.Errorf("config: scheduler block needs at least one partition")
-	}
-	return spec, nil
-}
-
-// partitionSpec parses: NAME { workers N [backfill N] [policy P] [maxservice D] }
-func (p *parser) partitionSpec() (PartitionSpec, error) {
-	var out PartitionSpec
-	name, err := p.expect(tokIdent)
-	if err != nil {
-		return out, err
-	}
-	out.Name = name
-	out.Policy = "edf"
-	if _, err := p.expect(tokLBrace); err != nil {
-		return out, err
-	}
-	for p.tok.kind != tokRBrace {
-		kw, err := p.expect(tokIdent)
-		if err != nil {
-			return out, err
-		}
-		switch kw {
-		case "workers":
-			if out.Workers, err = p.integer(); err != nil {
-				return out, err
-			}
-		case "backfill":
-			if out.Backfill, err = p.integer(); err != nil {
-				return out, err
-			}
-		case "policy":
-			v, err := p.expect(tokIdent)
-			if err != nil {
-				return out, err
-			}
-			switch v {
-			case "fifo", "edf", "prio-edf", "max-benefit":
-				out.Policy = v
-			default:
-				return out, p.errPrevf("unknown policy %q", v)
-			}
-		case "maxservice":
-			if out.MaxService, err = p.duration(); err != nil {
-				return out, err
-			}
-		default:
-			return out, p.errPrevf("unknown partition statement %q", kw)
-		}
-	}
-	if err := p.advance(); err != nil {
-		return out, err
-	}
-	if out.Workers <= 0 {
-		return out, fmt.Errorf("config: partition %s needs workers", out.Name)
-	}
-	if out.Backfill >= out.Workers {
-		return out, fmt.Errorf("config: partition %s: backfill must leave real-time workers", out.Name)
-	}
-	return out, nil
-}
-
 func joinPath(prefix, name string) string {
 	if prefix == "" {
 		return name
@@ -1667,9 +757,9 @@ func resolve(cfg *Config) error {
 	}
 	// Group membership: every ancestor group contains the leaf.
 	for _, f := range cfg.Feeds {
-		parts := splitPath(f.Path)
+		parts := strings.Split(f.Path, "/")
 		for i := 1; i < len(parts); i++ {
-			g := joinParts(parts[:i])
+			g := strings.Join(parts[:i], "/")
 			cfg.Groups[g] = append(cfg.Groups[g], f.Path)
 		}
 	}
@@ -1677,31 +767,10 @@ func resolve(cfg *Config) error {
 		sort.Strings(cfg.Groups[g])
 	}
 	for _, s := range cfg.Subscribers {
-		feedSet := make(map[string]bool)
-		for _, sub := range s.Subscriptions {
-			if seen[sub] {
-				feedSet[sub] = true
-				continue
-			}
-			leaves, ok := cfg.Groups[sub]
-			if !ok {
-				return fmt.Errorf("config: subscriber %s: unknown feed or group %q", s.Name, sub)
-			}
-			for _, leaf := range leaves {
-				feedSet[leaf] = true
-			}
+		var bad string
+		if s.Feeds, bad = cfg.expand(s.Subscriptions, seen); bad != "" {
+			return fmt.Errorf("config: subscriber %s: unknown feed or group %q", s.Name, bad)
 		}
-		s.Feeds = make([]string, 0, len(feedSet))
-		for f := range feedSet {
-			s.Feeds = append(s.Feeds, f)
-		}
-		sort.Strings(s.Feeds)
-	}
-	if cfg.StagingDir == "" {
-		cfg.StagingDir = "staging"
-	}
-	if cfg.LandingDir == "" {
-		cfg.LandingDir = "landing"
 	}
 	if err := resolvePlans(cfg, seen); err != nil {
 		return err
@@ -1719,30 +788,40 @@ func resolve(cfg *Config) error {
 	return nil
 }
 
+// expand resolves feed-or-group paths as written to the sorted set of
+// leaf feeds they cover: a leaf stands for itself, a group for every
+// leaf beneath it. It returns the first path that is neither.
+func (c *Config) expand(paths []string, leaves map[string]bool) (feeds []string, unknown string) {
+	set := make(map[string]bool)
+	for _, p := range paths {
+		if leaves[p] {
+			set[p] = true
+			continue
+		}
+		group, ok := c.Groups[p]
+		if !ok {
+			return nil, p
+		}
+		for _, leaf := range group {
+			set[leaf] = true
+		}
+	}
+	feeds = make([]string, 0, len(set))
+	for f := range set {
+		feeds = append(feeds, f)
+	}
+	sort.Strings(feeds)
+	return feeds, ""
+}
+
 // resolveHTTP expands each principal's feed ACL to leaf feeds, exactly
-// the way subscriber interest sets resolve: a written path may be a
-// leaf feed or a group, and groups expand to every descendant leaf.
+// the way subscriber interest sets resolve.
 func resolveHTTP(cfg *Config, leaves map[string]bool) error {
 	for _, pr := range cfg.HTTP.Principals {
-		feedSet := make(map[string]bool)
-		for _, sub := range pr.Subscriptions {
-			if leaves[sub] {
-				feedSet[sub] = true
-				continue
-			}
-			grp, ok := cfg.Groups[sub]
-			if !ok {
-				return fmt.Errorf("config: http principal %s: unknown feed or group %q", pr.Name, sub)
-			}
-			for _, leaf := range grp {
-				feedSet[leaf] = true
-			}
+		var bad string
+		if pr.Feeds, bad = cfg.expand(pr.Subscriptions, leaves); bad != "" {
+			return fmt.Errorf("config: http principal %s: unknown feed or group %q", pr.Name, bad)
 		}
-		pr.Feeds = make([]string, 0, len(feedSet))
-		for f := range feedSet {
-			pr.Feeds = append(pr.Feeds, f)
-		}
-		sort.Strings(pr.Feeds)
 	}
 	return nil
 }
@@ -1798,48 +877,13 @@ func (c *Config) ResolveSubscriber(s *Subscriber) error {
 	if len(s.Subscriptions) == 0 {
 		return fmt.Errorf("config: subscriber %s subscribes to nothing", s.Name)
 	}
-	leafSet := make(map[string]bool, len(c.Feeds))
+	leaves := make(map[string]bool, len(c.Feeds))
 	for _, f := range c.Feeds {
-		leafSet[f.Path] = true
+		leaves[f.Path] = true
 	}
-	feedSet := make(map[string]bool)
-	for _, sub := range s.Subscriptions {
-		if leafSet[sub] {
-			feedSet[sub] = true
-			continue
-		}
-		leaves, ok := c.Groups[sub]
-		if !ok {
-			return fmt.Errorf("config: subscriber %s: unknown feed or group %q", s.Name, sub)
-		}
-		for _, leaf := range leaves {
-			feedSet[leaf] = true
-		}
+	var bad string
+	if s.Feeds, bad = c.expand(s.Subscriptions, leaves); bad != "" {
+		return fmt.Errorf("config: subscriber %s: unknown feed or group %q", s.Name, bad)
 	}
-	s.Feeds = make([]string, 0, len(feedSet))
-	for f := range feedSet {
-		s.Feeds = append(s.Feeds, f)
-	}
-	sort.Strings(s.Feeds)
 	return nil
-}
-
-func splitPath(p string) []string {
-	var parts []string
-	start := 0
-	for i := 0; i <= len(p); i++ {
-		if i == len(p) || p[i] == '/' {
-			parts = append(parts, p[start:i])
-			start = i + 1
-		}
-	}
-	return parts
-}
-
-func joinParts(parts []string) string {
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += "/" + p
-	}
-	return out
 }

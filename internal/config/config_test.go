@@ -199,6 +199,35 @@ func TestErrorsCarryLineNumbers(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 5") {
 		t.Fatalf("error = %v, want line 5", err)
 	}
+	// Errors found once a block has closed point at the block's opening
+	// keyword, here always on line 5 with the closing brace on line 7.
+	const head = "feed F { pattern \"a_%Y.gz\" }\nfeed G { pattern \"b_%Y.gz\" }\n\n\n"
+	for _, tc := range []struct{ open, frag string }{
+		{`admin {`, "admin block needs listen"},
+		{`http {`, "http block needs listen"},
+		{`http { listen "x" principal p {`, "http principal p needs a token"},
+		{`http { listen "x" principal p { token "t" feed F } principal p { token "u" feed F`, "duplicate http principal"},
+		{`subscriber s {`, "subscriber s subscribes to nothing"},
+		{`scheduler {`, "scheduler block needs at least one partition"},
+		{`scheduler { partition p {`, "partition p needs workers"},
+		{`scheduler { partition p { workers 2 backfill 2`, "partition p: backfill must leave real-time workers"},
+		{`ingest { group_commit {`, "group_commit block needs max_batch and/or max_delay"},
+		{`cluster {`, "cluster block needs at least one node"},
+		{`cluster { node "x" {`, `cluster node "x" needs addr`},
+		{`cluster { node "x" { addr "a:1" } failover { lease 2s heartbeat 2s`, "failover heartbeat (2s) must be shorter than the lease (2s)"},
+		{`cluster { node "x" { addr "a:1" } self "y"`, `cluster self "y" is not a listed node`},
+		{`channels {`, "channels block needs at least one group"},
+		{`channels { group g {`, "channel group g needs a feed"},
+		{`feed H { pattern "h" plan {`, "feed H plan: empty plan block"},
+	} {
+		// Everything up to the failing block sits on line 5 too, so
+		// only a position taken from the right keyword passes.
+		depth := strings.Count(tc.open, "{") - strings.Count(tc.open, "}")
+		_, err := Parse(head + tc.open + "\n\n" + strings.Repeat("}", depth) + "\n")
+		if err == nil || !strings.Contains(err.Error(), "line 5: "+tc.frag) {
+			t.Errorf("%s: error = %v, want %q at line 5", tc.open, err, tc.frag)
+		}
+	}
 }
 
 func TestCommentsAndEscapes(t *testing.T) {

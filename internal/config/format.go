@@ -2,8 +2,8 @@ package config
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -15,157 +15,40 @@ import (
 // files. Formatting then parsing yields an equivalent configuration.
 func Format(cfg *Config) string {
 	var b strings.Builder
-	if cfg.Window > 0 {
-		fmt.Fprintf(&b, "window %s\n", formatDuration(cfg.Window))
-	}
-	if cfg.LandingDir != "" && cfg.LandingDir != "landing" {
-		fmt.Fprintf(&b, "landing %s\n", quote(cfg.LandingDir))
-	}
-	if cfg.StagingDir != "" && cfg.StagingDir != "staging" {
-		fmt.Fprintf(&b, "staging %s\n", quote(cfg.StagingDir))
-	}
-	if cfg.ArchiveDir != "" {
-		fmt.Fprintf(&b, "archive %s\n", quote(cfg.ArchiveDir))
-	}
-	if cfg.QuarantineDir != "" && cfg.QuarantineDir != "quarantine" {
-		fmt.Fprintf(&b, "quarantine %s\n", quote(cfg.QuarantineDir))
-	}
-	if b.Len() > 0 {
-		b.WriteString("\n")
-	}
+	configSchema.format(&b, reflect.ValueOf(cfg).Elem(), "", true)
+	return b.String()
+}
 
-	if sp := cfg.Scheduler; sp != nil {
-		b.WriteString("scheduler {\n")
-		if sp.Migrate {
-			b.WriteString("    migrate on\n")
+// formatHook renders the hook field kw of owner: the twin of
+// parser.hook.
+func formatHook(b *strings.Builder, kw string, owner any, ind string) {
+	switch o := owner.(type) {
+	case *Config:
+		if kw == "feed" { // the feedgroup hierarchy is written with the feeds
+			writeFeeds(b, o)
 		}
-		for _, part := range sp.Partitions {
-			fmt.Fprintf(&b, "    partition %s {\n        workers %d\n", part.Name, part.Workers)
-			if part.Backfill > 0 {
-				fmt.Fprintf(&b, "        backfill %d\n", part.Backfill)
+	case *Feed:
+		if kw == "plan" {
+			if o.Plan != nil {
+				writePlan(b, o.Plan, ind)
 			}
-			if part.Policy != "" && part.Policy != "edf" {
-				fmt.Fprintf(&b, "        policy %s\n", part.Policy)
-			}
-			if part.MaxService > 0 {
-				fmt.Fprintf(&b, "        maxservice %s\n", formatDuration(part.MaxService))
-			}
-			b.WriteString("    }\n")
+		} else if o.ExpectPeriod != 0 || o.ExpectSources != 0 {
+			fmt.Fprintf(b, "%sexpect %s %d\n", ind, formatDuration(o.ExpectPeriod), o.ExpectSources)
 		}
-		b.WriteString("}\n\n")
+	case *Subscriber:
+		writeTrigger(b, o.Trigger, ind)
 	}
+}
 
-	if cfg.Backoff != nil {
-		writeBackoff(&b, cfg.Backoff, "")
-		b.WriteString("\n")
-	}
-
-	if cfg.Admin != nil {
-		fmt.Fprintf(&b, "admin {\n    listen %s\n}\n\n", quote(cfg.Admin.Listen))
-	}
-
-	if sp := cfg.HTTP; sp != nil {
-		b.WriteString("http {\n")
-		fmt.Fprintf(&b, "    listen %s\n", quote(sp.Listen))
-		if sp.MaxBody > 0 {
-			fmt.Fprintf(&b, "    max_body %d\n", sp.MaxBody)
-		}
-		for _, pr := range sp.Principals {
-			fmt.Fprintf(&b, "    principal %s {\n        token %s\n", pr.Name, quote(pr.Token))
-			subs := append([]string{}, pr.Subscriptions...)
-			sort.Strings(subs)
-			for _, path := range subs {
-				fmt.Fprintf(&b, "        feed %s\n", path)
-			}
-			b.WriteString("    }\n")
-		}
-		b.WriteString("}\n\n")
-	}
-
-	if sp := cfg.Ingest; sp != nil {
-		b.WriteString("ingest {\n")
-		if sp.Workers > 0 {
-			fmt.Fprintf(&b, "    workers %d\n", sp.Workers)
-		}
-		if sp.Queue > 0 {
-			fmt.Fprintf(&b, "    queue %d\n", sp.Queue)
-		}
-		if gc := sp.GroupCommit; gc != nil {
-			b.WriteString("    group_commit {\n")
-			if gc.MaxBatch > 0 {
-				fmt.Fprintf(&b, "        max_batch %d\n", gc.MaxBatch)
-			}
-			if gc.MaxDelay > 0 {
-				fmt.Fprintf(&b, "        max_delay %s\n", formatDuration(gc.MaxDelay))
-			}
-			b.WriteString("    }\n")
-		}
-		b.WriteString("}\n\n")
-	}
-
-	if sp := cfg.Cluster; sp != nil {
-		b.WriteString("cluster {\n")
-		if sp.Self != "" {
-			fmt.Fprintf(&b, "    self %s\n", quote(sp.Self))
-		}
-		if sp.VNodes > 0 {
-			fmt.Fprintf(&b, "    vnodes %d\n", sp.VNodes)
-		}
-		if fo := sp.Failover; fo != nil {
-			b.WriteString("    failover {\n")
-			if fo.Lease > 0 {
-				fmt.Fprintf(&b, "        lease %s\n", formatDuration(fo.Lease))
-			}
-			if fo.Heartbeat > 0 {
-				fmt.Fprintf(&b, "        heartbeat %s\n", formatDuration(fo.Heartbeat))
-			}
-			if fo.Auto {
-				b.WriteString("        auto on\n")
-			}
-			b.WriteString("    }\n")
-		}
-		for _, n := range sp.Nodes {
-			fmt.Fprintf(&b, "    node %s {\n        addr %s\n", quote(n.Name), quote(n.Addr))
-			if n.Standby != "" {
-				fmt.Fprintf(&b, "        standby %s\n", quote(n.Standby))
-			}
-			b.WriteString("    }\n")
-		}
-		b.WriteString("}\n\n")
-	}
-
-	if sp := cfg.Replay; sp != nil {
-		b.WriteString("replay {\n")
-		if sp.Rate > 0 {
-			fmt.Fprintf(&b, "    rate %d\n", sp.Rate)
-		}
-		if sp.Workers > 0 {
-			fmt.Fprintf(&b, "    partition {\n        workers %d\n    }\n", sp.Workers)
-		}
-		if sp.NoManifest {
-			b.WriteString("    manifest off\n")
-		}
-		b.WriteString("}\n\n")
-	}
-
-	if sp := cfg.Channels; sp != nil {
-		b.WriteString("channels {\n")
-		for _, g := range sp.Groups {
-			fmt.Fprintf(&b, "    group %s {\n        feed %s\n", g.Name, g.Feed)
-			for _, m := range g.Members {
-				fmt.Fprintf(&b, "        member %s\n", m)
-			}
-			b.WriteString("    }\n")
-		}
-		b.WriteString("}\n\n")
-	}
-
-	// Rebuild the hierarchy: a trie of path segments.
+// writeFeeds rebuilds the feedgroup hierarchy (a trie of path segments)
+// from the feed paths, then from the declared groups — sorted, the map
+// has no order — so that a group with no feed under it, which a
+// subscriber may still name, is written too.
+func writeFeeds(b *strings.Builder, cfg *Config) {
 	root := &groupNode{children: map[string]*groupNode{}}
-	for _, f := range cfg.Feeds {
-		parts := splitPath(f.Path)
+	group := func(parts []string) *groupNode {
 		n := root
-		for _, part := range parts[:len(parts)-1] {
+		for _, part := range parts {
 			child := n.children[part]
 			if child == nil {
 				child = &groupNode{name: part, children: map[string]*groupNode{}}
@@ -174,14 +57,22 @@ func Format(cfg *Config) string {
 			}
 			n = child
 		}
+		return n
+	}
+	for _, f := range cfg.Feeds {
+		parts := strings.Split(f.Path, "/")
+		n := group(parts[:len(parts)-1])
 		n.feeds = append(n.feeds, f)
 	}
-	writeGroup(&b, root, 0)
-
-	for _, s := range cfg.Subscribers {
-		writeSubscriber(&b, s)
+	groups := make([]string, 0, len(cfg.Groups))
+	for g := range cfg.Groups {
+		groups = append(groups, g)
 	}
-	return b.String()
+	sort.Strings(groups)
+	for _, g := range groups {
+		group(strings.Split(g, "/"))
+	}
+	writeGroup(b, root, 0)
 }
 
 type groupNode struct {
@@ -195,24 +86,7 @@ func writeGroup(b *strings.Builder, n *groupNode, depth int) {
 	ind := strings.Repeat("    ", depth)
 	for _, f := range n.feeds {
 		fmt.Fprintf(b, "%sfeed %s {\n", ind, f.Name)
-		for _, p := range f.Patterns {
-			fmt.Fprintf(b, "%s    pattern %s\n", ind, quote(p.String()))
-		}
-		if f.Normalize != nil {
-			fmt.Fprintf(b, "%s    normalize %s\n", ind, quote(f.Normalize.String()))
-		}
-		if f.Compress != CompressNone {
-			fmt.Fprintf(b, "%s    compress %s\n", ind, f.Compress)
-		}
-		if f.ExpectPeriod > 0 {
-			fmt.Fprintf(b, "%s    expect %s %d\n", ind, formatDuration(f.ExpectPeriod), f.ExpectSources)
-		}
-		if f.Priority != 0 {
-			fmt.Fprintf(b, "%s    priority %d\n", ind, f.Priority)
-		}
-		if f.Plan != nil {
-			writePlan(b, f.Plan, ind+"    ")
-		}
+		feedSchema.format(b, reflect.ValueOf(f).Elem(), ind+"    ", false)
 		fmt.Fprintf(b, "%s}\n", ind)
 	}
 	for _, name := range n.order {
@@ -226,76 +100,21 @@ func writeGroup(b *strings.Builder, n *groupNode, depth int) {
 	}
 }
 
-func writeSubscriber(b *strings.Builder, s *Subscriber) {
-	fmt.Fprintf(b, "subscriber %s {\n", s.Name)
-	if s.Host != "" {
-		fmt.Fprintf(b, "    host %s\n", quote(s.Host))
-	}
-	if s.Dest != "" {
-		fmt.Fprintf(b, "    dest %s\n", quote(s.Dest))
-	}
-	subs := append([]string{}, s.Subscriptions...)
-	sort.Strings(subs)
-	for _, path := range subs {
-		fmt.Fprintf(b, "    subscribe %s\n", path)
-	}
-	if s.Method != MethodPush {
-		fmt.Fprintf(b, "    method %s\n", s.Method)
-	}
-	switch s.Trigger.Mode {
+// writeTrigger renders a subscriber's trigger statement, if it has one.
+func writeTrigger(b *strings.Builder, t TriggerSpec, ind string) {
+	switch t.Mode {
 	case TriggerPerFile:
-		fmt.Fprintf(b, "    trigger perfile%s exec %s\n", remoteWord(s.Trigger), quote(s.Trigger.Exec))
+		fmt.Fprintf(b, "%strigger perfile%s exec %s\n", ind, remoteWord(t), quote(t.Exec))
 	case TriggerBatch:
-		fmt.Fprintf(b, "    trigger batch")
-		if s.Trigger.Count > 0 {
-			fmt.Fprintf(b, " count %d", s.Trigger.Count)
+		fmt.Fprintf(b, "%strigger batch", ind)
+		if t.Count > 0 {
+			fmt.Fprintf(b, " count %d", t.Count)
 		}
-		if s.Trigger.Timeout > 0 {
-			fmt.Fprintf(b, " timeout %s", formatDuration(s.Trigger.Timeout))
+		if t.Timeout > 0 {
+			fmt.Fprintf(b, " timeout %s", formatDuration(t.Timeout))
 		}
-		fmt.Fprintf(b, "%s exec %s\n", remoteWord(s.Trigger), quote(s.Trigger.Exec))
+		fmt.Fprintf(b, "%s exec %s\n", remoteWord(t), quote(t.Exec))
 	}
-	if s.Retry != 30*time.Second && s.Retry > 0 {
-		fmt.Fprintf(b, "    retry %s\n", formatDuration(s.Retry))
-	}
-	if s.Class != "" {
-		fmt.Fprintf(b, "    class %s\n", s.Class)
-	}
-	if s.Backoff != nil {
-		writeBackoff(b, s.Backoff, "    ")
-	}
-	fmt.Fprintf(b, "}\n\n")
-}
-
-// writeBackoff renders a backoff block (only the written fields).
-func writeBackoff(b *strings.Builder, sp *BackoffSpec, ind string) {
-	fmt.Fprintf(b, "%sbackoff {\n", ind)
-	if sp.Base > 0 {
-		fmt.Fprintf(b, "%s    base %s\n", ind, formatDuration(sp.Base))
-	}
-	if sp.Max > 0 {
-		fmt.Fprintf(b, "%s    max %s\n", ind, formatDuration(sp.Max))
-	}
-	if sp.Multiplier > 0 {
-		fmt.Fprintf(b, "%s    multiplier %s\n", ind, strconv.FormatFloat(sp.Multiplier, 'g', -1, 64))
-	}
-	if sp.JitterSet {
-		v := "on"
-		if sp.NoJitter {
-			v = "off"
-		}
-		fmt.Fprintf(b, "%s    jitter %s\n", ind, v)
-	}
-	if sp.Threshold > 0 {
-		fmt.Fprintf(b, "%s    threshold %d\n", ind, sp.Threshold)
-	}
-	if sp.Deadline > 0 {
-		fmt.Fprintf(b, "%s    deadline %s\n", ind, formatDuration(sp.Deadline))
-	}
-	if sp.Retries > 0 {
-		fmt.Fprintf(b, "%s    retries %d\n", ind, sp.Retries)
-	}
-	fmt.Fprintf(b, "%s}\n", ind)
 }
 
 func remoteWord(t TriggerSpec) string {

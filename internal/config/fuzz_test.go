@@ -2,40 +2,27 @@ package config
 
 import "testing"
 
-// FuzzPlanConfig drives the config parser — plan {} grammar included —
-// with arbitrary text. Invariants:
+// FuzzConfig drives the whole configuration language with arbitrary
+// text, seeded with the golden corpus: the documentation examples,
+// the benchmark's configurations, the plan seeds, and a minimal and a
+// maximal configuration per block generated from the schema.
+// Invariants:
 //   - Parse never panics, whatever the input;
 //   - an accepted config Formats to text that re-parses (Format emits
-//     only valid syntax, and resolve-time plan checks pass again on
-//     their own output);
-//   - Format is a fixed point after one round trip (no drift between
-//     what the parser builds and what the formatter renders).
-func FuzzPlanConfig(f *testing.F) {
-	seeds := []string{
-		"window 72h\nlanding \"l\"\nstaging \"s\"\nfeed F { pattern \"f_%i\" }\n",
-		"landing \"l\"\nstaging \"s\"\nfeed F {\n pattern \"f_%i.gz\"\n plan { decompress gzip parse lines }\n}\n",
-		"landing \"l\"\nstaging \"s\"\nfeed F {\n pattern \"f_%i.csv\"\n plan {\n  parse csv\n  validate { columns 2 utf8 }\n  extract r 1\n  validate { require r numeric r }\n  route r { \"a\" G default H }\n }\n}\nfeed G { }\nfeed H { }\n",
-		"landing \"l\"\nstaging \"s\"\nfeed F {\n pattern \"f_%i\"\n plan { split G parse json extract h \"host\" enrich { table \"t.csv\" key h at delivery } }\n}\nfeed G { }\n",
-		"landing \"l\"\nstaging \"s\"\nfeed A { pattern \"a\" plan { split B } }\nfeed B { plan { parse lines } }\n",
-		"landing \"l\"\nstaging \"s\"\nfeed A { pattern \"a\" plan { split B } }\nfeed B { plan { split A } }\n",
-		"feed F { pattern \"f\" plan { } }\n",
-		"feed F { plan { parse lines extract x 1 route x { \"v\" F } } }\n",
-	}
-	for _, s := range seeds {
-		f.Add(s)
+//     only valid syntax, and the closing and resolve-time checks pass
+//     again on their own output);
+//   - the re-parsed config equals the first, field by field (Format
+//     loses nothing the parser built);
+//   - Format is a fixed point after one round trip.
+func FuzzConfig(f *testing.F) {
+	for _, src := range corpus(f) {
+		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		cfg, err := Parse(text)
 		if err != nil {
 			return
 		}
-		out := Format(cfg)
-		cfg2, err := Parse(out)
-		if err != nil {
-			t.Fatalf("Format output does not re-parse: %v\n%s", err, out)
-		}
-		if out2 := Format(cfg2); out2 != out {
-			t.Fatalf("Format not a fixed point:\n--- first\n%s\n--- second\n%s", out, out2)
-		}
+		roundTrip(t, cfg)
 	})
 }

@@ -144,6 +144,7 @@ func (ps *PlanSpec) Targets() []string {
 // ordering, field wiring, target existence) are checked in
 // resolvePlans, not here, so error messages can see the whole config.
 func (p *parser) planSpec(feedPath string) (*PlanSpec, error) {
+	line := p.prevLine // of the plan keyword: where a whole-block error is reported
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
@@ -224,13 +225,14 @@ func (p *parser) planSpec(feedPath string) (*PlanSpec, error) {
 		return nil, err
 	}
 	if len(spec.Ops) == 0 {
-		return nil, fmt.Errorf("config: feed %s plan: empty plan block", feedPath)
+		return nil, errAt(line, "feed %s plan: empty plan block", feedPath)
 	}
 	return spec, nil
 }
 
 // planRules parses a validate { ... } rule block.
 func (p *parser) planRules(feedPath string) ([]PlanRule, error) {
+	line := p.prevLine
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
@@ -265,7 +267,7 @@ func (p *parser) planRules(feedPath string) ([]PlanRule, error) {
 		return nil, err
 	}
 	if len(rules) == 0 {
-		return nil, fmt.Errorf("config: feed %s plan: empty validate block", feedPath)
+		return nil, errAt(line, "feed %s plan: empty validate block", feedPath)
 	}
 	return rules, nil
 }
@@ -273,6 +275,7 @@ func (p *parser) planRules(feedPath string) ([]PlanRule, error) {
 // planEnrich parses an enrich { table "..." key FIELD [at ...] }
 // block.
 func (p *parser) planEnrich(feedPath string, op *PlanOp) error {
+	line := p.prevLine
 	if _, err := p.expect(tokLBrace); err != nil {
 		return err
 	}
@@ -311,16 +314,17 @@ func (p *parser) planEnrich(feedPath string, op *PlanOp) error {
 		return err
 	}
 	if op.Table == "" {
-		return fmt.Errorf("config: feed %s plan: enrich needs a table", feedPath)
+		return errAt(line, "feed %s plan: enrich needs a table", feedPath)
 	}
 	if op.Field == "" {
-		return fmt.Errorf("config: feed %s plan: enrich needs a key field", feedPath)
+		return errAt(line, "feed %s plan: enrich needs a key field", feedPath)
 	}
 	return nil
 }
 
 // planRoute parses: FIELD { "value" TARGET ... [default TARGET] }
 func (p *parser) planRoute(feedPath string, op *PlanOp) error {
+	line := p.prevLine
 	var err error
 	if op.Field, err = p.expect(tokIdent); err != nil {
 		return err
@@ -367,7 +371,7 @@ func (p *parser) planRoute(feedPath string, op *PlanOp) error {
 		return err
 	}
 	if len(op.Cases) == 0 {
-		return fmt.Errorf("config: feed %s plan: route %s has no cases", feedPath, op.Field)
+		return errAt(line, "feed %s plan: route %s has no cases", feedPath, op.Field)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package diskfault
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -358,5 +359,96 @@ func TestSeekTracking(t *testing.T) {
 	}
 	if got := readAll(t, p); string(got) != "0123456789ABCDE" {
 		t.Fatalf("synced append lost: %q", got)
+	}
+}
+
+// ReadFile sizes its buffer before reading: whatever the file's size,
+// the data costs one allocation on top of opening and closing the
+// handle — through the fault-injecting wrapper too — and the bytes
+// come back exact.
+func TestReadFileAllocatesOnce(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "mib")
+	want := make([]byte, 1<<20)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	if err := os.WriteFile(p, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, fsys := range map[string]FS{"os": OS(), "faulty": NewFaulty(OS(), Options{Seed: 1})} {
+		got, err := ReadFile(fsys, p)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: read %d bytes, %v; want the %d written", name, len(got), err, len(want))
+		}
+		open := testing.AllocsPerRun(20, func() {
+			f, err := fsys.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		})
+		read := testing.AllocsPerRun(20, func() {
+			if _, err := ReadFile(fsys, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if read-open != 1 {
+			t.Errorf("%s: ReadFile makes %v allocations beyond open+close, want 1", name, read-open)
+		}
+	}
+}
+
+// misSized reports a wrong size for every file it opens (a negative one
+// stands for "cannot tell", as a pipe would say), without moving the
+// read position: ReadFile must still return the whole file.
+type misSized struct {
+	FS
+	size int64
+}
+
+type misSizedFile struct {
+	File
+	size int64
+}
+
+func (m misSized) Open(name string) (File, error) {
+	f, err := m.FS.Open(name)
+	return misSizedFile{f, m.size}, err
+}
+
+func (f misSizedFile) Seek(offset int64, whence int) (int64, error) {
+	if whence != io.SeekEnd {
+		return f.File.Seek(offset, whence)
+	}
+	if f.size < 0 {
+		return 0, errors.New("unseekable")
+	}
+	return f.size, nil
+}
+
+func TestReadFileWrongOrUnknownSize(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "f")
+	want := bytes.Repeat([]byte("0123456789"), 5000)
+	if err := os.WriteFile(p, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Unknown, grown since sized, shrunk since sized.
+	for _, size := range []int64{-1, 100, int64(len(want)) * 2} {
+		got, err := ReadFile(misSized{OS(), size}, p)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("size reported as %d: read %d bytes, %v; want %d", size, len(got), err, len(want))
+		}
+	}
+	empty := filepath.Join(dir, "empty")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadFile(OS(), empty); err != nil || len(got) != 0 {
+		t.Fatalf("empty: read %d bytes, %v", len(got), err)
+	}
+	if _, err := ReadFile(OS(), filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: %v, want not-exist", err)
 	}
 }

@@ -149,14 +149,38 @@ func WriteFile(fsys FS, name string, data []byte, perm os.FileMode) error {
 	return cerr
 }
 
-// ReadFile reads the whole of name via fsys.
+// ReadFile reads the whole of name via fsys. It sizes its buffer from
+// the open handle first (two seeks, no allocation), so a file is read
+// into one allocation instead of io.ReadAll's doubling series; a file
+// whose size the seeks cannot tell is read with io.ReadAll.
 func ReadFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil || size == 0 { // either way still at the start
+		return io.ReadAll(f)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	// One spare byte lets the read that finds EOF fit without growing.
+	data := make([]byte, 0, size+1)
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) { // the file grew since it was sized
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // WriteDurable writes data and makes it fully durable: file contents

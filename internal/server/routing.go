@@ -9,10 +9,11 @@ package server
 // through any live node.
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sync"
 	"time"
@@ -297,19 +298,18 @@ func (s *Server) serveFetch(conn *protocol.Conn, m protocol.Fetch) {
 		conn.Send(protocol.Ack{OK: false, Error: "unknown file id"})
 		return
 	}
-	data, err := os.ReadFile(filepath.Join(s.stage, filepath.FromSlash(meta.StagedPath)))
+	data, err := diskfault.ReadFile(s.fs, filepath.Join(s.stage, filepath.FromSlash(meta.StagedPath)))
+	if errors.Is(err, fs.ErrNotExist) {
+		// Not staged any more: expired into the archive. Any other
+		// read error is the answer — an archive miss must not mask it.
+		if rc, aerr := s.arch.Open(meta.StagedPath); aerr == nil {
+			data, err = io.ReadAll(rc)
+			rc.Close()
+		}
+	}
 	if err != nil {
-		rc, aerr := s.arch.Open(meta.StagedPath)
-		if aerr != nil {
-			conn.Send(protocol.Ack{OK: false, Error: err.Error()})
-			return
-		}
-		data, aerr = io.ReadAll(rc)
-		rc.Close()
-		if aerr != nil {
-			conn.Send(protocol.Ack{OK: false, Error: aerr.Error()})
-			return
-		}
+		conn.Send(protocol.Ack{OK: false, Error: err.Error()})
+		return
 	}
 	conn.Send(protocol.Deliver{
 		FileID: meta.ID,

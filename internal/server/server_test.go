@@ -1,16 +1,19 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bistro/internal/config"
 	"bistro/internal/delivery"
+	"bistro/internal/diskfault"
 	"bistro/internal/feedlog"
 	"bistro/internal/protocol"
 	"bistro/internal/sourceclient"
@@ -591,6 +594,70 @@ subscriber wh { dest "in" subscribe CPU }
 	}
 	if string(d.Data) != "historical" {
 		t.Fatalf("data = %q", d.Data)
+	}
+}
+
+// stagingReadFault fails every open under a staging directory once
+// armed, the way a bad sector would.
+type stagingReadFault struct {
+	diskfault.FS
+	armed atomic.Bool
+}
+
+var errBadSector = errors.New("injected read error")
+
+func (f *stagingReadFault) Open(name string) (diskfault.File, error) {
+	if f.armed.Load() && strings.Contains(name, "staging") {
+		return nil, errBadSector
+	}
+	return f.FS.Open(name)
+}
+
+// A fetch reads the staged file through the filesystem seam, and only
+// a file that is no longer staged sends it to the archive: a read
+// error is reported as such, not turned into an archive miss.
+func TestFetchSurfacesStagedReadError(t *testing.T) {
+	fault := &stagingReadFault{FS: diskfault.OS()}
+	cfgSrc := `
+archive "arch"
+feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt" }
+subscriber wh { dest "in" subscribe CPU }
+`
+	s := newServer(t, cfgSrc, func(o *Options) {
+		o.Listen = "127.0.0.1:0"
+		o.FS = fault
+	})
+	if err := s.Deposit("CPU_POLL1_201009250451.txt", []byte("on a bad sector")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "delivery", func() bool {
+		st, _ := s.Logger().Stats("CPU")
+		return st.Delivered == 1
+	})
+	id := s.Store().FilesInFeed("CPU")[0].ID
+	conn, err := protocolDial(t, s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fetch := func() any {
+		t.Helper()
+		if err := conn.Send(protocol.Fetch{FileID: id}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	if d, ok := fetch().(protocol.Deliver); !ok || string(d.Data) != "on a bad sector" {
+		t.Fatalf("healthy fetch = %#v", d)
+	}
+	fault.armed.Store(true)
+	ack, ok := fetch().(protocol.Ack)
+	if !ok || ack.OK || !strings.Contains(ack.Error, errBadSector.Error()) {
+		t.Fatalf("fetch over a failing read = %#v, want the injected error", ack)
 	}
 }
 
