@@ -231,7 +231,7 @@ func (a *Archiver) moveFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
+	if _, err := diskfault.Copy(out, in); err != nil {
 		out.Close()
 		a.FS.Remove(dst)
 		return err
@@ -326,7 +326,7 @@ func (a *Archiver) copyFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
+	if _, err := diskfault.Copy(out, in); err != nil {
 		out.Close()
 		return err
 	}

@@ -5,11 +5,12 @@ import (
 	"time"
 
 	"bistro/internal/metrics"
+	"bistro/internal/protocol"
 	"bistro/internal/receipts"
 )
 
-// Replication wire messages. They travel over the same gob-envelope
-// protocol.Conn as the source/subscriber protocol, on a dedicated
+// Replication wire messages. They travel over the same protocol.Conn
+// framing as the source/subscriber protocol, on a dedicated
 // owner→standby connection. The stream is strictly request/response:
 // every Rep* message is answered by a RepAck carrying the standby's
 // acknowledged high-watermark, so the owner always knows exactly how
@@ -105,6 +106,15 @@ type RepAck struct {
 	// fencing nack it tells the stale owner how far behind it is.
 	Epoch uint64
 }
+
+// RepFile and RepArchive are protocol.Payloaders: their content travels
+// raw behind the envelope. RepBatch and RepSnapshot stay plain gob.
+var _, _ protocol.Payloader = RepFile{}, RepArchive{}
+
+func (m RepFile) PayloadBytes() []byte        { return m.Data }
+func (m RepFile) WithPayload(b []byte) any    { m.Data = b; return m }
+func (m RepArchive) PayloadBytes() []byte     { return m.Data }
+func (m RepArchive) WithPayload(b []byte) any { m.Data = b; return m }
 
 func init() {
 	gob.Register(RepHello{})

@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // File is the file-handle surface Bistro's storage path needs;
@@ -179,6 +180,39 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		}
 		if len(data) == cap(data) { // the file grew since it was sized
 			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
+// copyBufs holds the buffers Copy moves bytes through.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// Copy copies src to dst until EOF through a pooled 32 KiB buffer. It
+// never hands the copy to src's WriteTo or dst's ReadFrom the way
+// io.Copy does: an *os.File's WriteTo falls back to a fresh 32 KiB
+// buffer (and two wrapper objects) for any destination but a socket,
+// which every staged, checksummed or archived file used to pay.
+func Copy(dst io.Writer, src io.Reader) (int64, error) {
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	var n int64
+	for {
+		nr, rerr := src.Read(buf[:])
+		if nr > 0 {
+			nw, werr := dst.Write(buf[:nr])
+			n += int64(nw)
+			if werr != nil {
+				return n, werr
+			}
+			if nw != nr {
+				return n, io.ErrShortWrite
+			}
+		}
+		if rerr == io.EOF {
+			return n, nil
+		}
+		if rerr != nil {
+			return n, rerr
 		}
 	}
 }

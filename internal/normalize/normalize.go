@@ -131,12 +131,12 @@ func transform(r io.Reader, w io.Writer, mode config.Compression) (Result, error
 	counted := &countWriter{w: io.MultiWriter(w, crc)}
 	switch mode {
 	case config.CompressNone:
-		if _, err := io.Copy(counted, r); err != nil {
+		if _, err := diskfault.Copy(counted, r); err != nil {
 			return Result{}, fmt.Errorf("normalize: copy: %w", err)
 		}
 	case config.CompressGzip:
 		zw := gzip.NewWriter(counted)
-		if _, err := io.Copy(zw, r); err != nil {
+		if _, err := diskfault.Copy(zw, r); err != nil {
 			return Result{}, fmt.Errorf("normalize: gzip: %w", err)
 		}
 		if err := zw.Close(); err != nil {
@@ -147,14 +147,14 @@ func transform(r io.Reader, w io.Writer, mode config.Compression) (Result, error
 		if err != nil {
 			return Result{}, fmt.Errorf("normalize: gunzip: %w", err)
 		}
-		if _, err := io.Copy(counted, zr); err != nil {
+		if _, err := diskfault.Copy(counted, zr); err != nil {
 			return Result{}, fmt.Errorf("normalize: gunzip copy: %w", err)
 		}
 		if err := zr.Close(); err != nil {
 			return Result{}, fmt.Errorf("normalize: gunzip close: %w", err)
 		}
 	case config.CompressBunzip2:
-		if _, err := io.Copy(counted, bzip2.NewReader(r)); err != nil {
+		if _, err := diskfault.Copy(counted, bzip2.NewReader(r)); err != nil {
 			return Result{}, fmt.Errorf("normalize: bunzip2: %w", err)
 		}
 	default:
@@ -188,7 +188,7 @@ func ChecksumFileFS(fsys diskfault.FS, path string) (uint32, int64, error) {
 	}
 	defer f.Close()
 	crc := crc32.NewIEEE()
-	n, err := io.Copy(crc, f)
+	n, err := diskfault.Copy(crc, f)
 	if err != nil {
 		return 0, 0, fmt.Errorf("normalize: checksum: %w", err)
 	}

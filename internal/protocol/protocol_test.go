@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,32 +21,24 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 
-	msgs := []any{
-		Hello{Role: "source", Name: "poller1"},
-		FileReady{Path: "BPS_poller1_2010092504.csv.gz"},
-		Upload{Name: "x.csv", Data: []byte("a,b\n"), CRC: 42},
-		EndOfBatch{Feed: "SNMP/BPS"},
-		Deliver{FileID: 7, Feed: "SNMP/BPS", Name: "f.csv", Data: []byte("zz"), CRC: 9},
-		Notify{FileID: 8, Feed: "SNMP/PPS", Name: "g.csv", Size: 123},
-		Fetch{FileID: 8},
-		Trigger{Command: "load x", Paths: []string{"a", "b"}},
-		Ack{OK: true},
-	}
+	msgs := allMessages()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for range msgs {
+		for _, want := range msgs {
 			got, err := server.Recv()
 			if err != nil {
 				t.Errorf("recv: %v", err)
 				return
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("got %#v, want %#v", got, want)
+			}
 			if err := server.Send(Ack{OK: true}); err != nil {
 				t.Errorf("ack: %v", err)
 				return
 			}
-			_ = got
 		}
 	}()
 	for _, m := range msgs {

@@ -44,6 +44,10 @@ type serverMetrics struct {
 
 	// Startup reconciliation outcome (set once per Start).
 	reconcile *metrics.GaugeVec // {kind}
+
+	// The one counter here bumped on a hot path: uploads refused
+	// because their content failed Upload.CRC.
+	uploadCRCFailures *metrics.Counter
 }
 
 func newServerMetrics(r *metrics.Registry) *serverMetrics {
@@ -80,6 +84,8 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 			"Monitoring alarms raised since startup."),
 		reconcile: r.GaugeVec("bistro_reconcile_outcomes",
 			"Startup reconciliation outcomes by kind.", "kind"),
+		uploadCRCFailures: r.Counter("bistro_ingest_upload_crc_failures_total",
+			"Uploads refused because their content failed Upload.CRC."),
 	}
 }
 

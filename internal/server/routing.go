@@ -114,9 +114,17 @@ func (s *Server) routeFor(name string) (cluster.Node, bool) {
 // uploads are never forwarded again: during a failover the sender's
 // and receiver's maps can briefly disagree, and a one-hop rule turns
 // that into a single misplaced file instead of a forwarding loop.
+// Content that fails its CRC is refused before it is forwarded or
+// deposited: staging would otherwise give it a fresh checksum and
+// deliver it as valid.
 func (s *Server) handleUpload(m protocol.Upload) protocol.Ack {
 	if ack, fenced := s.fenceRelayed(m); fenced {
 		return ack
+	}
+	if crc32.ChecksumIEEE(m.Data) != m.CRC {
+		s.metrics.uploadCRCFailures.Inc()
+		s.logger.Raise("ingest", fmt.Sprintf("upload %s failed its checksum (%d bytes); refused", m.Name, len(m.Data)))
+		return protocol.Ack{OK: false, Error: "checksum mismatch"}
 	}
 	if owner, remote := s.routeFor(filepath.ToSlash(m.Name)); remote && !m.Relayed {
 		fwd := m

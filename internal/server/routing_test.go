@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bistro/internal/cluster"
+	"bistro/internal/feedlog"
 	"bistro/internal/protocol"
 	"bistro/internal/sourceclient"
 )
@@ -170,6 +173,85 @@ func TestClusterResolveAndSubscribeRedirect(t *testing.T) {
 	// A mixed request (one local leaf) is served locally, no redirect.
 	if err := conn.Call(protocol.Subscribe{Name: "wh", Dest: "in", Feeds: []string{feedA, feedB}}); err != nil {
 		t.Fatalf("mixed subscribe should be accepted locally: %v", err)
+	}
+}
+
+// corruptUpload sends an Upload whose CRC does not match its content
+// and returns the server's answer.
+func corruptUpload(t *testing.T, addr, name string, relayed bool) protocol.Ack {
+	t.Helper()
+	conn, err := protocol.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	data := []byte("corrupted in flight\n")
+	if err := conn.Send(protocol.Upload{Name: name, Data: data, CRC: crc32of(data) ^ 1, Relayed: relayed}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, ok := reply.(protocol.Ack)
+	if !ok {
+		t.Fatalf("expected Ack, got %T", reply)
+	}
+	return ack
+}
+
+func crcFailures(s *Server) int64 {
+	return s.Metrics().Counter("bistro_ingest_upload_crc_failures_total", "").Value()
+}
+
+// TestCorruptedUploadRefused: an Upload whose content fails its CRC is
+// NACKed, counted and alarmed, and nothing lands.
+func TestCorruptedUploadRefused(t *testing.T) {
+	var alarms atomic.Int32
+	s := newServer(t, testConfig, func(o *Options) {
+		o.Listen = "127.0.0.1:0"
+		o.OnAlarm = func(feedlog.Alarm) { alarms.Add(1) }
+	})
+	ack := corruptUpload(t, s.Addr(), "BPS_poller1_201009250451.csv", false)
+	if ack.OK || ack.Error != "checksum mismatch" {
+		t.Fatalf("corrupted upload answered %+v, want a checksum mismatch NACK", ack)
+	}
+	if n := crcFailures(s); n != 1 {
+		t.Fatalf("crc failure counter = %d, want 1", n)
+	}
+	if alarms.Load() != 1 {
+		t.Fatalf("%d alarms raised, want 1", alarms.Load())
+	}
+	if entries, _ := os.ReadDir(s.land.Dir()); len(entries) != 0 {
+		t.Fatalf("landing holds %v", entries)
+	}
+	if files := s.Store().Stats().Files; files != 0 {
+		t.Fatalf("%d files ingested, want 0", files)
+	}
+}
+
+// TestClusterCorruptedUploadRefusedAtBothHops: the node a source
+// uploads to checks the CRC before forwarding, and the owner checks it
+// again on the relayed copy.
+func TestClusterCorruptedUploadRefusedAtBothHops(t *testing.T) {
+	nodeA, nodeB, _, feedB := startTwoNodeCluster(t)
+	name := feedB + "_201009250453.txt"
+	if ack := corruptUpload(t, nodeA.Addr(), name, false); ack.OK || ack.Error != "checksum mismatch" {
+		t.Fatalf("first hop answered %+v", ack)
+	}
+	if a, b := crcFailures(nodeA), crcFailures(nodeB); a != 1 || b != 0 {
+		t.Fatalf("crc failures a=%d b=%d, want 1 and 0 (refused before forwarding)", a, b)
+	}
+	if ack := corruptUpload(t, nodeB.Addr(), name, true); ack.OK || ack.Error != "checksum mismatch" {
+		t.Fatalf("owner answered a corrupted relay with %+v", ack)
+	}
+	if b := crcFailures(nodeB); b != 1 {
+		t.Fatalf("owner crc failures = %d, want 1", b)
+	}
+	for _, s := range []*Server{nodeA, nodeB} {
+		if files := s.Store().Stats().Files; files != 0 {
+			t.Fatalf("%d files ingested, want 0", files)
+		}
 	}
 }
 

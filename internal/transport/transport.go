@@ -17,6 +17,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"bistro/internal/diskfault"
 )
 
 // File is the payload of one delivery or notification.
@@ -126,7 +128,7 @@ func (l *LocalDir) Deliver(sub string, f File) error {
 		return fmt.Errorf("transport: temp: %w", err)
 	}
 	crc := crc32.NewIEEE()
-	if _, err := io.Copy(io.MultiWriter(tmp, crc), src); err != nil {
+	if _, err := diskfault.Copy(io.MultiWriter(tmp, crc), src); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("transport: write: %w", err)
