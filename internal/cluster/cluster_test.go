@@ -248,7 +248,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 	if !replica.Delivered(ids[0], "wh") {
 		t.Fatalf("replica lost delivery receipt for %d", ids[0])
 	}
-	data, err := diskfault.ReadFile(diskfault.OS(), filepath.Join(st.Root(), "staging", "f", "live0.csv"))
+	data, err := diskfault.ReadFile(diskfault.OS(), filepath.Join(st.Root(), "staging", "f", "live0.csv"), nil)
 	if err != nil || string(data) != "payload" {
 		t.Fatalf("shipped file content = %q, %v", data, err)
 	}

@@ -101,7 +101,7 @@ func (sh *Shipper) Bootstrap(store *receipts.Store, stagingRoot string, fsys dis
 		if rerr != nil {
 			return rerr
 		}
-		data, rerr := diskfault.ReadFile(fsys, path)
+		data, rerr := diskfault.ReadFile(fsys, path, nil)
 		if rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
 				// Archived or removed between the directory listing and

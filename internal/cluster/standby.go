@@ -195,6 +195,9 @@ func (s *Standby) acceptLoop() {
 	}
 }
 
+// serve applies one owner connection's stream. A received payload lives
+// in the Conn's buffer until the next Recv; apply has made it durable
+// before it returns.
 func (s *Standby) serve(conn *protocol.Conn) {
 	defer func() {
 		conn.Close()

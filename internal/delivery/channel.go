@@ -25,6 +25,7 @@
 package delivery
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -352,21 +353,24 @@ func (e *Engine) setMembersGaugeLocked(ch *channel) {
 // member and commits a single group-delivery record. Runs with the
 // channel's fan-out barrier held for the whole file, and with fan-outs
 // serialized by the channel's scheduler key, so log append order is
-// exactly delivery order.
-func (e *Engine) channelDeliver(j *scheduler.Job, data []byte, meta receipts.FileMeta) {
+// exactly delivery order. It reports whether a member's transfer ran
+// past its deadline (and so may still be reading data).
+func (e *Engine) channelDeliver(j *scheduler.Job, data []byte, meta receipts.FileMeta) (abandoned bool) {
 	defer e.sched.Done(j)
 	e.mu.Lock()
 	ch := e.channels[j.Channel]
 	e.mu.Unlock()
 	if ch == nil {
-		return
+		return false
 	}
 	// Failure handling (breaker, catch-up restart) re-acquires ch.mu,
 	// so it runs after the fan-out barrier is released.
 	failures := e.channelFanOut(ch, j, data, meta)
 	for _, f := range failures {
 		e.channelMemberFailed(ch, f.sub, f.err)
+		abandoned = abandoned || errors.Is(f.err, backoff.ErrDeadline)
 	}
+	return abandoned
 }
 
 // memberFailure is a mid-fan-out transfer failure deferred past the
@@ -658,7 +662,7 @@ func (e *Engine) catchupDeliver(ch *channel, sub string, id uint64) (ok, fatal b
 		return false, false
 	}
 	abs := filepath.Join(e.opts.StagingRoot, filepath.FromSlash(meta.StagedPath))
-	data, err := e.readStaged(meta.StagedPath, abs)
+	data, err := e.readStaged(meta.StagedPath, abs, nil)
 	if err != nil {
 		// Expired mid-lag with no archive copy: the bytes no longer
 		// exist anywhere; skipping is the only way the member (and

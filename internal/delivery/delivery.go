@@ -62,8 +62,9 @@ type Metrics struct {
 	// re-send).
 	ReceiptWriteFailures *metrics.Counter
 	// StagingReadBytes counts payload bytes read from staging (or the
-	// archive fallback). Under channel fan-out this grows O(files), not
-	// O(subscribers × files) — the E18 measurement.
+	// archive fallback) as they are read, whether whole into memory or
+	// by a transport streaming a large file. Under channel fan-out this
+	// grows O(files), not O(subscribers × files) — the E18 measurement.
 	StagingReadBytes *metrics.Counter
 	// Retries counts transient failures requeued with a backoff delay.
 	Retries *metrics.Counter
@@ -103,7 +104,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		ReceiptWriteFailures: r.Counter("bistro_delivery_receipt_write_failures_total",
 			"Successful transfers whose delivery receipt failed to commit."),
 		StagingReadBytes: r.Counter("bistro_delivery_staging_read_bytes_total",
-			"Payload bytes read from staging (or archive fallback) for delivery."),
+			"Payload bytes read from staging (or archive fallback) for delivery, counted as read (streamed files included), not as declared at open."),
 		Retries: r.Counter("bistro_delivery_retries_total",
 			"Transient failures requeued with a backoff delay."),
 		ChannelFiles: r.CounterVec("bistro_channel_files_total",
@@ -296,6 +297,9 @@ type Engine struct {
 	trans transport.Transport
 	trig  *trigger.Engine
 	fs    diskfault.FS
+	// streamFS is fs for the transports that stream staged files
+	// (stagingReads).
+	streamFS diskfault.FS
 
 	mu      sync.Mutex
 	subs    map[string]*config.Subscriber
@@ -382,6 +386,10 @@ func New(opts Options) (*Engine, error) {
 	if fsys == nil {
 		fsys = diskfault.OS()
 	}
+	var stagingRead *metrics.Counter // nil counts nothing
+	if opts.Metrics != nil {
+		stagingRead = opts.Metrics.StagingReadBytes
+	}
 	e := &Engine{
 		opts:        opts,
 		clk:         opts.Clock,
@@ -389,6 +397,7 @@ func New(opts Options) (*Engine, error) {
 		store:       opts.Store,
 		trans:       opts.Transport,
 		fs:          fsys,
+		streamFS:    stagingReads{FS: fsys, read: stagingRead},
 		subs:        make(map[string]*config.Subscriber),
 		offline:     make(map[string]bool),
 		states:      make(map[string]*subState),
@@ -677,15 +686,17 @@ func (e *Engine) Punctuate(feed string) {
 	e.trig.PunctuateFeed(feed)
 }
 
-// worker is one partition worker loop.
+// worker is one partition worker loop. It keeps one read buffer for
+// the files it delivers from memory (see execute).
 func (e *Engine) worker(part int, lane scheduler.Lane) {
 	defer e.wg.Done()
+	var buf []byte
 	for {
 		jobs := e.sched.Next(part, lane)
 		if jobs == nil {
 			return
 		}
-		e.execute(jobs)
+		buf = e.execute(jobs, buf)
 	}
 }
 
@@ -694,7 +705,14 @@ func (e *Engine) worker(part int, lane scheduler.Lane) {
 // delivered by streaming straight from staging (each transport opens
 // its own reader). Channel jobs always take the in-memory path: the
 // whole point is one read shared across every attached member.
-func (e *Engine) execute(jobs []*scheduler.Job) {
+//
+// buf is the calling worker's read buffer: a file delivered from
+// memory is read into it when it fits, and execute returns the buffer
+// to keep for the next group. It keeps none after a file larger than
+// StreamThreshold, nor after a group in which a transfer of the bytes
+// ran past its deadline: backoff.Do leaves that attempt running, still
+// reading them.
+func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 	abs := filepath.Join(e.opts.StagingRoot, filepath.FromSlash(jobs[0].Path))
 	meta, ok := e.store.File(jobs[0].FileID)
 	if !ok && e.opts.HistoryMeta != nil {
@@ -714,7 +732,7 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 			e.failJob(j, ErrReceiptMissing)
 			e.sched.Done(j)
 		}
-		return
+		return buf
 	}
 	// GroupSameFile may batch channel jobs with individual jobs for the
 	// same file; they take different paths below.
@@ -751,9 +769,9 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 		// to the in-memory path, which reads from long-term storage.
 	}
 	if len(subJobs) == 0 && len(chJobs) == 0 && len(xformJobs) == 0 {
-		return
+		return buf
 	}
-	data, err := e.readStaged(jobs[0].Path, abs)
+	data, err := e.readStaged(jobs[0].Path, abs, buf)
 	if err != nil {
 		// Staged file vanished (expired mid-queue, no archive):
 		// complete the jobs without delivery; receipts keep the truth.
@@ -761,17 +779,28 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 			e.failJob(j, err)
 			e.sched.Done(j)
 		}
-		return
+		return buf
 	}
+	keep := int64(cap(data)) <= e.opts.StreamThreshold
 	for _, j := range chJobs {
-		e.channelDeliver(j, data, meta)
+		if e.channelDeliver(j, data, meta) {
+			keep = false
+		}
 	}
 	for _, j := range subJobs {
-		e.deliverOne(j, data, "", meta)
+		if errors.Is(e.deliverOne(j, data, "", meta), backoff.ErrDeadline) {
+			keep = false
+		}
 	}
 	for _, j := range xformJobs {
-		e.deliverTransformed(j, data, meta)
+		if errors.Is(e.deliverTransformed(j, data, meta), backoff.ErrDeadline) {
+			keep = false
+		}
 	}
+	if !keep {
+		return nil
+	}
+	return data
 }
 
 // deliverTransformed applies the feed's delivery transform to one
@@ -784,24 +813,25 @@ func (e *Engine) execute(jobs []*scheduler.Job) {
 // malformed staged record) completes the job without delivery, like a
 // vanished staged file: the non-delivery is visible in receipts and
 // the EvDeliveryFailed event, and redelivery tooling can retry after
-// the operator repairs the table.
-func (e *Engine) deliverTransformed(j *scheduler.Job, data []byte, meta receipts.FileMeta) {
+// the operator repairs the table. It returns deliverOne's error.
+func (e *Engine) deliverTransformed(j *scheduler.Job, data []byte, meta receipts.FileMeta) error {
 	out, err := e.opts.Transform(j.Feed)(data)
 	if err != nil {
 		e.failJob(j, fmt.Errorf("delivery transform: %w", err))
 		e.sched.Done(j)
-		return
+		return nil
 	}
 	meta.Checksum = crc32.ChecksumIEEE(out)
 	meta.Size = int64(len(out))
-	e.deliverOne(j, out, "", meta)
+	return e.deliverOne(j, out, "", meta)
 }
 
-// readStaged reads a staged file's content through the FS seam,
-// falling back to the archive when the staging copy is gone, and
-// accounts the bytes read — the figure channel fan-out keeps O(files).
-func (e *Engine) readStaged(stagedPath, abs string) ([]byte, error) {
-	data, err := diskfault.ReadFile(e.fs, abs)
+// readStaged reads a staged file's content through the FS seam, into
+// buf when it fits (buf may be nil), falling back to the archive when
+// the staging copy is gone, and accounts the bytes read — the figure
+// channel fan-out keeps O(files).
+func (e *Engine) readStaged(stagedPath, abs string, buf []byte) ([]byte, error) {
+	data, err := diskfault.ReadFile(e.fs, abs, buf)
 	if err != nil && errors.Is(err, fs.ErrNotExist) && e.opts.ArchiveOpen != nil {
 		// Expired mid-queue, or a replay job for archived history: the
 		// archiver holds the content now.
@@ -819,15 +849,43 @@ func (e *Engine) readStaged(stagedPath, abs string) ([]byte, error) {
 	return data, nil
 }
 
+// stagingReads opens staged files for the transports that stream them
+// through the engine's FS seam, and counts what they read into
+// StagingReadBytes as readStaged does for files read into memory.
+type stagingReads struct {
+	diskfault.FS
+	read *metrics.Counter
+}
+
+func (s stagingReads) Open(name string) (diskfault.File, error) {
+	f, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return countedFile{File: f, read: s.read}, nil
+}
+
+// countedFile is a staged file whose reads count into a metric.
+type countedFile struct {
+	diskfault.File
+	read *metrics.Counter
+}
+
+func (f countedFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.read.Add(int64(n))
+	return n, err
+}
+
 // deliverOne is the wire half of a delivery: it pushes one file to one
 // subscriber, updates liveness bookkeeping and, once the subscriber has
 // acked the bytes, hands the receipt to the committer (committer.go)
-// and frees the subscriber's slot.
-func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, meta receipts.FileMeta) {
+// and frees the subscriber's slot. It returns the transfer's error.
+func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, meta receipts.FileMeta) error {
 	s := e.subscriber(j.Subscriber)
 	if s == nil {
 		e.sched.Done(j)
-		return
+		return nil
 	}
 	f := transport.File{
 		FileID: j.FileID,
@@ -835,6 +893,7 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, met
 		Name:   destName(s, j.Path),
 		Data:   data,
 		Path:   stagedAbs,
+		FS:     e.streamFS,
 		CRC:    meta.Checksum,
 		Size:   meta.Size,
 	}
@@ -854,7 +913,7 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, met
 		// transferFailed either requeues the job or drops it; both
 		// release its scheduler slot.
 		e.transferFailed(j, err)
-		return
+		return err
 	}
 	// Acked on the wire: feed the scheduler's responsiveness estimate
 	// (drives dynamic partition migration when enabled) and mark the
@@ -875,6 +934,7 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, met
 		at:       now,
 		backfill: j.Backfill,
 	})
+	return nil
 }
 
 // destName computes the destination-relative path for a staged file.

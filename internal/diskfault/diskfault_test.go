@@ -25,7 +25,7 @@ func TestOSRoundTrip(t *testing.T) {
 	if err := WriteDurable(fsys, p, []byte("hello"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(fsys, p)
+	got, err := ReadFile(fsys, p, nil)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("read back %q, %v", got, err)
 	}
@@ -364,8 +364,8 @@ func TestSeekTracking(t *testing.T) {
 
 // ReadFile sizes its buffer before reading: whatever the file's size,
 // the data costs one allocation on top of opening and closing the
-// handle — through the fault-injecting wrapper too — and the bytes
-// come back exact.
+// handle, or none when the caller's buffer holds it — through the
+// fault-injecting wrapper too — and the bytes come back exact.
 func TestReadFileAllocatesOnce(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "mib")
@@ -377,7 +377,7 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, fsys := range map[string]FS{"os": OS(), "faulty": NewFaulty(OS(), Options{Seed: 1})} {
-		got, err := ReadFile(fsys, p)
+		got, err := ReadFile(fsys, p, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: read %d bytes, %v; want the %d written", name, len(got), err, len(want))
 		}
@@ -389,12 +389,33 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 			f.Close()
 		})
 		read := testing.AllocsPerRun(20, func() {
-			if _, err := ReadFile(fsys, p); err != nil {
+			if _, err := ReadFile(fsys, p, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if read-open != 1 {
 			t.Errorf("%s: ReadFile makes %v allocations beyond open+close, want 1", name, read-open)
+		}
+		// A buffer that holds the file (and the spare byte) is read into
+		// in place; one a byte short is not.
+		buf := make([]byte, 1<<20+1)
+		got, err = ReadFile(fsys, p, buf)
+		if err != nil || !bytes.Equal(got, want) || &got[0] != &buf[0] {
+			t.Fatalf("%s: read into a big enough buffer: %d bytes, %v, in place %v", name, len(got), err, &got[0] == &buf[0])
+		}
+		reuse := testing.AllocsPerRun(20, func() {
+			if _, err := ReadFile(fsys, p, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		short := testing.AllocsPerRun(20, func() {
+			if _, err := ReadFile(fsys, p, buf[:0:1<<20]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if reuse != open || short-open != 1 {
+			t.Errorf("%s: ReadFile into a buffer makes %v allocations beyond open+close (want 0), into a short one %v (want 1)",
+				name, reuse-open, short-open)
 		}
 	}
 }
@@ -436,7 +457,7 @@ func TestReadFileWrongOrUnknownSize(t *testing.T) {
 	}
 	// Unknown, grown since sized, shrunk since sized.
 	for _, size := range []int64{-1, 100, int64(len(want)) * 2} {
-		got, err := ReadFile(misSized{OS(), size}, p)
+		got, err := ReadFile(misSized{OS(), size}, p, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("size reported as %d: read %d bytes, %v; want %d", size, len(got), err, len(want))
 		}
@@ -445,10 +466,10 @@ func TestReadFileWrongOrUnknownSize(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadFile(OS(), empty); err != nil || len(got) != 0 {
+	if got, err := ReadFile(OS(), empty, nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty: read %d bytes, %v", len(got), err)
 	}
-	if _, err := ReadFile(OS(), filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := ReadFile(OS(), filepath.Join(dir, "missing"), nil); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v, want not-exist", err)
 	}
 }

@@ -194,7 +194,7 @@ func (f *Faulty) state(path string, size int64) *fileState {
 // snapshot reads a file's current content through the base FS for
 // crash rollback. Caller holds f.mu.
 func (f *Faulty) snapshot(path string) ([]byte, bool) {
-	data, err := ReadFile(f.base, path)
+	data, err := ReadFile(f.base, path, nil)
 	if err != nil {
 		return nil, false
 	}

@@ -150,11 +150,13 @@ func WriteFile(fsys FS, name string, data []byte, perm os.FileMode) error {
 	return cerr
 }
 
-// ReadFile reads the whole of name via fsys. It sizes its buffer from
-// the open handle first (two seeks, no allocation), so a file is read
-// into one allocation instead of io.ReadAll's doubling series; a file
-// whose size the seeks cannot tell is read with io.ReadAll.
-func ReadFile(fsys FS, name string) ([]byte, error) {
+// ReadFile reads the whole of name via fsys. It sizes the read from the
+// open handle first (two seeks, no allocation) and reads into buf when
+// buf's capacity holds the file and one spare byte, else into one new
+// allocation instead of io.ReadAll's doubling series; a file whose size
+// the seeks cannot tell is read with io.ReadAll. buf may be nil; the
+// result may share its memory.
+func ReadFile(fsys FS, name string, buf []byte) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
@@ -168,7 +170,10 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	// One spare byte lets the read that finds EOF fit without growing.
-	data := make([]byte, 0, size+1)
+	data := buf[:0]
+	if int64(cap(data)) < size+1 {
+		data = make([]byte, 0, size+1)
+	}
 	for {
 		n, err := f.Read(data[len(data):cap(data)])
 		data = data[:len(data)+n]

@@ -14,8 +14,8 @@
 //
 // Compilation happens once per config load; execution allocates per
 // file, never per config. Side tables are cached process-wide and
-// reloaded when the backing file changes (mtime/size), so enrichment
-// never does per-record I/O.
+// reloaded when the backing file changes (mtime/size, checked once per
+// file run), so enrichment never does per-record I/O.
 package plan
 
 import (
@@ -273,6 +273,30 @@ type execution struct {
 	fieldsSet bool
 
 	opTime map[string]time.Duration
+
+	// tables holds each enrich table as this run resolved it: one Stat
+	// per table per file, not per record, so a table rewritten mid-file
+	// takes effect from the next file.
+	tables map[string]resolvedTable
+}
+
+// resolvedTable is a side table, or why it could not be loaded.
+type resolvedTable struct {
+	t   *sideTable
+	err error
+}
+
+// table resolves an enrich table the first time this run needs it.
+func (e *execution) table(path string) (*sideTable, error) {
+	r, ok := e.tables[path]
+	if !ok {
+		r.t, r.err = e.prog.tables.resolve(path)
+		if e.tables == nil {
+			e.tables = make(map[string]resolvedTable)
+		}
+		e.tables[path] = r
+	}
+	return r.t, r.err
 }
 
 // opLabel scopes operator metric labels: the delivery-transform
@@ -618,7 +642,12 @@ func (e *execution) process(rec *record) error {
 			recFields = append(recFields, v)
 		case config.OpEnrich:
 			start := time.Now()
-			vals, ok, err := p.tables.lookup(op.Table, rec.fields[op.Field])
+			t, err := e.table(op.Table)
+			var vals []string
+			ok := false
+			if err == nil {
+				vals, ok = t.rows[rec.fields[op.Field]]
+			}
 			e.timeOp("enrich", start)
 			switch {
 			case err != nil && p.delivery:

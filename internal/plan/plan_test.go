@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bistro/internal/config"
+	"bistro/internal/diskfault"
 )
 
 // compileOne builds a Set for a single feed declaring the given ops.
@@ -181,6 +182,40 @@ func TestEnrichJoinAndReload(t *testing.T) {
 	}
 	if got := c2.primary.String(); got != "none,2,zz,mid\n" {
 		t.Errorf("primary after reload = %q", got)
+	}
+}
+
+// statCounter counts the Stat calls made through it.
+type statCounter struct {
+	diskfault.FS
+	stats int
+}
+
+func (s *statCounter) Stat(name string) (os.FileInfo, error) {
+	s.stats++
+	return s.FS.Stat(name)
+}
+
+// A run resolves its enrich table once, not once per record.
+func TestEnrichStatsTableOncePerFile(t *testing.T) {
+	table := writeTable(t, t.TempDir(), "regions.csv", "east,us\n")
+	fs := &statCounter{FS: diskfault.OS()}
+	p := compileOne(t, Options{FS: fs},
+		config.PlanOp{Kind: config.OpParse, Framing: "csv"},
+		config.PlanOp{Kind: config.OpExtract, Field: "region", Column: 1},
+		config.PlanOp{Kind: config.OpEnrich, Field: "region", Table: table},
+	)
+	in := strings.Repeat("east,1\nwest,2\n", 500)
+	var c collectSinks
+	stats, err := p.Run(strings.NewReader(in), c.sinks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 1000 || strings.Count(c.primary.String(), ",us\n") != 500 {
+		t.Fatalf("%d records, %d enriched; want 1000 and 500", stats.Records, strings.Count(c.primary.String(), ",us\n"))
+	}
+	if fs.stats != 1 {
+		t.Fatalf("1000 records stat the side table %d times, want 1", fs.stats)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 
 // tableCache holds loaded side tables, shared by every program in a
 // Set (and so by every ingest worker). A table reloads when the
-// backing file's mtime or size changes — checked once per lookup via
-// a cheap Stat, never by re-reading the file.
+// backing file's mtime or size changes — checked by a cheap Stat each
+// time a file run resolves it, never by re-reading the file.
 type tableCache struct {
 	fs diskfault.FS
 	mu sync.RWMutex
@@ -34,24 +34,20 @@ func newTableCache(fs diskfault.FS) *tableCache {
 	return &tableCache{fs: fs, tables: make(map[string]*sideTable)}
 }
 
-// lookup joins key against the table at path, loading or reloading
-// the table as needed. The second return reports whether the key
-// matched.
-func (c *tableCache) lookup(path, key string) ([]string, bool, error) {
+// resolve returns the table at path, loading or reloading it when the
+// backing file changed since it was last loaded.
+func (c *tableCache) resolve(path string) (*sideTable, error) {
 	st, err := c.fs.Stat(path)
 	if err != nil {
-		return nil, false, fmt.Errorf("stat: %w", err)
+		return nil, fmt.Errorf("stat: %w", err)
 	}
 	c.mu.RLock()
 	t := c.tables[path]
 	c.mu.RUnlock()
 	if t == nil || !t.mtime.Equal(st.ModTime()) || t.size != st.Size() {
-		if t, err = c.load(path, st.ModTime(), st.Size()); err != nil {
-			return nil, false, err
-		}
+		return c.load(path, st.ModTime(), st.Size())
 	}
-	vals, ok := t.rows[key]
-	return vals, ok, nil
+	return t, nil
 }
 
 // load (re)reads a side table. Concurrent loaders race benignly: both

@@ -104,22 +104,25 @@ func frameCost(t *testing.T, tx, rx sendRecver, msg any, runs int) (bytesPer, ob
 		float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestPayloadFrameAllocations is the unit proof of the framing: a
-// loopback Send+Recv of an Upload and a Deliver allocates about the
-// payload once (the 16 MiB buffer grows 4 → 8 → 16 MiB as bytes
-// arrive), and no more heap objects than the all-gob v1 frame did.
+// TestPayloadFrameAllocations is the unit proof of the framing: on a
+// warm connection a loopback Send+Recv of an Upload and a Deliver
+// allocates no payload buffer up to growStart (the payload lands in
+// the buffer the Conn kept from the frame before: under 1 KiB per
+// frame all told), a 16 MiB payload allocates only what it grows into
+// beyond the kept 4 MiB (8 + 16 MiB), and no frame allocates more heap
+// objects than the all-gob v1 frame did.
 func TestPayloadFrameAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations distort the counts")
 	}
 	for _, tc := range []struct {
 		size  int
-		ratio float64
+		limit float64 // bytes allocated per frame
 		runs  int
 	}{
-		{4 << 10, 1.2, 50},
-		{1 << 20, 1.05, 10},
-		{16 << 20, 1.8, 3},
+		{4 << 10, 1 << 10, 50},
+		{1 << 20, 1 << 10, 10},
+		{16 << 20, 1.55 * (16 << 20), 3},
 	} {
 		data := bytes.Repeat([]byte("bistro!\n"), tc.size/8)
 		for _, msg := range []any{
@@ -131,11 +134,10 @@ func TestPayloadFrameAllocations(t *testing.T) {
 			gotBytes, gotObjects := frameCost(t, NewConn(a), NewConn(b), msg, tc.runs)
 			a1, b1 := tcpPair(t)
 			_, v1Objects := frameCost(t, newV1Conn(a1), newV1Conn(b1), msg, tc.runs)
-			limit := tc.ratio*float64(tc.size) + 16<<10
 			t.Logf("%s: %.0f B (%.3fx payload), %.1f objects (v1 %.1f)",
 				name, gotBytes, gotBytes/float64(tc.size), gotObjects, v1Objects)
-			if gotBytes > limit {
-				t.Errorf("%s: %.0f bytes allocated per frame, want <= %.0f", name, gotBytes, limit)
+			if gotBytes > tc.limit {
+				t.Errorf("%s: %.0f bytes allocated per frame, want <= %.0f", name, gotBytes, tc.limit)
 			}
 			if gotObjects > v1Objects+0.5 {
 				t.Errorf("%s: %.1f objects per frame, v1 allocated %.1f", name, gotObjects, v1Objects)
@@ -293,10 +295,44 @@ func allMessages() []any {
 // take gob's share away.
 const gobAhead = 10 << 20
 
-// FuzzFrame feeds arbitrary bytes to Recv: it must never panic, never
-// allocate more than twice the input plus what gob may allocate ahead
-// of the wire (and 64 KiB of bookkeeping), and every payload message it
-// decodes must re-encode to a frame that decodes equal.
+// TestRecvKeepsOnePayloadBuffer pins the payload lifetime rule: a
+// payload lands in the buffer the Conn kept from the frame before
+// (valid until the next Recv), a larger one replaces that buffer only
+// up to growStart, and what grows beyond growStart is the payload's
+// own.
+func TestRecvKeepsOnePayloadBuffer(t *testing.T) {
+	small := func(b byte) Deliver { return Deliver{Name: "f", Data: bytes.Repeat([]byte{b}, 4<<10)} }
+	big := Upload{Name: "g", Data: bytes.Repeat([]byte("z"), 16<<20)}
+	conn := NewConn(&memConn{Reader: bytes.NewReader(frames(t, small('a'), small('b'), big, small('c')))})
+	recv := func() []byte {
+		t.Helper()
+		msg, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg.(Payloader).PayloadBytes()
+	}
+	a := recv()
+	b := recv()
+	if &a[0] != &b[0] || a[0] != 'b' {
+		t.Fatalf("second 4 KiB payload did not reuse the first one's buffer")
+	}
+	if g := recv(); len(g) != 16<<20 || &g[0] == &conn.in[0] || cap(conn.in) != growStart {
+		t.Fatalf("16 MiB payload: %d bytes, kept buffer %d, want the payload in its own buffer and %d kept",
+			len(g), cap(conn.in), growStart)
+	}
+	if c := recv(); &c[0] != &conn.in[0] || c[0] != 'c' {
+		t.Fatalf("4 KiB payload after a 16 MiB one did not land in the kept buffer")
+	}
+}
+
+// FuzzFrame feeds arbitrary bytes to one Conn as a sequence of frames.
+// Recv must never panic; every message it decodes must equal what a
+// fresh Conn decodes from that message's frame alone, so nothing the
+// Conn kept from the frames before can leak into it; the Conn keeps at
+// most growStart bytes between frames; and the sequence allocates no
+// more than twice the input plus what gob may allocate ahead of the
+// wire (and 64 KiB of bookkeeping).
 func FuzzFrame(f *testing.F) {
 	for _, m := range allMessages() {
 		f.Add(frames(f, m))
@@ -313,34 +349,35 @@ func FuzzFrame(f *testing.F) {
 	f.Add(v1.Bytes())
 	// gob builds its per-type machinery once per process; pay that
 	// before measuring.
-	drain := func(in []byte) []any {
-		conn := NewConn(&memConn{Reader: bytes.NewReader(in)})
-		var payloads []any
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				return payloads
-			}
-			if _, ok := msg.(Payloader); ok {
-				payloads = append(payloads, msg)
-			}
+	warm := NewConn(&memConn{Reader: bytes.NewReader(frames(f, allMessages()...))})
+	for {
+		if _, err := warm.Recv(); err != nil {
+			break
 		}
 	}
-	drain(frames(f, allMessages()...))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		payloads := drain(in)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(in))+gobAhead+64<<10; got > limit {
-			t.Fatalf("%d input bytes allocated %d, want <= %d", len(in), got, limit)
-		}
-		for _, want := range payloads {
-			got := drain(frames(t, want))
-			if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-				t.Fatalf("%#v re-encoded and decoded as %#v", want, got)
+		conn := NewConn(&memConn{Reader: bytes.NewReader(in)})
+		var allocated uint64 // by Recv alone, not by the checks between
+		for {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			msg, err := conn.Recv()
+			runtime.ReadMemStats(&after)
+			allocated += after.TotalAlloc - before.TotalAlloc
+			if kept := cap(conn.in); kept > growStart {
+				t.Fatalf("the Conn keeps a %d-byte buffer, want <= %d", kept, growStart)
 			}
+			if err != nil {
+				break
+			}
+			alone, err := NewConn(&memConn{Reader: bytes.NewReader(frames(t, msg))}).Recv()
+			if err != nil || !reflect.DeepEqual(alone, msg) {
+				t.Fatalf("%#v decoded from its own frame as %#v (%v)", msg, alone, err)
+			}
+		}
+		if limit := 2*uint64(len(in)) + gobAhead + 64<<10; allocated > limit {
+			t.Fatalf("%d input bytes allocated %d, want <= %d", len(in), allocated, limit)
 		}
 	})
 }

@@ -221,6 +221,10 @@ func init() {
 // envelope instead of inside it. Upload, Deliver and DeliverChunk
 // implement it here; the cluster's replication messages implement it
 // too, which is why it is exported.
+//
+// A received Payloader's bytes may sit in the receiving Conn's own
+// buffer: they are valid until the next Recv on that Conn (the rule of
+// bufio.Scanner.Bytes). A caller that keeps them longer copies them.
 type Payloader interface {
 	// PayloadBytes returns the bytes to send raw.
 	PayloadBytes() []byte
@@ -251,7 +255,8 @@ const (
 	// decode error, and Send refuses to write one.
 	MaxPayload = 1 << 30
 	// growStart is the most a payload buffer allocates before the bytes
-	// it is sized for have arrived (see readGrown).
+	// it is sized for have arrived (see readGrown), and so the most a
+	// Conn keeps between frames.
 	growStart = 4 << 20
 )
 
@@ -275,11 +280,15 @@ type Conn struct {
 	// the first frame); vec and bufs pair it with the payload for one
 	// writev. They and the two envelopes live here so that a frame
 	// allocates no more than gob does.
-	out      bytes.Buffer
-	vec      [2][]byte
-	bufs     net.Buffers
-	sendEnv  envelope
-	recvEnv  envelope
+	out     bytes.Buffer
+	vec     [2][]byte
+	bufs    net.Buffers
+	sendEnv envelope
+	recvEnv envelope
+	// in is the buffer payloads start in (see Recv): kept from frame to
+	// frame, so a warm connection reads a payload of up to growStart
+	// bytes without allocating.
+	in       []byte
 	greeted  bool // our preamble is written
 	verified bool // the peer's preamble is checked
 	// Timeout bounds each send/receive (0 = none).
@@ -350,6 +359,12 @@ func (c *Conn) Send(msg any) error {
 
 // Recv reads one message: its envelope, then any payload the envelope
 // declares, into a buffer that grows only as the bytes arrive.
+//
+// A payload starts in a buffer the Conn keeps, min(payload, growStart)
+// bytes: a received message's payload bytes are valid only until the
+// next Recv on this Conn (like bufio.Scanner.Bytes). A payload larger
+// than growStart grows out of it into buffers of its own, which the
+// Conn lets go.
 func (c *Conn) Recv() (any, error) {
 	if c.Timeout > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
@@ -376,11 +391,31 @@ func (c *Conn) Recv() (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("protocol: recv: %T declares a %d-byte payload it cannot carry", msg, n)
 	}
-	data, err := readGrown(c.r, n)
+	data, err := c.readPayload(n)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: recv %T payload: %w", msg, err)
 	}
 	return p.WithPayload(data), nil
+}
+
+// readPayload reads an n-byte payload starting in the Conn's kept
+// buffer, replaced by a larger one (never over growStart) when the
+// payload needs more to start in. The replacement is kept only once a
+// payload has filled it, so a lying length leaves nothing behind.
+func (c *Conn) readPayload(n int64) ([]byte, error) {
+	if n < 0 || n > MaxPayload {
+		return nil, fmt.Errorf("length %d outside 0..%d", n, MaxPayload)
+	}
+	start, buf := min(n, growStart), c.in
+	if int64(cap(buf)) < start {
+		buf = make([]byte, start)
+	}
+	data, err := readGrown(c.r, n, buf[:start])
+	if err != nil {
+		return nil, err
+	}
+	c.in = buf
+	return data, nil
 }
 
 // readPreamble checks the peer's first four bytes. Only the first Recv
@@ -407,15 +442,11 @@ func (c *Conn) readPreamble() error {
 	}
 }
 
-// readGrown reads exactly n bytes into one buffer without allocating
-// ahead of the wire: the buffer starts at min(n, growStart) and doubles,
-// capped at n, only when full, so it never exceeds max(growStart,
+// readGrown reads exactly n bytes without allocating ahead of the wire:
+// it fills buf (min(n, growStart) long) and then doubles, capped at n,
+// only when full, so the payload's buffer never exceeds max(growStart,
 // 2 × bytes received) and a lying length costs growStart at most.
-func readGrown(r io.Reader, n int64) ([]byte, error) {
-	if n < 0 || n > MaxPayload {
-		return nil, fmt.Errorf("length %d outside 0..%d", n, MaxPayload)
-	}
-	buf := make([]byte, min(n, growStart))
+func readGrown(r io.Reader, n int64, buf []byte) ([]byte, error) {
 	got := 0
 	for {
 		m, err := io.ReadFull(r, buf[got:])

@@ -51,7 +51,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn handles one peer connection.
+// serveConn handles one peer connection. A received payload lives in
+// the Conn's buffer until the next Recv, so every handler is done with
+// it (landed, relayed) before it returns.
 func (s *Server) serveConn(conn *protocol.Conn) {
 	defer conn.Close()
 	for {
@@ -190,7 +192,7 @@ func (s *Server) handleFileReady(m protocol.FileReady) protocol.Ack {
 	name := filepath.ToSlash(m.Path)
 	if owner, remote := s.routeFor(name); remote {
 		src := filepath.Join(s.land.Dir(), filepath.FromSlash(m.Path))
-		data, err := diskfault.ReadFile(s.fs, src)
+		data, err := diskfault.ReadFile(s.fs, src, nil)
 		if err != nil {
 			return protocol.Ack{OK: false, Error: err.Error()}
 		}
@@ -306,7 +308,7 @@ func (s *Server) serveFetch(conn *protocol.Conn, m protocol.Fetch) {
 		conn.Send(protocol.Ack{OK: false, Error: "unknown file id"})
 		return
 	}
-	data, err := diskfault.ReadFile(s.fs, filepath.Join(s.stage, filepath.FromSlash(meta.StagedPath)))
+	data, err := diskfault.ReadFile(s.fs, filepath.Join(s.stage, filepath.FromSlash(meta.StagedPath)), nil)
 	if errors.Is(err, fs.ErrNotExist) {
 		// Not staged any more: expired into the archive. Any other
 		// read error is the answer — an archive miss must not mask it.

@@ -378,7 +378,7 @@ func New(opts Options) (*Server, error) {
 			if sh == nil {
 				return nil
 			}
-			data, err := diskfault.ReadFile(s.fs, filepath.Join(archRoot, filepath.FromSlash(v.StagedPath)))
+			data, err := diskfault.ReadFile(s.fs, filepath.Join(archRoot, filepath.FromSlash(v.StagedPath)), nil)
 			if err != nil {
 				return fmt.Errorf("server: read archived %s for replication: %w", v.StagedPath, err)
 			}
@@ -839,7 +839,7 @@ func (s *Server) shipArchiveBacklog(sh *cluster.Shipper) error {
 		if !s.arch.Manifest().Has(meta.ID) {
 			continue
 		}
-		data, err := diskfault.ReadFile(s.fs, filepath.Join(archRoot, filepath.FromSlash(meta.StagedPath)))
+		data, err := diskfault.ReadFile(s.fs, filepath.Join(archRoot, filepath.FromSlash(meta.StagedPath)), nil)
 		if err != nil {
 			if errors.Is(err, os.ErrNotExist) {
 				continue
@@ -1314,7 +1314,7 @@ func (s *Server) shipStaged(stagedPath string) error {
 	if sh == nil {
 		return nil
 	}
-	data, err := diskfault.ReadFile(s.fs, filepath.Join(s.stage, filepath.FromSlash(stagedPath)))
+	data, err := diskfault.ReadFile(s.fs, filepath.Join(s.stage, filepath.FromSlash(stagedPath)), nil)
 	if err != nil {
 		return fmt.Errorf("server: read staged %s for replication: %w", stagedPath, err)
 	}

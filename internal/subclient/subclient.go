@@ -128,7 +128,9 @@ func (d *Daemon) acceptLoop() {
 	}
 }
 
-// serve handles one server connection until it closes.
+// serve handles one server connection until it closes. A received
+// payload lives in the Conn's buffer until the next Recv, so every
+// handler has written it out before it returns.
 func (d *Daemon) serve(conn *protocol.Conn) {
 	defer conn.Close()
 	for {

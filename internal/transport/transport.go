@@ -35,6 +35,10 @@ type File struct {
 	// Path is the absolute staged path; transports stream from it when
 	// Data is nil (large-file delivery).
 	Path string
+	// FS opens Path (nil = the real filesystem): the delivery engine's
+	// filesystem seam, so streamed reads see its fault injection and
+	// its read accounting.
+	FS diskfault.FS
 	// CRC is the IEEE CRC32 of the content.
 	CRC uint32
 	// Size is the staged size in bytes.
@@ -50,7 +54,11 @@ func (f File) Open() (io.ReadCloser, error) {
 	if f.Path == "" {
 		return nil, fmt.Errorf("transport: file %s has neither data nor path", f.Name)
 	}
-	rc, err := os.Open(f.Path)
+	fsys := f.FS
+	if fsys == nil {
+		fsys = diskfault.OS()
+	}
+	rc, err := fsys.Open(f.Path)
 	if err != nil {
 		return nil, fmt.Errorf("transport: open staged: %w", err)
 	}
