@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-harness cluster-race fmt
+.PHONY: build test race bench-smoke bench-harness cluster-race fmt loc
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ race:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test Go lines outside the benchmark harness: the one line count
+# simplicity changes report.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
 # One iteration of the full-server experiment benchmarks (E14 ingest
 # scaling, E15 historical replay, E16 standby failover, E17

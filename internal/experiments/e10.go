@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bistro/internal/config"
+	"bistro/internal/metrics"
 	"bistro/internal/receipts"
 	"bistro/internal/server"
 	"bistro/internal/workload"
@@ -111,18 +112,33 @@ subscriber wh { dest "in" subscribe BPS }
 	}
 
 	// WAL throughput ablation: group commit vs one fsync per commit.
+	// The fsync counts are the gated shape; the rates, best of three
+	// runs, show what the saved fsyncs are worth on this disk.
+	perWriter := 200
+	if o.Quick {
+		perWriter = 50
+	}
+	t.Rows = append(t.Rows, []string{"wal commits per run (8 writers)", fmt.Sprintf("%d", walWriters*perWriter)})
 	for _, mode := range []struct {
 		name string
 		opts receipts.Options
 	}{
-		{"wal commits/sec (group commit, 8 writers)", receipts.Options{}},
-		{"wal commits/sec (fsync per commit, 8 writers)", receipts.Options{NoGroupCommit: true}},
+		{"group commit, 8 writers", receipts.Options{}},
+		{"fsync per commit, 8 writers", receipts.Options{NoGroupCommit: true}},
 	} {
-		rate, err := walThroughput(mode.opts, o)
-		if err != nil {
-			return t, err
+		var best float64
+		var fsyncs int64
+		for run := 0; run < 3; run++ {
+			rate, n, err := walThroughput(mode.opts, perWriter)
+			if err != nil {
+				return t, err
+			}
+			best, fsyncs = max(best, rate), max(fsyncs, n)
 		}
-		t.Rows = append(t.Rows, []string{mode.name, fmt.Sprintf("%.0f", rate)})
+		t.Rows = append(t.Rows,
+			[]string{"wal commits/sec (" + mode.name + ")", fmt.Sprintf("%.0f", best)},
+			[]string{"wal fsyncs, most of 3 runs (" + mode.name + ")", fmt.Sprintf("%d", fsyncs)},
+		)
 	}
 	t.Notes = append(t.Notes,
 		"the restarted server recomputes the subscriber queue from the receipt DB: no duplicates, no losses",
@@ -130,26 +146,31 @@ subscriber wh { dest "in" subscribe BPS }
 	return t, nil
 }
 
-func walThroughput(opts receipts.Options, o Options) (float64, error) {
+// walWriters is how many goroutines commit concurrently in the WAL
+// ablation.
+const walWriters = 8
+
+// walThroughput commits perWriter arrivals from each of walWriters
+// goroutines into a fresh store and returns the commit rate and the
+// WAL fsyncs those commits cost (the store's own
+// bistro_receipts_fsync_seconds count).
+func walThroughput(opts receipts.Options, perWriter int) (float64, int64, error) {
 	dir, err := os.MkdirTemp("", "bistro-e10-wal-*")
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer os.RemoveAll(dir)
+	opts.Metrics = receipts.NewMetrics(metrics.NewRegistry())
 	store, err := receipts.Open(dir, opts)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer store.Close()
-	const writers = 8
-	perWriter := 200
-	if o.Quick {
-		perWriter = 50
-	}
 	var wg sync.WaitGroup
-	errs := make(chan error, writers)
+	errs := make(chan error, walWriters)
+	fsyncs0 := opts.Metrics.FsyncSeconds.Count()
 	startT := time.Now()
-	for w := 0; w < writers; w++ {
+	for w := 0; w < walWriters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -166,10 +187,10 @@ func walThroughput(opts receipts.Options, o Options) (float64, error) {
 		}(w)
 	}
 	wg.Wait()
+	elapsed := time.Since(startT)
 	close(errs)
 	for err := range errs {
-		return 0, err
+		return 0, 0, err
 	}
-	elapsed := time.Since(startT)
-	return float64(writers*perWriter) / elapsed.Seconds(), nil
+	return float64(walWriters*perWriter) / elapsed.Seconds(), opts.Metrics.FsyncSeconds.Count() - fsyncs0, nil
 }

@@ -72,106 +72,162 @@ type Result struct {
 	Checksum uint32
 }
 
-// Process copies src to dst applying the compression mode, atomically
-// (write to a temp file in dst's directory, then rename). It returns
-// the staged size and checksum used for delivery verification.
-func Process(src, dst string, mode config.Compression) (Result, error) {
-	return ProcessFS(diskfault.OS(), src, dst, mode)
-}
-
-// ProcessFS is Process over an explicit filesystem seam, and it is the
-// durable variant the server uses: the receipt DB will point at dst,
-// so the temp file is fsynced before the rename and the parent
-// directory is fsynced after it. Without both, a power cut after the
-// arrival receipt commits can leave the receipt referencing a
-// truncated or missing staged file.
+// ProcessFS copies src to dst applying the compression mode, durably
+// and atomically: the source streams, decompressed when the mode asks,
+// into an Output committed at dst. It returns the staged size and
+// checksum used for delivery verification. It is the trivial ingestion
+// plan: one input, one output, no operators.
 func ProcessFS(fsys diskfault.FS, src, dst string, mode config.Compression) (Result, error) {
 	in, err := fsys.Open(src)
 	if err != nil {
 		return Result{}, fmt.Errorf("normalize: open source: %w", err)
 	}
 	defer in.Close()
-	if err := fsys.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return Result{}, fmt.Errorf("normalize: mkdir: %w", err)
-	}
-	tmp, err := fsys.CreateTemp(filepath.Dir(dst), ".bistro-tmp-*")
-	if err != nil {
-		return Result{}, fmt.Errorf("normalize: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	res, err := transform(in, tmp, mode)
-	if err != nil {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return Result{}, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmpName)
-		return Result{}, fmt.Errorf("normalize: sync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
-		return Result{}, fmt.Errorf("normalize: close temp: %w", err)
-	}
-	if err := fsys.Rename(tmpName, dst); err != nil {
-		fsys.Remove(tmpName)
-		return Result{}, fmt.Errorf("normalize: rename: %w", err)
-	}
-	if err := fsys.SyncDir(filepath.Dir(dst)); err != nil {
-		return Result{}, fmt.Errorf("normalize: sync dir: %w", err)
-	}
-	return res, nil
-}
-
-// transform streams r to w under the compression mode, accumulating
-// size and checksum of the bytes written.
-func transform(r io.Reader, w io.Writer, mode config.Compression) (Result, error) {
-	crc := crc32.NewIEEE()
-	counted := &countWriter{w: io.MultiWriter(w, crc)}
+	var r io.Reader = in
 	switch mode {
-	case config.CompressNone:
-		if _, err := diskfault.Copy(counted, r); err != nil {
-			return Result{}, fmt.Errorf("normalize: copy: %w", err)
-		}
-	case config.CompressGzip:
-		zw := gzip.NewWriter(counted)
-		if _, err := diskfault.Copy(zw, r); err != nil {
-			return Result{}, fmt.Errorf("normalize: gzip: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			return Result{}, fmt.Errorf("normalize: gzip close: %w", err)
-		}
+	case config.CompressNone, config.CompressGzip:
 	case config.CompressGunzip:
-		zr, err := gzip.NewReader(r)
+		zr, err := gzip.NewReader(in)
 		if err != nil {
 			return Result{}, fmt.Errorf("normalize: gunzip: %w", err)
 		}
-		if _, err := diskfault.Copy(counted, zr); err != nil {
-			return Result{}, fmt.Errorf("normalize: gunzip copy: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return Result{}, fmt.Errorf("normalize: gunzip close: %w", err)
-		}
+		r = zr
 	case config.CompressBunzip2:
-		if _, err := diskfault.Copy(counted, bzip2.NewReader(r)); err != nil {
-			return Result{}, fmt.Errorf("normalize: bunzip2: %w", err)
-		}
+		r = bzip2.NewReader(in)
 	default:
 		return Result{}, fmt.Errorf("normalize: unknown compression mode %v", mode)
 	}
-	return Result{Size: counted.n, Checksum: crc.Sum32()}, nil
+	out, err := Create(fsys, filepath.Dir(dst), mode == config.CompressGzip)
+	if err != nil {
+		return Result{}, err
+	}
+	if _, err := diskfault.Copy(out, r); err != nil {
+		out.Abort()
+		return Result{}, fmt.Errorf("normalize: copy: %w", err)
+	}
+	return out.Commit(dst)
 }
 
-type countWriter struct {
-	w io.Writer
-	n int64
+// Output is a staged file being written durably: a temp file in its
+// destination's directory (or an ancestor of it), optionally
+// gzip-compressed, with the size and CRC32 of the bytes that actually
+// reach the file. Commit is the one fsync-rename-dirsync sequence on
+// the ingest path: the receipt DB will point at the destination, so the
+// temp file is fsynced before the rename and the directory after it.
+// Without both, a power cut after the arrival receipt commits can leave
+// the receipt referencing a truncated or missing staged file.
+type Output struct {
+	fsys   diskfault.FS
+	dir    string
+	tmp    diskfault.File
+	zw     *gzip.Writer
+	size   int64
+	crc    uint32
+	closed bool
 }
 
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
+// Create starts an Output in dir, creating the directory as needed.
+// With gz set, written bytes are gzip-compressed on their way to the
+// file.
+func Create(fsys diskfault.FS, dir string, gz bool) (*Output, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("normalize: mkdir: %w", err)
+	}
+	tmp, err := fsys.CreateTemp(dir, ".bistro-tmp-*")
+	if err != nil {
+		return nil, fmt.Errorf("normalize: temp file: %w", err)
+	}
+	o := &Output{fsys: fsys, dir: dir, tmp: tmp}
+	if gz {
+		o.zw = gzip.NewWriter((*fileWriter)(o))
+	}
+	return o, nil
+}
+
+// Write appends b to the output, through the gzip writer if any.
+func (o *Output) Write(b []byte) (int, error) {
+	if o.zw != nil {
+		return o.zw.Write(b)
+	}
+	return (*fileWriter)(o).Write(b)
+}
+
+// fileWriter is the accounting layer under the optional gzip writer:
+// receipts describe the bytes actually staged.
+type fileWriter Output
+
+func (w *fileWriter) Write(b []byte) (int, error) {
+	n, err := w.tmp.Write(b)
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, b[:n])
+	w.size += int64(n)
 	return n, err
+}
+
+// Name is the temp file's path, readable after CloseForRead.
+func (o *Output) Name() string { return o.tmp.Name() }
+
+// CloseForRead finishes the content without making it durable or
+// renaming it, for bytes that feed another stage instead of staging.
+// Abort still removes the temp file.
+func (o *Output) CloseForRead() error {
+	if o.closed {
+		return nil
+	}
+	o.closed = true
+	var err error
+	if o.zw != nil {
+		err = o.zw.Close()
+	}
+	if cerr := o.tmp.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Commit makes the output durable at dst: flush, fsync, close, rename,
+// directory fsync. dst's directory is created only when it is not the
+// one the temp file was made in.
+func (o *Output) Commit(dst string) (Result, error) {
+	if o.zw != nil {
+		if err := o.zw.Close(); err != nil {
+			o.Abort()
+			return Result{}, fmt.Errorf("normalize: gzip close: %w", err)
+		}
+	}
+	if err := o.tmp.Sync(); err != nil {
+		o.Abort()
+		return Result{}, fmt.Errorf("normalize: sync temp: %w", err)
+	}
+	o.closed = true
+	if err := o.tmp.Close(); err != nil {
+		o.Abort()
+		return Result{}, fmt.Errorf("normalize: close temp: %w", err)
+	}
+	dir := filepath.Dir(dst)
+	if dir != o.dir {
+		if err := o.fsys.MkdirAll(dir, 0o755); err != nil {
+			o.Abort()
+			return Result{}, fmt.Errorf("normalize: mkdir: %w", err)
+		}
+	}
+	if err := o.fsys.Rename(o.tmp.Name(), dst); err != nil {
+		o.Abort()
+		return Result{}, fmt.Errorf("normalize: rename: %w", err)
+	}
+	if err := o.fsys.SyncDir(dir); err != nil {
+		return Result{}, fmt.Errorf("normalize: sync dir: %w", err)
+	}
+	return Result{Size: o.size, Checksum: o.crc}, nil
+}
+
+// Abort discards the output. It is idempotent and safe after Commit,
+// which leaves nothing at the temp path.
+func (o *Output) Abort() {
+	if !o.closed {
+		o.closed = true
+		o.tmp.Close()
+	}
+	o.fsys.Remove(o.tmp.Name())
 }
 
 // ChecksumFile computes the CRC32 of a file's content, used by

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bistro/internal/config"
+	"bistro/internal/diskfault"
 	"bistro/internal/pattern"
 )
 
@@ -97,7 +98,7 @@ func TestProcessCopy(t *testing.T) {
 	content := []byte("hello,world\n1,2\n")
 	src := writeFile(t, dir, "in.csv", content)
 	dst := filepath.Join(dir, "nested", "out.csv")
-	res, err := Process(src, dst, config.CompressNone)
+	res, err := ProcessFS(diskfault.OS(), src, dst, config.CompressNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestProcessGzipRoundTrip(t *testing.T) {
 	src := writeFile(t, dir, "in.csv", content)
 
 	gzPath := filepath.Join(dir, "out.csv.gz")
-	res, err := Process(src, gzPath, config.CompressGzip)
+	res, err := ProcessFS(diskfault.OS(), src, gzPath, config.CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestProcessGzipRoundTrip(t *testing.T) {
 
 	// Decompress back and compare content.
 	plainPath := filepath.Join(dir, "back.csv")
-	if _, err := Process(gzPath, plainPath, config.CompressGunzip); err != nil {
+	if _, err := ProcessFS(diskfault.OS(), gzPath, plainPath, config.CompressGunzip); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(plainPath)
@@ -155,7 +156,7 @@ func TestProcessGzipRoundTrip(t *testing.T) {
 func TestProcessGunzipRejectsPlain(t *testing.T) {
 	dir := t.TempDir()
 	src := writeFile(t, dir, "plain.txt", []byte("not gzip"))
-	if _, err := Process(src, filepath.Join(dir, "out"), config.CompressGunzip); err == nil {
+	if _, err := ProcessFS(diskfault.OS(), src, filepath.Join(dir, "out"), config.CompressGunzip); err == nil {
 		t.Fatal("expected gunzip error on plain content")
 	}
 	// Failed normalization must not leave temp droppings.
@@ -172,7 +173,7 @@ func TestProcessGunzipRejectsPlain(t *testing.T) {
 
 func TestProcessMissingSource(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Process(filepath.Join(dir, "nope"), filepath.Join(dir, "out"), config.CompressNone); err == nil {
+	if _, err := ProcessFS(diskfault.OS(), filepath.Join(dir, "nope"), filepath.Join(dir, "out"), config.CompressNone); err == nil {
 		t.Fatal("expected error for missing source")
 	}
 }
@@ -180,7 +181,7 @@ func TestProcessMissingSource(t *testing.T) {
 func TestProcessEmptyFile(t *testing.T) {
 	dir := t.TempDir()
 	src := writeFile(t, dir, "empty", nil)
-	res, err := Process(src, filepath.Join(dir, "out"), config.CompressNone)
+	res, err := ProcessFS(diskfault.OS(), src, filepath.Join(dir, "out"), config.CompressNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestGzipOutputIsStandard(t *testing.T) {
 	content := []byte("interop check")
 	src := writeFile(t, dir, "in", content)
 	gzPath := filepath.Join(dir, "out.gz")
-	if _, err := Process(src, gzPath, config.CompressGzip); err != nil {
+	if _, err := ProcessFS(diskfault.OS(), src, gzPath, config.CompressGzip); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(gzPath)
@@ -226,7 +227,7 @@ func BenchmarkProcessCopy(b *testing.B) {
 	b.SetBytes(int64(len(content)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Process(src, dst, config.CompressNone); err != nil {
+		if _, err := ProcessFS(diskfault.OS(), src, dst, config.CompressNone); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +246,7 @@ func TestProcessBunzip2(t *testing.T) {
 	dir := t.TempDir()
 	src := writeFile(t, dir, "in.txt.bz2", bzip2Hello)
 	dst := filepath.Join(dir, "out.txt")
-	res, err := Process(src, dst, config.CompressBunzip2)
+	res, err := ProcessFS(diskfault.OS(), src, dst, config.CompressBunzip2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -429,7 +429,7 @@ func (e *execution) run(in io.Reader) error {
 		if err != nil {
 			return err
 		}
-		n, err := io.Copy(w, r)
+		n, err := diskfault.Copy(w, r)
 		e.countBytes("primary", int(n))
 		if err != nil {
 			return fmt.Errorf("plan: feed %s: copy: %w", p.feed, err)

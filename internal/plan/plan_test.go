@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,58 @@ func TestByteOnlyDecompressSplit(t *testing.T) {
 	}
 	if stats.Routed["RAW"] != 4 {
 		t.Errorf("routed bytes = %d, want 4", stats.Routed["RAW"])
+	}
+}
+
+// byteCounter is a sink with no ReadFrom, so a copy into it cannot
+// borrow a buffer from its destination.
+type byteCounter struct{ n int64 }
+
+func (c *byteCounter) Write(b []byte) (int, error) {
+	c.n += int64(len(b))
+	return len(b), nil
+}
+
+// TestByteOnlyPlanAllocatesNoCopyBuffer: a byte-only plan copies a
+// staged file through diskfault.Copy's pooled buffer, not a fresh
+// 32 KiB one per file (io.Copy from a file falls back to one).
+func TestByteOnlyPlanAllocatesNoCopyBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	src := filepath.Join(t.TempDir(), "in")
+	if err := os.WriteFile(src, bytes.Repeat([]byte("x"), 1<<20), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := compileOne(t, Options{})
+	var out byteCounter
+	run := func() {
+		f, err := diskfault.OS().Open(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		out.n = 0
+		if _, err := p.Run(f, Sinks{Primary: func() (io.Writer, error) { return &out, nil }}); err != nil {
+			t.Fatal(err)
+		}
+		if out.n != 1<<20 {
+			t.Fatalf("copied %d bytes, want %d", out.n, 1<<20)
+		}
+	}
+	run() // the pool's buffer
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perFile := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	objects := testing.AllocsPerRun(runs, run)
+	t.Logf("1 MiB byte-only plan: %.0f bytes, %.0f objects allocated per file", perFile, objects)
+	if perFile >= 8<<10 {
+		t.Errorf("a byte-only plan over a 1 MiB file allocated %.0f bytes, want < 8 KiB", perFile)
 	}
 }
 

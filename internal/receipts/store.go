@@ -408,16 +408,13 @@ func (s *Store) groupAppend(payload []byte) error {
 }
 
 // RecordArrival durably records a newly received file and returns its
-// assigned id.
+// assigned id: an arrival with no derived files.
 func (s *Store) RecordArrival(f FileMeta) (uint64, error) {
-	s.mu.Lock()
-	f.ID = s.nextID
-	s.nextID++
-	s.mu.Unlock()
-	if err := s.commit([]op{{kind: recArrival, file: f}}); err != nil {
+	ids, err := s.RecordArrivalDerived(f, nil)
+	if err != nil {
 		return 0, err
 	}
-	return f.ID, nil
+	return ids[0], nil
 }
 
 // RecordArrivalDerived durably records one arrival plus the files a

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -223,7 +227,8 @@ subscriber wh { dest "in" subscribe EVENTS }
 // TestPlanlessStagingGolden pins the no-plan path byte for byte: a
 // config without plan blocks must stage exactly the layout and bytes
 // the pre-plan pipeline produced (golden expectations below were
-// captured from the seed behavior).
+// captured from the seed behavior), and every receipt must describe the
+// staged file as it sits on disk.
 func TestPlanlessStagingGolden(t *testing.T) {
 	cfgSrc := `
 window 72h
@@ -234,23 +239,34 @@ feedgroup SNMP {
         compress gzip
     }
     feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt" }
+    feed MEM {
+        pattern "MEM_POLL%i_%Y%m%d%H%M.txt.gz"
+        compress gunzip
+    }
 }
 `
 	s := newServer(t, cfgSrc, nil)
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write([]byte("mem=7\n"))
+	zw.Close()
 	deposits := map[string]string{
-		"BPS_poller1_201009250451.csv": "a,b\n1,2\n",
-		"CPU_POLL7_201009250452.txt":   "cpu=42\n",
-		"junk.tmp":                     "x",
+		"BPS_poller1_201009250451.csv":  "a,b\n1,2\n",
+		"CPU_POLL7_201009250452.txt":    "cpu=42\n",
+		"MEM_POLL3_201009250453.txt.gz": gz.String(),
+		"junk.tmp":                      "x",
 	}
 	for name, content := range deposits {
 		if err := s.Deposit(name, []byte(content)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	bps := filepath.Join("SNMP", "BPS", "2010", "09", "25", "BPS_poller1_0451.csv.gz")
 	golden := map[string]string{
-		filepath.Join("SNMP", "BPS", "2010", "09", "25", "BPS_poller1_0451.csv.gz"): "", // gzip: checked by size>0 below
-		filepath.Join("SNMP", "CPU", "CPU_POLL7_201009250452.txt"):                  "cpu=42\n",
-		filepath.Join("_unmatched", "junk.tmp"):                                     "x",
+		bps: "a,b\n1,2\n", // compared gunzipped below
+		filepath.Join("SNMP", "CPU", "CPU_POLL7_201009250452.txt"): "cpu=42\n",
+		filepath.Join("SNMP", "MEM", "MEM_POLL3_201009250453.txt"): "mem=7\n",
+		filepath.Join("_unmatched", "junk.tmp"):                    "x",
 	}
 	var got []string
 	filepath.Walk(s.stage, func(path string, info os.FileInfo, err error) error {
@@ -265,15 +281,37 @@ feedgroup SNMP {
 			return nil
 		}
 		data, _ := os.ReadFile(path)
-		if want != "" && string(data) != want {
-			t.Errorf("%s = %q, want %q", rel, data, want)
+		if rel == bps {
+			zr, err := gzip.NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Errorf("%s: %v", rel, err)
+				return nil
+			}
+			if data, err = io.ReadAll(zr); err != nil {
+				t.Errorf("%s: %v", rel, err)
+			}
 		}
-		if len(data) == 0 {
-			t.Errorf("%s is empty", rel)
+		if string(data) != want {
+			t.Errorf("%s = %q, want %q", rel, data, want)
 		}
 		return nil
 	})
 	if len(got) != len(golden) {
 		t.Fatalf("staged files = %v, want %d entries", got, len(golden))
+	}
+
+	files := s.Store().AllFiles()
+	if len(files) != 3 {
+		t.Fatalf("receipts = %+v, want 3 (the unmatched file has none)", files)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(s.stage, filepath.FromSlash(f.StagedPath)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Size != int64(len(data)) || f.Checksum != crc32.ChecksumIEEE(data) {
+			t.Errorf("receipt %s: size %d crc %08x, staged file has %d bytes crc %08x",
+				f.StagedPath, f.Size, f.Checksum, len(data), crc32.ChecksumIEEE(data))
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"bistro/internal/classifier"
 	"bistro/internal/normalize"
@@ -216,19 +215,11 @@ func (s *Server) reingestOrphan(name, path string) bool {
 // recordOrphanArrival writes the fresh receipt for a re-ingested
 // orphan.
 func (s *Server) recordOrphanArrival(name, stagedPath, path string, matches []classifier.Match) bool {
-	primary := matches[0]
 	crc, size, err := normalize.ChecksumFileFS(s.fs, path)
 	if err != nil {
 		return false
 	}
-	feeds := make([]string, len(matches))
-	for i, m := range matches {
-		feeds[i] = m.Feed.Path
-	}
-	var dataTime time.Time
-	if ts, ok := primary.Fields.Time.Timestamp(time.UTC); ok {
-		dataTime = ts
-	}
+	feeds, dataTime := classified(matches)
 	meta := receipts.FileMeta{
 		Name:       name,
 		StagedPath: stagedPath,

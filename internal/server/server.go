@@ -1224,14 +1224,16 @@ func (s *Server) ingestFrom(root, rel string) error {
 	return s.pipe.Ingest(root, rel)
 }
 
-// processArrival is the pipeline's classify→normalize→commit stage:
-// it classifies one file, quarantines it when unmatched (no metas),
-// or stages it and records the receipt. Feeds carrying a plan {}
-// block take the operator-DAG path instead (processPlanned), which
-// can return several metas: the primary plus any derived files. It
-// runs on shard workers, so everything it touches — classifier,
-// logger, store, analyzer samples — is concurrency-safe; per-source
-// ordering comes from the pipeline's hash partitioning.
+// processArrival is the pipeline's classify→stage→commit stage: it
+// classifies one file, quarantines it when unmatched (no metas), or
+// stages it and records the receipt. stageArrival produces the staged
+// outputs — one for a plan-less feed, the primary plus any derived
+// files for a feed with a plan {} block — and every arrival shares one
+// tail: ship each output, clear landing, commit the receipt family in
+// one WAL transaction, log. Every output is durable before the landing
+// file goes. It runs on shard workers, so everything it touches —
+// classifier, logger, store, analyzer samples — is concurrency-safe;
+// per-source ordering comes from the pipeline's hash partitioning.
 func (s *Server) processArrival(root, rel string) ([]receipts.FileMeta, error) {
 	name := filepath.ToSlash(rel)
 	src := filepath.Join(root, rel)
@@ -1240,19 +1242,93 @@ func (s *Server) processArrival(root, rel string) ([]receipts.FileMeta, error) {
 	matches := s.class.Classify(name)
 	if len(matches) == 0 {
 		s.logger.FileUnmatched(name)
-		s.recordUnmatched(name, now, fileSize(src))
 		// Keep the bytes — a future revised definition may claim them —
 		// but move them out of landing so scans stay cheap.
 		dst := filepath.Join(s.stage, "_unmatched", rel)
-		if _, err := normalize.ProcessFS(s.fs, src, dst, config.CompressNone); err != nil {
+		res, err := normalize.ProcessFS(s.fs, src, dst, config.CompressNone)
+		if err != nil {
 			return nil, err
 		}
+		s.recordUnmatched(name, now, res.Size)
 		return nil, s.fs.Remove(src)
 	}
 
 	primary := matches[0]
+	metas, err := s.stageArrival(primary, name, src)
+	if err != nil {
+		return nil, err
+	}
+	for i := range metas {
+		if err := s.shipStaged(metas[i].StagedPath); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.fs.Remove(src); err != nil {
+		return nil, fmt.Errorf("server: clear landing %s: %w", name, err)
+	}
+
+	var dataTime time.Time
+	metas[0].Feeds, dataTime = classified(matches) // the primary keeps every classified feed
+	for i := range metas {
+		m := &metas[i]
+		// A receipt stays in memory for the file's whole retention
+		// window. The staged path usually ends in the arrival name: let
+		// one string back both instead of also keeping the decoder's
+		// copy alive.
+		m.Name = name
+		if strings.HasSuffix(m.StagedPath, name) {
+			m.Name = m.StagedPath[len(m.StagedPath)-len(name):]
+		}
+		m.Arrived = now
+		m.DataTime = dataTime
+	}
+	ids, err := s.store.RecordArrivalDerived(metas[0], metas[1:])
+	if err != nil {
+		return nil, err
+	}
+	for i := range metas {
+		m := &metas[i]
+		m.ID = ids[i]
+		if i > 0 {
+			m.Origin = ids[0]
+		}
+		for _, feed := range m.Feeds {
+			s.logger.FileClassified(feed, m.Name, m.Size, dataTime)
+		}
+	}
+	return metas, nil
+}
+
+// classified is what a classification decides for an arrival's
+// receipt: every matched feed, primary first, and the data time the
+// primary's name carries (zero if none).
+func classified(matches []classifier.Match) ([]string, time.Time) {
+	feeds := make([]string, len(matches))
+	for i, m := range matches {
+		feeds[i] = m.Feed.Path
+	}
+	var dataTime time.Time
+	if ts, ok := matches[0].Fields.Time.Timestamp(time.UTC); ok {
+		dataTime = ts
+	}
+	return feeds, dataTime
+}
+
+// stageArrival stages a classified arrival under its primary feed: the
+// feed's plan when it has one, else a straight normalize.ProcessFS —
+// the trivial plan. The primary output comes first.
+func (s *Server) stageArrival(primary classifier.Match, name, src string) ([]receipts.FileMeta, error) {
 	if prog := s.plans.For(primary.Feed.Path); prog != nil {
-		return s.processPlanned(prog, matches, root, rel, now)
+		in, err := s.fs.Open(src)
+		if err != nil {
+			return nil, fmt.Errorf("server: open landing %s: %w", name, err)
+		}
+		metas, err := s.runPlanned(prog, primary.Feed, name, primary.Fields, in, 0)
+		in.Close()
+		if err != nil {
+			return nil, fmt.Errorf("server: plan %s: %w", name, err)
+		}
+		return metas, nil
 	}
 	stagedName, err := normalize.StagedName(primary.Feed, name, primary.Fields)
 	if err != nil {
@@ -1262,46 +1338,11 @@ func (s *Server) processArrival(root, rel string) ([]receipts.FileMeta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: normalize %s: %w", name, err)
 	}
-	if err := s.shipStaged(filepath.ToSlash(stagedName)); err != nil {
-		return nil, err
-	}
-	if err := s.fs.Remove(src); err != nil {
-		return nil, fmt.Errorf("server: clear landing %s: %w", name, err)
-	}
-
-	feeds := make([]string, len(matches))
-	for i, m := range matches {
-		feeds[i] = m.Feed.Path
-	}
-	var dataTime time.Time
-	if ts, ok := primary.Fields.Time.Timestamp(time.UTC); ok {
-		dataTime = ts
-	}
-	// A receipt stays in memory for the file's whole retention window.
-	// The staged path usually ends in the arrival name: let one string
-	// back both instead of also keeping the decoder's copy alive.
-	stagedPath := filepath.ToSlash(stagedName)
-	if strings.HasSuffix(stagedPath, name) {
-		name = stagedPath[len(stagedPath)-len(name):]
-	}
-	meta := receipts.FileMeta{
-		Name:       name,
-		StagedPath: stagedPath,
-		Feeds:      feeds,
+	return []receipts.FileMeta{{
+		StagedPath: filepath.ToSlash(stagedName),
 		Size:       res.Size,
 		Checksum:   res.Checksum,
-		Arrived:    now,
-		DataTime:   dataTime,
-	}
-	id, err := s.store.RecordArrival(meta)
-	if err != nil {
-		return nil, err
-	}
-	meta.ID = id
-	for _, m := range matches {
-		s.logger.FileClassified(m.Feed.Path, name, res.Size, dataTime)
-	}
-	return []receipts.FileMeta{meta}, nil
+	}}, nil
 }
 
 // shipStaged replicates one staged payload to the standby before the
@@ -1319,13 +1360,6 @@ func (s *Server) shipStaged(stagedPath string) error {
 		return fmt.Errorf("server: read staged %s for replication: %w", stagedPath, err)
 	}
 	return sh.ShipFile(stagedPath, data)
-}
-
-func fileSize(path string) int64 {
-	if st, err := os.Stat(path); err == nil {
-		return st.Size()
-	}
-	return 0
 }
 
 // recordUnmatched retains a bounded sample for the analyzer.
