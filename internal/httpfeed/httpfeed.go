@@ -87,9 +87,10 @@ type Options struct {
 	// Open reads a file's content by staged-relative path, falling back
 	// to the archive when the staged copy has expired.
 	Open func(stagedPath string) (io.ReadCloser, error)
-	// Ingest deposits a pushed file, returning once its receipt is
-	// durable. Nil disables POST (405).
-	Ingest func(name string, data []byte) error
+	// Ingest deposits a pushed file streamed from body, returning once
+	// its receipt is durable; when reading body fails it must land
+	// nothing. Nil disables POST (405).
+	Ingest func(name string, body io.Reader) error
 	// Resolve returns the feeds a deposited name would route to
 	// (classification only, no side effects). Required when Ingest is
 	// set: the pipeline routes deposits by name pattern, not by URL, so
@@ -579,11 +580,11 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, feed string
 			fmt.Sprintf("name %q does not route to feed %q", name, feed))
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	data, err := io.ReadAll(body)
-	if err != nil {
+	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.opts.MaxBody)}
+	err := s.opts.Ingest(name, body)
+	if body.err != nil {
 		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
+		if errors.As(body.err, &mbe) {
 			writeErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", s.opts.MaxBody))
 		} else {
@@ -592,13 +593,30 @@ func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, feed string
 		return
 	}
 	if s.met != nil {
-		s.met.Bytes.With("in").Add(int64(len(data)))
+		s.met.Bytes.With("in").Add(body.n)
 	}
-	if err := s.opts.Ingest(name, data); err != nil {
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"ok": true, "name": name})
+}
+
+// countingReader counts the bytes read from a request body and keeps
+// the first read error, telling a failed upload from a failed ingest.
+type countingReader struct {
+	r   io.Reader
+	n   int64
+	err error
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	if err != nil && err != io.EOF && c.err == nil {
+		c.err = err
+	}
+	return n, err
 }
 
 // cacheControl renders a Cache-Control value for a cacheable response.

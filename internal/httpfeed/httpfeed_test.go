@@ -74,7 +74,10 @@ func newFixture(t *testing.T, mutate func(*Options)) *fixture {
 		Open: func(stagedPath string) (io.ReadCloser, error) {
 			return os.Open(filepath.Join(dir, filepath.FromSlash(stagedPath)))
 		},
-		Ingest: func(name string, data []byte) error {
+		Ingest: func(name string, body io.Reader) error {
+			if _, err := io.ReadAll(body); err != nil {
+				return err
+			}
 			fx.mu.Lock()
 			defer fx.mu.Unlock()
 			fx.ingested = append(fx.ingested, name)

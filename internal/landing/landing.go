@@ -11,6 +11,7 @@ package landing
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -41,7 +42,7 @@ type Manager struct {
 	scanInterval time.Duration
 	// FS is the filesystem seam for deposits; defaults to the real
 	// filesystem. Deposits are not fsynced — a file is the provider's
-	// responsibility until ingest acknowledges it.
+	// responsibility until ingest acknowledges it (docs/RECOVERY.md §4).
 	FS diskfault.FS
 
 	mu      sync.Mutex
@@ -70,21 +71,82 @@ func New(dir string, ingest Ingest, clk clock.Clock, scanInterval time.Duration)
 // Dir returns the landing directory path.
 func (m *Manager) Dir() string { return m.dir }
 
-// Deposit writes an uploaded file into the landing directory and
-// ingests it immediately (remote sources without a shared filesystem).
-func (m *Manager) Deposit(name string, data []byte) error {
+// TmpPrefix marks a deposit still being written. ScanOnce skips it with
+// every other dot-file, and a server sweeps what a crash left of one
+// at start-up.
+const TmpPrefix = ".bistro-tmp-"
+
+// ErrChecksum refuses a deposit whose content fails its CRC.
+var ErrChecksum = errors.New("landing: checksum mismatch")
+
+// Deposit streams an uploaded file from r into the landing directory
+// and ingests it (remote sources without a shared filesystem). The
+// content must have IEEE CRC32 crc, else the deposit fails with
+// ErrChecksum and nothing lands.
+func (m *Manager) Deposit(name string, r io.Reader, crc uint32) error {
+	return m.deposit(name, r, crc, true)
+}
+
+// DepositUnchecked is Deposit for a depositor that carries no CRC (an
+// HTTP POST, an in-process source).
+func (m *Manager) DepositUnchecked(name string, r io.Reader) error {
+	return m.deposit(name, r, 0, false)
+}
+
+// deposit is the one landing writer. The bytes go to a temp file beside
+// their final name with their CRC computed on the way; only a complete
+// (and, when checked, verified) file is renamed into place, so a scan
+// never sees a half-written or corrupted deposit. A read error or a
+// mismatch removes the temp. Deposits are not fsynced (see FS).
+func (m *Manager) deposit(name string, r io.Reader, want uint32, check bool) error {
 	rel := filepath.FromSlash(name)
 	if err := validRel(rel); err != nil {
 		return err
 	}
 	dst := filepath.Join(m.dir, rel)
-	if err := m.FS.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("landing: mkdir: %w", err)
+	f, err := m.createTemp(dst)
+	if err != nil {
+		return fmt.Errorf("landing: create: %w", err)
 	}
-	if err := diskfault.WriteFile(m.FS, dst, data, 0o644); err != nil {
-		return fmt.Errorf("landing: write: %w", err)
+	_, crc, err := diskfault.CopyCRC(f, r)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return m.ingest(rel)
+	if err == nil && check && crc != want {
+		err = ErrChecksum
+	}
+	if err == nil {
+		if err = m.FS.Rename(f.Name(), dst); err == nil {
+			return m.ingest(rel)
+		}
+	}
+	// A temp this fails to remove is swept at the next start-up.
+	_ = m.FS.Remove(f.Name())
+	if errors.Is(err, ErrChecksum) {
+		return err
+	}
+	return fmt.Errorf("landing: deposit %s: %w", name, err)
+}
+
+// createTemp opens dst's temp file: TmpPrefix and dst's base name, in
+// dst's directory, created only when the directory turns out to be
+// missing. Two deposits of one name overlapping fall back to a random
+// temp name, so neither writes into the other's file.
+func (m *Manager) createTemp(dst string) (diskfault.File, error) {
+	dir, base := filepath.Split(dst)
+	tmp := dir + TmpPrefix + base
+	const flag = os.O_WRONLY | os.O_CREATE | os.O_EXCL
+	f, err := m.FS.OpenFile(tmp, flag, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := m.FS.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		f, err = m.FS.OpenFile(tmp, flag, 0o644)
+	}
+	if errors.Is(err, fs.ErrExist) {
+		f, err = m.FS.CreateTemp(dir, TmpPrefix+base+".*")
+	}
+	return f, err
 }
 
 // FileReady ingests a file a cooperating source already deposited

@@ -1,9 +1,14 @@
 package landing
 
 import (
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,7 +58,7 @@ func newManager(t *testing.T, interval time.Duration) (*Manager, *movingIngest, 
 
 func TestDeposit(t *testing.T) {
 	m, ing, dir := newManager(t, 0)
-	if err := m.Deposit("BPS_poller1.csv", []byte("a,b\n")); err != nil {
+	if err := m.Deposit("BPS_poller1.csv", strings.NewReader("a,b\n"), crc32.ChecksumIEEE([]byte("a,b\n"))); err != nil {
 		t.Fatal(err)
 	}
 	if got := ing.got(); len(got) != 1 || got[0] != "BPS_poller1.csv" {
@@ -68,7 +73,7 @@ func TestDeposit(t *testing.T) {
 
 func TestDepositNested(t *testing.T) {
 	m, ing, _ := newManager(t, 0)
-	if err := m.Deposit("2010/09/25/f.csv", []byte("x")); err != nil {
+	if err := m.DepositUnchecked("2010/09/25/f.csv", strings.NewReader("x")); err != nil {
 		t.Fatal(err)
 	}
 	if got := ing.got(); len(got) != 1 || got[0] != "2010/09/25/f.csv" {
@@ -79,7 +84,7 @@ func TestDepositNested(t *testing.T) {
 func TestPathEscapeRejected(t *testing.T) {
 	m, _, _ := newManager(t, 0)
 	for _, p := range []string{"../evil", "/abs/path", "", "a/../../evil"} {
-		if err := m.Deposit(p, []byte("x")); err == nil {
+		if err := m.DepositUnchecked(p, strings.NewReader("x")); err == nil {
 			t.Errorf("Deposit(%q) accepted", p)
 		}
 		if err := m.FileReady(p); err == nil {
@@ -87,6 +92,96 @@ func TestPathEscapeRejected(t *testing.T) {
 		}
 	}
 }
+
+// landingFiles lists every file under dir, temps included.
+func landingFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			out = append(out, filepath.ToSlash(rel))
+		}
+		return nil
+	})
+	return out
+}
+
+// failingReader yields some bytes and then a read error, as a
+// connection that drops mid-payload does.
+type failingReader struct{ sent bool }
+
+var errDropped = errors.New("connection dropped")
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.sent {
+		return 0, errDropped
+	}
+	r.sent = true
+	return copy(p, "half a file"), nil
+}
+
+// TestDepositRefusalLeavesNothing: content that fails its CRC, and a
+// read that fails mid-copy, neither land nor ingest nor leave a temp.
+func TestDepositRefusalLeavesNothing(t *testing.T) {
+	m, ing, dir := newManager(t, 0)
+	data := []byte("corrupted in flight\n")
+	if err := m.Deposit("a/f.csv", strings.NewReader(string(data)), crc32.ChecksumIEEE(data)^1); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("bad CRC: err = %v, want ErrChecksum", err)
+	}
+	if err := m.DepositUnchecked("g.csv", &failingReader{}); !errors.Is(err, errDropped) {
+		t.Fatalf("failed read: err = %v, want the read error wrapped", err)
+	}
+	if got := ing.got(); len(got) != 0 {
+		t.Fatalf("ingested %v", got)
+	}
+	if files := landingFiles(t, dir); len(files) != 0 {
+		t.Fatalf("landing holds %v", files)
+	}
+}
+
+// TestDepositTempNames: a deposit writes TmpPrefix+name beside its
+// final name and renames it there; when that temp is taken (an
+// overlapping deposit of the same name) it writes a temp of its own.
+func TestDepositTempNames(t *testing.T) {
+	m, _, dir := newManager(t, 0)
+	var seen []string
+	m.ingest = func(rel string) error {
+		seen = append(seen, landingFiles(t, dir)...)
+		return os.Remove(filepath.Join(dir, rel))
+	}
+	inFlight := filepath.Join(dir, "sub", TmpPrefix+"f.csv")
+	r := readFunc(func(p []byte) (int, error) {
+		files := landingFiles(t, dir)
+		if len(files) != 1 || files[0] != "sub/"+TmpPrefix+"f.csv" {
+			t.Errorf("mid-copy landing holds %v, want only the temp", files)
+		}
+		return 0, io.EOF
+	})
+	if err := m.DepositUnchecked("sub/f.csv", r); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[0] != "sub/f.csv" {
+		t.Fatalf("at ingest landing held %v, want the final name only", seen)
+	}
+	if err := os.WriteFile(inFlight, []byte("another upload's bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seen = nil
+	if err := m.DepositUnchecked("sub/f.csv", strings.NewReader("mine")); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0] != "sub/"+TmpPrefix+"f.csv" || seen[1] != "sub/f.csv" {
+		t.Fatalf("at ingest landing held %v, want the other temp untouched and the final name", seen)
+	}
+	if got, _ := os.ReadFile(inFlight); string(got) != "another upload's bytes" {
+		t.Fatalf("the in-flight temp was overwritten: %q", got)
+	}
+}
+
+type readFunc func([]byte) (int, error)
+
+func (f readFunc) Read(p []byte) (int, error) { return f(p) }
 
 func TestFileReady(t *testing.T) {
 	m, ing, dir := newManager(t, 0)

@@ -5,7 +5,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
+	"math/rand/v2"
 	"net"
 	"reflect"
 	"runtime"
@@ -326,13 +328,17 @@ func TestRecvKeepsOnePayloadBuffer(t *testing.T) {
 	}
 }
 
-// FuzzFrame feeds arbitrary bytes to one Conn as a sequence of frames.
-// Recv must never panic; every message it decodes must equal what a
-// fresh Conn decodes from that message's frame alone, so nothing the
-// Conn kept from the frames before can leak into it; the Conn keeps at
-// most growStart bytes between frames; and the sequence allocates no
-// more than twice the input plus what gob may allocate ahead of the
-// wire (and 64 KiB of bookkeeping).
+// FuzzFrame feeds arbitrary bytes to one Conn as a sequence of frames,
+// received alternately with Recv and with RecvHeader followed by a
+// partial read of Payload of a seeded length. Neither may panic; every
+// message decoded must equal what a fresh Conn's Recv decodes from that
+// message's frame alone, so nothing the Conn kept from the frames
+// before can leak into it; a partial read must yield the prefix of the
+// payload that a Recv-only Conn over the same bytes receives, and the
+// next frame must decode as it does there, so an unread rest is
+// skipped exactly; the Conn keeps at most growStart bytes between
+// frames; and the sequence allocates no more than twice the input plus
+// what gob may allocate ahead of the wire (and 64 KiB of bookkeeping).
 func FuzzFrame(f *testing.F) {
 	for _, m := range allMessages() {
 		f.Add(frames(f, m))
@@ -347,6 +353,13 @@ func FuzzFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
+	// Payload frames back to back, so partial reads leave rests to skip.
+	f.Add(frames(f, allMessages()...))
+	f.Add(frames(f,
+		Upload{Name: "a", Data: bytes.Repeat([]byte("a"), 9000)},
+		DeliverChunk{Data: bytes.Repeat([]byte("b"), 5000)},
+		Deliver{Name: "c", Data: []byte("c")},
+		Hello{Name: "after"}))
 	// gob builds its per-type machinery once per process; pay that
 	// before measuring.
 	warm := NewConn(&memConn{Reader: bytes.NewReader(frames(f, allMessages()...))})
@@ -358,18 +371,62 @@ func FuzzFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		conn := NewConn(&memConn{Reader: bytes.NewReader(in)})
-		var allocated uint64 // by Recv alone, not by the checks between
-		for {
+		ref := NewConn(&memConn{Reader: bytes.NewReader(in)})
+		rng := rand.New(rand.NewPCG(uint64(len(in)), crc64.Checksum(in, crc64.MakeTable(crc64.ISO))))
+		var allocated uint64 // by the Conn alone, not by the checks between
+		for i := 0; ; i++ {
+			want, refErr := ref.Recv()
+			var (
+				msg     any
+				n       int64
+				partial []byte
+				err     error
+			)
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			msg, err := conn.Recv()
-			runtime.ReadMemStats(&after)
+			if i%2 == 0 {
+				runtime.ReadMemStats(&before)
+				msg, err = conn.Recv()
+				runtime.ReadMemStats(&after)
+			} else {
+				runtime.ReadMemStats(&before)
+				msg, n, err = conn.RecvHeader()
+				runtime.ReadMemStats(&after)
+				if err == nil && n > 0 {
+					k := rng.Int64N(min(n, 1<<16) + 2)
+					partial = make([]byte, k)
+					var m int
+					m, err = io.ReadFull(conn.Payload(), partial)
+					partial = partial[:m]
+					if k > n && err == io.ErrUnexpectedEOF && int64(m) == n {
+						err = nil // read to the payload's end, then io.EOF
+					}
+				}
+			}
 			allocated += after.TotalAlloc - before.TotalAlloc
 			if kept := cap(conn.in); kept > growStart {
 				t.Fatalf("the Conn keeps a %d-byte buffer, want <= %d", kept, growStart)
 			}
-			if err != nil {
+			if refErr != nil {
+				// The same frame failed whole; a partial read may stop
+				// short of the failure, but the next frame cannot pass it.
+				if err == nil {
+					if _, _, err = conn.RecvHeader(); err == nil {
+						t.Fatalf("frame %d: Recv failed (%v), the Conn read on past it", i, refErr)
+					}
+				}
 				break
+			}
+			if err != nil {
+				t.Fatalf("frame %d: Recv decoded %#v, the Conn failed: %v", i, want, err)
+			}
+			if p, ok := want.(Payloader); ok && i%2 == 1 {
+				if got := p.PayloadBytes(); !bytes.Equal(partial, got[:len(partial)]) {
+					t.Fatalf("frame %d: partial payload read %q, want the prefix of %q", i, partial, got)
+				}
+				want = p.WithPayload(nil)
+			}
+			if !reflect.DeepEqual(msg, want) {
+				t.Fatalf("frame %d: decoded %#v, a Recv-only Conn %#v", i, msg, want)
 			}
 			alone, err := NewConn(&memConn{Reader: bytes.NewReader(frames(t, msg))}).Recv()
 			if err != nil || !reflect.DeepEqual(alone, msg) {

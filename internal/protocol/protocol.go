@@ -269,8 +269,8 @@ type envelope struct {
 
 // Conn is a message-oriented wrapper over a stream connection. One
 // goroutine may Send while another Recvs; two Sends (or two Recvs) must
-// not overlap. After a Send or Recv error the stream may be mid-frame:
-// close the Conn.
+// not overlap. After an error from Send, Recv, RecvHeader, ReadPayload
+// or a Payload read the stream may be mid-frame: close the Conn.
 type Conn struct {
 	c   net.Conn
 	r   *bufio.Reader // every byte read, shared by gob and the payloads
@@ -288,7 +288,9 @@ type Conn struct {
 	// in is the buffer payloads start in (see Recv): kept from frame to
 	// frame, so a warm connection reads a payload of up to growStart
 	// bytes without allocating.
-	in       []byte
+	in []byte
+	// body is the payload of the frame last received (see RecvHeader).
+	body     payloadBody
 	greeted  bool // our preamble is written
 	verified bool // the peer's preamble is checked
 	// Timeout bounds each send/receive (0 = none).
@@ -298,6 +300,7 @@ type Conn struct {
 // NewConn wraps an established connection.
 func NewConn(c net.Conn) *Conn {
 	conn := &Conn{c: c, r: bufio.NewReader(c)}
+	conn.body.r = conn.r
 	conn.enc = gob.NewEncoder(&conn.out)
 	// A bufio.Reader is an io.ByteReader, so gob reads it as is instead
 	// of wrapping the socket in a read-ahead buffer of its own, which
@@ -358,7 +361,8 @@ func (c *Conn) Send(msg any) error {
 }
 
 // Recv reads one message: its envelope, then any payload the envelope
-// declares, into a buffer that grows only as the bytes arrive.
+// declares, into a buffer that grows only as the bytes arrive. It is
+// RecvHeader followed by ReadPayload.
 //
 // A payload starts in a buffer the Conn keeps, min(payload, growStart)
 // bytes: a received message's payload bytes are valid only until the
@@ -366,56 +370,104 @@ func (c *Conn) Send(msg any) error {
 // than growStart grows out of it into buffers of its own, which the
 // Conn lets go.
 func (c *Conn) Recv() (any, error) {
+	msg, n, err := c.RecvHeader()
+	if err != nil || n == 0 {
+		return msg, err
+	}
+	data, err := c.ReadPayload()
+	if err != nil {
+		return nil, err
+	}
+	return msg.(Payloader).WithPayload(data), nil
+}
+
+// RecvHeader reads one message's envelope and leaves its payload on the
+// wire: msg carries no payload bytes, and n is how many follow it. The
+// caller streams them from Payload or reads them whole with
+// ReadPayload; whatever it leaves unread, the next Recv or RecvHeader
+// skips, so a handler that refuses a message early stays in frame sync.
+func (c *Conn) RecvHeader() (msg any, n int64, err error) {
 	if c.Timeout > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
-			return nil, fmt.Errorf("protocol: set deadline: %w", err)
+			return nil, 0, fmt.Errorf("protocol: set deadline: %w", err)
+		}
+	}
+	if c.body.n > 0 {
+		m, err := c.r.Discard(int(c.body.n))
+		c.body.n -= int64(m)
+		if err != nil {
+			return nil, 0, fmt.Errorf("protocol: recv: skipping an unread payload: %w", err)
 		}
 	}
 	if !c.verified {
 		if err := c.readPreamble(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		c.verified = true
 	}
 	c.recvEnv = envelope{}
-	err := c.dec.Decode(&c.recvEnv)
-	msg, n := c.recvEnv.Msg, c.recvEnv.Payload
+	err = c.dec.Decode(&c.recvEnv)
+	msg, n = c.recvEnv.Msg, c.recvEnv.Payload
 	c.recvEnv = envelope{}
 	if err != nil {
-		return nil, fmt.Errorf("protocol: recv: %w", err)
+		return nil, 0, fmt.Errorf("protocol: recv: %w", err)
 	}
 	if n == 0 {
-		return msg, nil
+		return msg, 0, nil
 	}
-	p, ok := msg.(Payloader)
-	if !ok {
-		return nil, fmt.Errorf("protocol: recv: %T declares a %d-byte payload it cannot carry", msg, n)
+	if _, ok := msg.(Payloader); !ok {
+		return nil, 0, fmt.Errorf("protocol: recv: %T declares a %d-byte payload it cannot carry", msg, n)
 	}
-	data, err := c.readPayload(n)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: recv %T payload: %w", msg, err)
+	if n < 0 || n > MaxPayload {
+		return nil, 0, fmt.Errorf("protocol: recv %T payload: length %d outside 0..%d", msg, n, MaxPayload)
 	}
-	return p.WithPayload(data), nil
+	c.body.n = n
+	return msg, n, nil
 }
 
-// readPayload reads an n-byte payload starting in the Conn's kept
-// buffer, replaced by a larger one (never over growStart) when the
-// payload needs more to start in. The replacement is kept only once a
-// payload has filled it, so a lying length leaves nothing behind.
-func (c *Conn) readPayload(n int64) ([]byte, error) {
-	if n < 0 || n > MaxPayload {
-		return nil, fmt.Errorf("length %d outside 0..%d", n, MaxPayload)
-	}
+// Payload reads the unread rest of the payload RecvHeader announced,
+// straight from the connection's read buffer, and then reports io.EOF;
+// a connection that ends first is io.ErrUnexpectedEOF. It is valid
+// until the next Recv or RecvHeader.
+func (c *Conn) Payload() io.Reader { return &c.body }
+
+// ReadPayload reads the unread rest of the payload RecvHeader announced
+// into memory the way Recv does, under Recv's lifetime rule.
+func (c *Conn) ReadPayload() ([]byte, error) {
+	n := c.body.n
 	start, buf := min(n, growStart), c.in
 	if int64(cap(buf)) < start {
 		buf = make([]byte, start)
 	}
-	data, err := readGrown(c.r, n, buf[:start])
+	data, err := readGrown(&c.body, n, buf[:start])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("protocol: recv payload: %w", err)
 	}
+	// A replacement buffer is kept only once a payload has filled it,
+	// so a lying length leaves nothing behind.
 	c.in = buf
 	return data, nil
+}
+
+// payloadBody reads one frame's payload from the Conn's read buffer.
+type payloadBody struct {
+	r *bufio.Reader
+	n int64 // payload bytes not read yet
+}
+
+func (b *payloadBody) Read(p []byte) (int, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > b.n {
+		p = p[:b.n]
+	}
+	m, err := b.r.Read(p)
+	b.n -= int64(m)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return m, err
 }
 
 // readPreamble checks the peer's first four bytes. Only the first Recv

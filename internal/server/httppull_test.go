@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,5 +256,32 @@ func TestHTTPChurnExactlyOnce(t *testing.T) {
 		if len(mine) != len(ref) {
 			t.Errorf("poller %d saw %d ids, want %d", p, len(mine), len(ref))
 		}
+	}
+}
+
+// TestHTTPOversizeIngestLandsNothing: a POST body over max_body streams
+// into landing until the cap, then answers 413 and leaves neither the
+// file nor its temp behind, and nothing is ingested.
+func TestHTTPOversizeIngestLandsNothing(t *testing.T) {
+	s := newServer(t, strings.Replace(httpPullConfig, `listen "127.0.0.1:0"`, `listen "127.0.0.1:0" max_body 65536`, 1), nil)
+	req, err := http.NewRequest("POST", "http://"+s.HTTPAddr()+"/feeds/BPS?name=BPS_POLLER2_2010092504_52.csv.gz",
+		bytes.NewReader(bytes.Repeat([]byte("c,d\n"), 64<<10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer t0k3n")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize ingest status %d, want 413", resp.StatusCode)
+	}
+	if entries, _ := os.ReadDir(s.land.Dir()); len(entries) != 0 {
+		t.Fatalf("landing holds %v", entries)
+	}
+	if files := s.Store().Stats().Files; files != 0 {
+		t.Fatalf("%d files ingested, want 0", files)
 	}
 }

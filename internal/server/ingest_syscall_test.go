@@ -1,6 +1,7 @@
 package server
 
 import (
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,12 +11,13 @@ import (
 	"testing"
 
 	"bistro/internal/diskfault"
+	"bistro/internal/protocol"
 )
 
 // recordingFS logs the ingest-visible operations under landing/ and
 // staging/: every namespace call, and Write/Sync/Close on files it
-// created. Read handles pass through unrecorded. Temp names are
-// reduced to their pattern, consecutive writes to one file collapse
+// created. Read handles pass through unrecorded. Staging's random temp
+// names are reduced to their pattern (landing's are deterministic), consecutive writes to one file collapse
 // into one "Write…" entry, and a run of writes to several files is
 // sorted (a plan flushes its buffered outputs in no fixed order), so
 // the log is deterministic.
@@ -33,7 +35,7 @@ func (r *recordingFS) record(op, path string) {
 		return
 	}
 	rel = filepath.ToSlash(rel)
-	if i := strings.Index(rel, ".bistro-tmp-"); i >= 0 {
+	if i := strings.Index(rel, ".bistro-tmp-"); i >= 0 && strings.HasPrefix(rel, "staging") {
 		rel = rel[:i] + ".bistro-tmp-*"
 	}
 	entry := op + " " + rel
@@ -64,6 +66,15 @@ func (r *recordingFS) take() []string {
 func (r *recordingFS) Open(name string) (diskfault.File, error) {
 	r.record("Open", name)
 	return r.FS.Open(name)
+}
+
+func (r *recordingFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
+	f, err := r.FS.OpenFile(name, flag, perm)
+	if err != nil || flag&os.O_CREATE == 0 {
+		return f, err
+	}
+	r.record("OpenFile", name)
+	return recordingFile{f, r}, nil
 }
 
 func (r *recordingFS) CreateTemp(dir, pattern string) (diskfault.File, error) {
@@ -118,7 +129,9 @@ func (f recordingFile) Close() error {
 // TestIngestSyscallOrder pins the exact staging-path operations of one
 // arrival, plan-less and planned: every output is fsynced, closed,
 // renamed and its directory fsynced before the landing file goes, and
-// the plan-less small-file ack path pays nothing beyond that.
+// the plan-less small-file ack path pays nothing beyond that. An upload
+// streams into a landing temp that is renamed to its final name before
+// that same ingest sequence runs.
 func TestIngestSyscallOrder(t *testing.T) {
 	cfgSrc := `
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt" }
@@ -190,5 +203,33 @@ feed EAST { normalize "%Y/%m/%d/east_%H.csv" }
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("planned ingest ops:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+
+	c, srv := loopback(t)
+	go s.serveConn(protocol.NewConn(srv))
+	conn := protocol.NewConn(c)
+	data := []byte("cpu=43\n")
+	rec.take()
+	if err := conn.Call(protocol.Upload{Name: "CPU_POLL7_201009250453.txt", Data: data, CRC: crc32.ChecksumIEEE(data)}); err != nil {
+		t.Fatal(err)
+	}
+	got = rec.take()
+	want = []string{
+		"OpenFile landing/.bistro-tmp-CPU_POLL7_201009250453.txt",
+		"Write… landing/.bistro-tmp-CPU_POLL7_201009250453.txt",
+		"Close landing/.bistro-tmp-CPU_POLL7_201009250453.txt",
+		"Rename landing/CPU_POLL7_201009250453.txt",
+		"Open landing/CPU_POLL7_201009250453.txt",
+		"MkdirAll staging/CPU",
+		"CreateTemp staging/CPU/.bistro-tmp-*",
+		"Write… staging/CPU/.bistro-tmp-*",
+		"Sync staging/CPU/.bistro-tmp-*",
+		"Close staging/CPU/.bistro-tmp-*",
+		"Rename staging/CPU/CPU_POLL7_201009250453.txt",
+		"SyncDir staging/CPU",
+		"Remove landing/CPU_POLL7_201009250453.txt",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("upload ops:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }

@@ -238,12 +238,13 @@ func (s *Server) recordOrphanArrival(name, stagedPath, path string, matches []cl
 }
 
 // cleanStaleTmp removes `.bistro-tmp-*` droppings left by a crash
-// mid-normalize (staging) or mid-plan (staging and the quarantine
-// tree, where plan reject sinks write). They are by construction not
-// yet referenced by any receipt.
+// mid-upload (landing), mid-normalize (staging) or mid-plan (staging
+// and the quarantine tree, where plan reject sinks write). They are by
+// construction not yet referenced by any receipt. Other dot-files in
+// landing are sources' own in-progress deposits and stay.
 func (s *Server) cleanStaleTmp() int {
 	var removed int
-	for _, root := range []string{s.stage, s.quar} {
+	for _, root := range []string{s.land.Dir(), s.stage, s.quar} {
 		walkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				if errors.Is(err, fs.ErrNotExist) {

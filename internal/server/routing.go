@@ -20,6 +20,7 @@ import (
 
 	"bistro/internal/cluster"
 	"bistro/internal/diskfault"
+	"bistro/internal/landing"
 	"bistro/internal/protocol"
 )
 
@@ -51,13 +52,14 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn handles one peer connection. A received payload lives in
-// the Conn's buffer until the next Recv, so every handler is done with
-// it (landed, relayed) before it returns.
+// serveConn handles one peer connection. It reads each message's
+// envelope only: an Upload's payload is streamed from the connection by
+// handleUpload, and whatever a handler leaves unread (a refused
+// upload's bytes) the next RecvHeader skips.
 func (s *Server) serveConn(conn *protocol.Conn) {
 	defer conn.Close()
 	for {
-		msg, err := conn.Recv()
+		msg, n, err := conn.RecvHeader()
 		if err != nil {
 			return
 		}
@@ -66,7 +68,7 @@ func (s *Server) serveConn(conn *protocol.Conn) {
 		case protocol.Hello:
 			ack = protocol.Ack{OK: true}
 		case protocol.Upload:
-			ack = s.handleUpload(m)
+			ack = s.handleUpload(conn, m, n)
 		case protocol.FileReady:
 			ack = s.handleFileReady(m)
 		case protocol.EndOfBatch:
@@ -111,37 +113,54 @@ func (s *Server) routeFor(name string) (cluster.Node, bool) {
 	return owner, true
 }
 
-// handleUpload deposits an uploaded file, forwarding it to the feed's
-// owner first when a shard map says it belongs elsewhere. Relayed
-// uploads are never forwarded again: during a failover the sender's
-// and receiver's maps can briefly disagree, and a one-hop rule turns
-// that into a single misplaced file instead of a forwarding loop.
-// Content that fails its CRC is refused before it is forwarded or
-// deposited: staging would otherwise give it a fresh checksum and
-// deliver it as valid.
-func (s *Server) handleUpload(m protocol.Upload) protocol.Ack {
+// handleUpload deposits an uploaded file whose n payload bytes are
+// still on conn, forwarding it to the feed's owner first when a shard
+// map says it belongs elsewhere. Relayed uploads are never forwarded
+// again: during a failover the sender's and receiver's maps can
+// briefly disagree, and a one-hop rule turns that into a single
+// misplaced file instead of a forwarding loop. Content that fails its
+// CRC is refused before it is forwarded or becomes visible in landing:
+// staging would otherwise give it a fresh checksum and deliver it as
+// valid. A deposit streams from the socket into landing; only a
+// forwarded upload is read into memory first.
+func (s *Server) handleUpload(conn *protocol.Conn, m protocol.Upload, n int64) protocol.Ack {
 	if ack, fenced := s.fenceRelayed(m); fenced {
 		return ack
 	}
-	if crc32.ChecksumIEEE(m.Data) != m.CRC {
-		s.metrics.uploadCRCFailures.Inc()
-		s.logger.Raise("ingest", fmt.Sprintf("upload %s failed its checksum (%d bytes); refused", m.Name, len(m.Data)))
-		return protocol.Ack{OK: false, Error: "checksum mismatch"}
-	}
-	if owner, remote := s.routeFor(filepath.ToSlash(m.Name)); remote && !m.Relayed {
-		fwd := m
-		fwd.Relayed = true
-		fwd.Epoch = s.shard.Epoch()
-		if err := s.peers.call(owner.Addr, fwd); err != nil {
-			return protocol.Ack{OK: false, Error: fmt.Sprintf("forward to %s: %v", owner.Name, err)}
+	owner, remote := s.routeFor(filepath.ToSlash(m.Name))
+	if !remote || m.Relayed {
+		err := s.land.Deposit(m.Name, conn.Payload(), m.CRC)
+		if errors.Is(err, landing.ErrChecksum) {
+			return s.refuseCorrupt(m.Name, n)
 		}
-		s.logger.Logf("cluster", "upload %s forwarded to owner %s", m.Name, owner.Name)
+		if err != nil {
+			return protocol.Ack{OK: false, Error: err.Error()}
+		}
 		return protocol.Ack{OK: true}
 	}
-	if err := s.land.Deposit(m.Name, m.Data); err != nil {
+	data, err := conn.ReadPayload()
+	if err != nil {
 		return protocol.Ack{OK: false, Error: err.Error()}
 	}
+	if crc32.ChecksumIEEE(data) != m.CRC {
+		return s.refuseCorrupt(m.Name, n)
+	}
+	fwd := m
+	fwd.Data = data
+	fwd.Relayed = true
+	fwd.Epoch = s.shard.Epoch()
+	if err := s.peers.call(owner.Addr, fwd); err != nil {
+		return protocol.Ack{OK: false, Error: fmt.Sprintf("forward to %s: %v", owner.Name, err)}
+	}
+	s.logger.Logf("cluster", "upload %s forwarded to owner %s", m.Name, owner.Name)
 	return protocol.Ack{OK: true}
+}
+
+// refuseCorrupt counts, alarms and NACKs an upload that failed its CRC.
+func (s *Server) refuseCorrupt(name string, n int64) protocol.Ack {
+	s.metrics.uploadCRCFailures.Inc()
+	s.logger.Raise("ingest", fmt.Sprintf("upload %s failed its checksum (%d bytes); refused", name, n))
+	return protocol.Ack{OK: false, Error: "checksum mismatch"}
 }
 
 // fenceRelayed refuses a relayed upload stamped with a stale cluster

@@ -205,7 +205,8 @@ func crcFailures(s *Server) int64 {
 }
 
 // TestCorruptedUploadRefused: an Upload whose content fails its CRC is
-// NACKed, counted and alarmed, and nothing lands.
+// NACKed, counted and alarmed, and nothing lands: not the file, not the
+// temp it streamed into.
 func TestCorruptedUploadRefused(t *testing.T) {
 	var alarms atomic.Int32
 	s := newServer(t, testConfig, func(o *Options) {
@@ -221,6 +222,9 @@ func TestCorruptedUploadRefused(t *testing.T) {
 	}
 	if alarms.Load() != 1 {
 		t.Fatalf("%d alarms raised, want 1", alarms.Load())
+	}
+	if temps := landingTemps(t, s); len(temps) != 0 {
+		t.Fatalf("the refused upload's temp remains: %v", temps)
 	}
 	if entries, _ := os.ReadDir(s.land.Dir()); len(entries) != 0 {
 		t.Fatalf("landing holds %v", entries)

@@ -14,6 +14,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -712,7 +713,7 @@ func (s *Server) startHTTPFeed() (*httpfeed.Server, error) {
 			}
 			return nil, err
 		},
-		Ingest: s.Deposit,
+		Ingest: s.land.DepositUnchecked,
 		Resolve: func(name string) []string {
 			matches := s.class.Classify(name)
 			feeds := make([]string, len(matches))
@@ -1528,7 +1529,7 @@ func (s *Server) Analyze() AnalyzerReport {
 // Deposit is a convenience for in-process sources: write into landing
 // and ingest immediately.
 func (s *Server) Deposit(name string, data []byte) error {
-	return s.land.Deposit(name, data)
+	return s.land.DepositUnchecked(name, bytes.NewReader(data))
 }
 
 // FeedPattern is a helper for tools: compile a pattern or die.
