@@ -380,3 +380,39 @@ func TestLeaseMonitor(t *testing.T) {
 		t.Fatal("detached watch reported expiry")
 	}
 }
+
+// TestStandbyAppliesDottedNames: staged and archived names that merely
+// hold dots ("poll..txt", "a..b") are legal and applied. A refusal
+// would mark the stream down, and re-bootstrap would re-ship the same
+// file forever, so the owner could never commit again.
+func TestStandbyAppliesDottedNames(t *testing.T) {
+	st, _, alarms := startTestStandby(t, nil)
+	owner, err := receipts.Open(t.TempDir(), receipts.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	sh := NewShipper(st.Addr(), ShipperOptions{Node: "a"})
+	defer sh.Close()
+	if err := sh.Bootstrap(owner, t.TempDir(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.ShipFile("CPU/poll..txt", []byte("staged")); err != nil {
+		t.Fatalf("shipping CPU/poll..txt: %v", err)
+	}
+	meta := receipts.FileMeta{ID: 9, Name: "a..b", StagedPath: "f/a..b", Feeds: []string{"f"}, Size: 8}
+	if err := sh.ShipArchive(meta, time.Now().UTC(), []byte("archived")); err != nil {
+		t.Fatalf("shipping the archive of f/a..b: %v", err)
+	}
+	for path, want := range map[string]string{
+		filepath.Join(st.Root(), "staging", "CPU", "poll..txt"): "staged",
+		filepath.Join(st.Root(), "archive", "f", "a..b"):        "archived",
+	} {
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("%s = %q, %v; want %q", path, got, err, want)
+		}
+	}
+	if !sh.Healthy() || alarms.count() != 0 {
+		t.Fatalf("healthy = %v, alarms = %v", sh.Healthy(), alarms.all())
+	}
+}

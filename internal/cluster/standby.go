@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"net"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -307,21 +306,28 @@ func (s *Standby) applySnapshotLocked(m RepSnapshot) error {
 	return s.wal.Reset()
 }
 
-// applyFileLocked writes one staged payload durably, verifying the CRC
-// and confining the path to the staging tree.
+// applyFileLocked writes one staged payload durably.
 func (s *Standby) applyFileLocked(m RepFile) error {
-	rel := filepath.FromSlash(m.Path)
-	if rel == "" || filepath.IsAbs(rel) || strings.Contains(rel, "..") {
-		return fmt.Errorf("unsafe shipped path %q", m.Path)
+	_, err := s.writeShipped(s.stage, m.Path, m.Data, m.CRC)
+	return err
+}
+
+// writeShipped writes one shipped payload durably under dir, verifying
+// its CRC and confining its name to dir, and returns the name's
+// relative path.
+func (s *Standby) writeShipped(dir, name string, data []byte, crc uint32) (string, error) {
+	rel, err := diskfault.LocalName(name)
+	if err != nil {
+		return "", fmt.Errorf("unsafe shipped payload: %w", err)
 	}
-	if crc32.ChecksumIEEE(m.Data) != m.CRC {
-		return fmt.Errorf("shipped file %q failed CRC", m.Path)
+	if crc32.ChecksumIEEE(data) != crc {
+		return "", fmt.Errorf("shipped payload %q failed CRC", name)
 	}
-	dst := filepath.Join(s.stage, rel)
+	dst := filepath.Join(dir, rel)
 	if err := s.fs.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
+		return "", err
 	}
-	return diskfault.WriteDurable(s.fs, dst, m.Data, 0o644)
+	return rel, diskfault.WriteDurable(s.fs, dst, data, 0o644)
 }
 
 // applyBatchLocked validates and appends one shipped group-commit
@@ -342,18 +348,8 @@ func (s *Standby) applyBatchLocked(m RepBatch) error {
 // after a mid-expiry failure) overwrites the same bytes and the
 // manifest drops ids it already holds.
 func (s *Standby) applyArchiveLocked(m RepArchive) error {
-	rel := filepath.FromSlash(m.Meta.StagedPath)
-	if rel == "" || filepath.IsAbs(rel) || strings.Contains(rel, "..") {
-		return fmt.Errorf("unsafe shipped archive path %q", m.Meta.StagedPath)
-	}
-	if crc32.ChecksumIEEE(m.Data) != m.CRC {
-		return fmt.Errorf("shipped archive %q failed CRC", m.Meta.StagedPath)
-	}
-	dst := filepath.Join(s.archDir, rel)
-	if err := s.fs.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	if err := diskfault.WriteDurable(s.fs, dst, m.Data, 0o644); err != nil {
+	rel, err := s.writeShipped(s.archDir, m.Meta.StagedPath, m.Data, m.CRC)
+	if err != nil {
 		return err
 	}
 	// The staged copy is now archive history on both ends.

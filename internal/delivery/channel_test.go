@@ -412,7 +412,7 @@ func TestDetachChannelMemberFreezesCursor(t *testing.T) {
 // Regression (delivery accounting): execute must route the
 // stream-vs-memory decision on the receipt's size, not the job's — a
 // stale or zero job size must not pull a large file through memory.
-func TestStreamThresholdRoutesOnReceiptSize(t *testing.T) {
+func TestStreamRoutesOnReceiptSize(t *testing.T) {
 	var mu sync.Mutex
 	var files []transport.File
 	capture := transportFunc(func(sub string, f transport.File) error {
@@ -421,9 +421,8 @@ func TestStreamThresholdRoutesOnReceiptSize(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	h := newHarness(t, capture, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-		o.StreamThreshold = 8
-	})
+	h := newHarness(t, capture, []*config.Subscriber{sub("wh", "BPS")}, nil)
+	h.engine.streamMin = 8
 	h.engine.Start()
 	defer h.engine.Stop()
 
@@ -551,12 +550,12 @@ func TestReadStagedWrappedNotExistFallsBackToArchive(t *testing.T) {
 func TestStreamStatWrappedNotExistFallsBackToArchive(t *testing.T) {
 	ct := newCountTrans()
 	h := newHarness(t, ct, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-		o.StreamThreshold = 4
 		o.FS = vanishFS{FS: diskfault.OS(), prefix: filepath.Join(o.StagingRoot, "BPS")}
 		o.ArchiveOpen = func(stagedPath string) (io.ReadCloser, error) {
 			return io.NopCloser(strings.NewReader("archived-bytes")), nil
 		}
 	})
+	h.engine.streamMin = 4
 	h.engine.Start()
 	defer h.engine.Stop()
 

@@ -490,7 +490,12 @@ func TestEveryFailureBranchCountsOnce(t *testing.T) {
 		expectOne(t, h)
 	})
 	t.Run("stat error on the streaming path", func(t *testing.T) {
-		h := newH(t, netsim.New(clock.NewReal()), func(o *Options) { o.StreamThreshold = 1 })
+		trans := netsim.New(clock.NewReal())
+		trans.Register("wh", netsim.HostConfig{})
+		h := newHarness(t, trans, []*config.Subscriber{sub("wh", "BPS")}, nil)
+		h.engine.streamMin = 1
+		h.engine.Start()
+		t.Cleanup(h.engine.Stop)
 		meta := h.stage("BPS/gone.csv", []string{"BPS"}, []byte("x"))
 		os.Remove(h.staging + "/BPS/gone.csv")
 		h.engine.EnqueueFile(meta)

@@ -240,10 +240,6 @@ type Options struct {
 	// (Subscriber.Backoff, and the legacy Retry interval as the base
 	// delay) are layered on top.
 	Backoff backoff.Policy
-	// StreamThreshold switches delivery to streaming (no in-memory
-	// copy; chunked over TCP) for staged files at or above this size.
-	// Default 4 MiB.
-	StreamThreshold int64
 	// FeedPriority maps feed paths to delivery priorities (from feed
 	// config); added to the subscriber-class priority under
 	// prioritized scheduling policies.
@@ -300,6 +296,8 @@ type Engine struct {
 	// streamFS is fs for the transports that stream staged files
 	// (stagingReads).
 	streamFS diskfault.FS
+	// streamMin is streamThreshold, lowered by in-package tests.
+	streamMin int64
 
 	mu      sync.Mutex
 	subs    map[string]*config.Subscriber
@@ -333,6 +331,11 @@ type Engine struct {
 	stopped bool
 }
 
+// streamThreshold is the staged size from which a file streams from
+// staging instead of being read into memory once and shared by its
+// group, channel or transform; both put one Deliver frame on the wire.
+const streamThreshold = 4 << 20
+
 // DefaultSchedulerConfig is the production partition layout: an
 // interactive partition for responsive subscribers and a bulk
 // partition (with a reserved backfill worker) for the rest.
@@ -363,9 +366,6 @@ func New(opts Options) (*Engine, error) {
 	}
 	if opts.OfflineAfter == 0 {
 		opts.OfflineAfter = 3
-	}
-	if opts.StreamThreshold == 0 {
-		opts.StreamThreshold = 4 << 20
 	}
 	if len(opts.Scheduler.Partitions) == 0 {
 		opts.Scheduler = DefaultSchedulerConfig()
@@ -398,6 +398,7 @@ func New(opts Options) (*Engine, error) {
 		trans:       opts.Transport,
 		fs:          fsys,
 		streamFS:    stagingReads{FS: fsys, read: stagingRead},
+		streamMin:   streamThreshold,
 		subs:        make(map[string]*config.Subscriber),
 		offline:     make(map[string]bool),
 		states:      make(map[string]*subState),
@@ -709,7 +710,7 @@ func (e *Engine) worker(part int, lane scheduler.Lane) {
 // buf is the calling worker's read buffer: a file delivered from
 // memory is read into it when it fits, and execute returns the buffer
 // to keep for the next group. It keeps none after a file larger than
-// StreamThreshold, nor after a group in which a transfer of the bytes
+// streamThreshold, nor after a group in which a transfer of the bytes
 // ran past its deadline: backoff.Do leaves that attempt running, still
 // reading them.
 func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
@@ -752,7 +753,7 @@ func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 	// Route on the receipt's size, not the job's: a job submitted with
 	// a stale (or zero) size must not pull a large file through the
 	// in-memory path.
-	if len(subJobs) > 0 && meta.Size >= e.opts.StreamThreshold {
+	if len(subJobs) > 0 && meta.Size >= e.streamMin {
 		if _, err := e.fs.Stat(abs); err == nil {
 			for _, j := range subJobs {
 				e.deliverOne(j, nil, abs, meta)
@@ -781,7 +782,7 @@ func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 		}
 		return buf
 	}
-	keep := int64(cap(data)) <= e.opts.StreamThreshold
+	keep := int64(cap(data)) <= e.streamMin
 	for _, j := range chJobs {
 		if e.channelDeliver(j, data, meta) {
 			keep = false

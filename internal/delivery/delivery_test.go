@@ -557,9 +557,8 @@ func TestStreamingLocalDelivery(t *testing.T) {
 	dest := t.TempDir()
 	lt := transport.NewLocalDir()
 	lt.Register("wh", dest)
-	h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-		o.StreamThreshold = 1 // everything streams
-	})
+	h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BPS")}, nil)
+	h.engine.streamMin = 1 // everything streams
 	h.engine.Start()
 	defer h.engine.Stop()
 	payload := make([]byte, 128<<10)

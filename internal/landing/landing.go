@@ -71,18 +71,10 @@ func New(dir string, ingest Ingest, clk clock.Clock, scanInterval time.Duration)
 // Dir returns the landing directory path.
 func (m *Manager) Dir() string { return m.dir }
 
-// TmpPrefix marks a deposit still being written. ScanOnce skips it with
-// every other dot-file, and a server sweeps what a crash left of one
-// at start-up.
-const TmpPrefix = ".bistro-tmp-"
-
-// ErrChecksum refuses a deposit whose content fails its CRC.
-var ErrChecksum = errors.New("landing: checksum mismatch")
-
 // Deposit streams an uploaded file from r into the landing directory
 // and ingests it (remote sources without a shared filesystem). The
 // content must have IEEE CRC32 crc, else the deposit fails with
-// ErrChecksum and nothing lands.
+// diskfault.ErrChecksum and nothing lands.
 func (m *Manager) Deposit(name string, r io.Reader, crc uint32) error {
 	return m.deposit(name, r, crc, true)
 }
@@ -93,85 +85,33 @@ func (m *Manager) DepositUnchecked(name string, r io.Reader) error {
 	return m.deposit(name, r, 0, false)
 }
 
-// deposit is the one landing writer. The bytes go to a temp file beside
-// their final name with their CRC computed on the way; only a complete
-// (and, when checked, verified) file is renamed into place, so a scan
-// never sees a half-written or corrupted deposit. A read error or a
-// mismatch removes the temp. Deposits are not fsynced (see FS).
+// deposit writes with diskfault.Receive, so a scan never sees a
+// half-written or corrupted deposit: only a complete (and, when
+// checked, verified) file gets its final name, and a temp a failure
+// leaves behind is swept at the next start-up. Deposits are not
+// fsynced (see FS).
 func (m *Manager) deposit(name string, r io.Reader, want uint32, check bool) error {
-	rel := filepath.FromSlash(name)
-	if err := validRel(rel); err != nil {
+	err := diskfault.Receive(m.FS, m.dir, name, r, want, check)
+	if errors.Is(err, diskfault.ErrChecksum) {
 		return err
 	}
-	dst := filepath.Join(m.dir, rel)
-	f, err := m.createTemp(dst)
 	if err != nil {
-		return fmt.Errorf("landing: create: %w", err)
+		return fmt.Errorf("landing: deposit %s: %w", name, err)
 	}
-	_, crc, err := diskfault.CopyCRC(f, r)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && check && crc != want {
-		err = ErrChecksum
-	}
-	if err == nil {
-		if err = m.FS.Rename(f.Name(), dst); err == nil {
-			return m.ingest(rel)
-		}
-	}
-	// A temp this fails to remove is swept at the next start-up.
-	_ = m.FS.Remove(f.Name())
-	if errors.Is(err, ErrChecksum) {
-		return err
-	}
-	return fmt.Errorf("landing: deposit %s: %w", name, err)
-}
-
-// createTemp opens dst's temp file: TmpPrefix and dst's base name, in
-// dst's directory, created only when the directory turns out to be
-// missing. Two deposits of one name overlapping fall back to a random
-// temp name, so neither writes into the other's file.
-func (m *Manager) createTemp(dst string) (diskfault.File, error) {
-	dir, base := filepath.Split(dst)
-	tmp := dir + TmpPrefix + base
-	const flag = os.O_WRONLY | os.O_CREATE | os.O_EXCL
-	f, err := m.FS.OpenFile(tmp, flag, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		if err := m.FS.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		f, err = m.FS.OpenFile(tmp, flag, 0o644)
-	}
-	if errors.Is(err, fs.ErrExist) {
-		f, err = m.FS.CreateTemp(dir, TmpPrefix+base+".*")
-	}
-	return f, err
+	return m.ingest(filepath.FromSlash(name))
 }
 
 // FileReady ingests a file a cooperating source already deposited
 // (shared-filesystem sources using the notification protocol).
 func (m *Manager) FileReady(relPath string) error {
-	rel := filepath.FromSlash(relPath)
-	if err := validRel(rel); err != nil {
-		return err
+	rel, err := diskfault.LocalName(relPath)
+	if err != nil {
+		return fmt.Errorf("landing: %w", err)
 	}
 	if _, err := os.Stat(filepath.Join(m.dir, rel)); err != nil {
 		return fmt.Errorf("landing: announced file missing: %w", err)
 	}
 	return m.ingest(rel)
-}
-
-// validRel rejects path escapes.
-func validRel(rel string) error {
-	if rel == "" || filepath.IsAbs(rel) {
-		return fmt.Errorf("landing: invalid path %q", rel)
-	}
-	clean := filepath.Clean(rel)
-	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) {
-		return fmt.Errorf("landing: path escapes landing dir: %q", rel)
-	}
-	return nil
 }
 
 // ScanOnce walks the landing directory and ingests every regular file

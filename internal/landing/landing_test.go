@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bistro/internal/clock"
+	"bistro/internal/diskfault"
 )
 
 var t0 = time.Date(2011, 6, 12, 10, 0, 0, 0, time.UTC)
@@ -126,7 +127,7 @@ func (r *failingReader) Read(p []byte) (int, error) {
 func TestDepositRefusalLeavesNothing(t *testing.T) {
 	m, ing, dir := newManager(t, 0)
 	data := []byte("corrupted in flight\n")
-	if err := m.Deposit("a/f.csv", strings.NewReader(string(data)), crc32.ChecksumIEEE(data)^1); !errors.Is(err, ErrChecksum) {
+	if err := m.Deposit("a/f.csv", strings.NewReader(string(data)), crc32.ChecksumIEEE(data)^1); !errors.Is(err, diskfault.ErrChecksum) {
 		t.Fatalf("bad CRC: err = %v, want ErrChecksum", err)
 	}
 	if err := m.DepositUnchecked("g.csv", &failingReader{}); !errors.Is(err, errDropped) {
@@ -140,7 +141,7 @@ func TestDepositRefusalLeavesNothing(t *testing.T) {
 	}
 }
 
-// TestDepositTempNames: a deposit writes TmpPrefix+name beside its
+// TestDepositTempNames: a deposit writes diskfault.TmpPrefix+name beside its
 // final name and renames it there; when that temp is taken (an
 // overlapping deposit of the same name) it writes a temp of its own.
 func TestDepositTempNames(t *testing.T) {
@@ -150,10 +151,10 @@ func TestDepositTempNames(t *testing.T) {
 		seen = append(seen, landingFiles(t, dir)...)
 		return os.Remove(filepath.Join(dir, rel))
 	}
-	inFlight := filepath.Join(dir, "sub", TmpPrefix+"f.csv")
+	inFlight := filepath.Join(dir, "sub", diskfault.TmpPrefix+"f.csv")
 	r := readFunc(func(p []byte) (int, error) {
 		files := landingFiles(t, dir)
-		if len(files) != 1 || files[0] != "sub/"+TmpPrefix+"f.csv" {
+		if len(files) != 1 || files[0] != "sub/"+diskfault.TmpPrefix+"f.csv" {
 			t.Errorf("mid-copy landing holds %v, want only the temp", files)
 		}
 		return 0, io.EOF
@@ -171,7 +172,7 @@ func TestDepositTempNames(t *testing.T) {
 	if err := m.DepositUnchecked("sub/f.csv", strings.NewReader("mine")); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 || seen[0] != "sub/"+TmpPrefix+"f.csv" || seen[1] != "sub/f.csv" {
+	if len(seen) != 2 || seen[0] != "sub/"+diskfault.TmpPrefix+"f.csv" || seen[1] != "sub/f.csv" {
 		t.Fatalf("at ingest landing held %v, want the other temp untouched and the final name", seen)
 	}
 	if got, _ := os.ReadFile(inFlight); string(got) != "another upload's bytes" {

@@ -23,6 +23,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"bistro/internal/diskfault"
 )
 
 // Hello identifies a connecting peer.
@@ -82,9 +84,9 @@ type Deliver struct {
 	CRC uint32
 }
 
-// DeliverBegin opens a chunked transfer for a large staged file; the
-// content follows as DeliverChunk messages and ends with DeliverEnd,
-// answered by a single Ack once the file is durably in place.
+// DeliverBegin, DeliverChunk and DeliverEnd were the chunked transfer
+// of large files. Nothing sends or handles them (a subscriber daemon
+// refuses one); benchmark/layerwalk.go still encodes them.
 type DeliverBegin struct {
 	FileID uint64
 	Feed   string
@@ -93,12 +95,12 @@ type DeliverBegin struct {
 	CRC    uint32
 }
 
-// DeliverChunk carries one slice of a chunked transfer.
+// DeliverChunk: see DeliverBegin.
 type DeliverChunk struct {
 	Data []byte
 }
 
-// DeliverEnd closes a chunked transfer.
+// DeliverEnd: see DeliverBegin.
 type DeliverEnd struct{}
 
 // Notify tells a hybrid push-pull subscriber that a file is available
@@ -219,7 +221,8 @@ func init() {
 
 // Payloader is a message whose bulk bytes travel raw behind its gob
 // envelope instead of inside it. Upload, Deliver and DeliverChunk
-// implement it here; the cluster's replication messages implement it
+// implement it here (Send sends one from memory, SendFrom from a
+// reader); the cluster's replication messages implement it
 // too, which is why it is exported.
 //
 // A received Payloader's bytes may sit in the receiving Conn's own
@@ -251,8 +254,9 @@ const WireVersion = 2
 var preamble = [4]byte{0xBF, 'B', 'F', WireVersion}
 
 const (
-	// MaxPayload caps one raw payload: a longer declared length is a
-	// decode error, and Send refuses to write one.
+	// MaxPayload caps a payload held in memory: Send refuses to write a
+	// longer one, and Recv and ReadPayload refuse to read one. A payload
+	// that streams (SendFrom, Payload) may be any length.
 	MaxPayload = 1 << 30
 	// growStart is the most a payload buffer allocates before the bytes
 	// it is sized for have arrived (see readGrown), and so the most a
@@ -269,8 +273,9 @@ type envelope struct {
 
 // Conn is a message-oriented wrapper over a stream connection. One
 // goroutine may Send while another Recvs; two Sends (or two Recvs) must
-// not overlap. After an error from Send, Recv, RecvHeader, ReadPayload
-// or a Payload read the stream may be mid-frame: close the Conn.
+// not overlap. After an error from Send, SendFrom, Recv, RecvHeader,
+// ReadPayload or a Payload read the stream may be mid-frame: close the
+// Conn.
 type Conn struct {
 	c   net.Conn
 	r   *bufio.Reader // every byte read, shared by gob and the payloads
@@ -285,6 +290,7 @@ type Conn struct {
 	bufs    net.Buffers
 	sendEnv envelope
 	recvEnv envelope
+	src     io.LimitedReader // SendFrom's source
 	// in is the buffer payloads start in (see Recv): kept from frame to
 	// frame, so a warm connection reads a payload of up to growStart
 	// bytes without allocating.
@@ -323,19 +329,92 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 // Send writes one message: its gob envelope and, for a Payloader, the
 // payload's raw bytes, in one write.
 func (c *Conn) Send(msg any) error {
+	if err := c.armWrite(); err != nil {
+		return err
+	}
+	var payload []byte
+	if p, ok := msg.(Payloader); ok {
+		payload = p.PayloadBytes()
+	}
+	if len(payload) > MaxPayload {
+		return fmt.Errorf("protocol: send %T: %d-byte payload over the %d-byte cap", msg, len(payload), MaxPayload)
+	}
+	if err := c.encode(msg, int64(len(payload))); err != nil {
+		return err
+	}
+	var err error
+	if len(payload) == 0 {
+		_, err = c.c.Write(c.out.Bytes())
+	} else {
+		c.vec = [2][]byte{c.out.Bytes(), payload}
+		c.bufs = c.vec[:]
+		_, err = c.bufs.WriteTo(c.c) // drops its references as it writes
+	}
+	if err != nil {
+		return fmt.Errorf("protocol: send: %w", err)
+	}
+	return nil
+}
+
+// SendFrom writes the frame Send writes for msg carrying the n bytes r
+// yields, of any length, through diskfault.CopySocket's pooled buffer
+// with the write deadline re-armed per buffer: Timeout bounds a stalled
+// transfer, not a large one. If r fails or ends early the frame is cut:
+// close the Conn.
+func (c *Conn) SendFrom(msg Payloader, r io.Reader, n int64) error {
+	if n < 0 {
+		return fmt.Errorf("protocol: send %T: negative payload length %d", msg, n)
+	}
+	if err := c.armWrite(); err != nil {
+		return err
+	}
+	if err := c.encode(msg, n); err != nil {
+		return err
+	}
+	if _, err := c.c.Write(c.out.Bytes()); err != nil {
+		return fmt.Errorf("protocol: send: %w", err)
+	}
+	c.src = io.LimitedReader{R: r, N: n}
+	sent, err := diskfault.CopySocket((*armedWriter)(c), &c.src)
+	c.src = io.LimitedReader{}
+	if err == nil && sent < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fmt.Errorf("protocol: send %T: payload cut after %d of %d bytes: %w", msg, sent, n, err)
+	}
+	return nil
+}
+
+// armedWriter writes to a Conn's connection, re-arming the write
+// deadline before each write.
+type armedWriter Conn
+
+func (w *armedWriter) Write(p []byte) (int, error) {
+	c := (*Conn)(w)
+	if err := c.armWrite(); err != nil {
+		return 0, err
+	}
+	return c.c.Write(p)
+}
+
+// armWrite sets the write deadline Timeout from now (none without one).
+func (c *Conn) armWrite() error {
 	if c.Timeout > 0 {
 		if err := c.c.SetWriteDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return fmt.Errorf("protocol: set deadline: %w", err)
 		}
 	}
-	var payload []byte
+	return nil
+}
+
+// encode leaves msg's envelope in c.out, behind the preamble on the
+// connection's first frame. A Payloader's envelope carries no payload,
+// only its length n.
+func (c *Conn) encode(msg any, n int64) error {
 	c.sendEnv = envelope{Msg: msg}
 	if p, ok := msg.(Payloader); ok {
-		payload = p.PayloadBytes()
-		if len(payload) > MaxPayload {
-			return fmt.Errorf("protocol: send %T: %d-byte payload over the %d-byte cap", msg, len(payload), MaxPayload)
-		}
-		c.sendEnv = envelope{Msg: p.WithPayload(nil), Payload: int64(len(payload))}
+		c.sendEnv = envelope{Msg: p.WithPayload(nil), Payload: n}
 	}
 	c.out.Reset()
 	if !c.greeted {
@@ -344,16 +423,6 @@ func (c *Conn) Send(msg any) error {
 	}
 	err := c.enc.Encode(&c.sendEnv)
 	c.sendEnv = envelope{}
-	if err != nil {
-		return fmt.Errorf("protocol: send: %w", err)
-	}
-	if len(payload) == 0 {
-		_, err = c.c.Write(c.out.Bytes())
-	} else {
-		c.vec = [2][]byte{c.out.Bytes(), payload}
-		c.bufs = c.vec[:]
-		_, err = c.bufs.WriteTo(c.c) // drops its references as it writes
-	}
 	if err != nil {
 		return fmt.Errorf("protocol: send: %w", err)
 	}
@@ -382,10 +451,11 @@ func (c *Conn) Recv() (any, error) {
 }
 
 // RecvHeader reads one message's envelope and leaves its payload on the
-// wire: msg carries no payload bytes, and n is how many follow it. The
-// caller streams them from Payload or reads them whole with
-// ReadPayload; whatever it leaves unread, the next Recv or RecvHeader
-// skips, so a handler that refuses a message early stays in frame sync.
+// wire: msg carries no payload bytes, and n (any non-negative length)
+// is how many follow it. The caller streams them from Payload or reads
+// them whole with ReadPayload; whatever it leaves unread, the next Recv
+// or RecvHeader skips, so a handler that refuses a message early stays
+// in frame sync.
 func (c *Conn) RecvHeader() (msg any, n int64, err error) {
 	if c.Timeout > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
@@ -418,8 +488,8 @@ func (c *Conn) RecvHeader() (msg any, n int64, err error) {
 	if _, ok := msg.(Payloader); !ok {
 		return nil, 0, fmt.Errorf("protocol: recv: %T declares a %d-byte payload it cannot carry", msg, n)
 	}
-	if n < 0 || n > MaxPayload {
-		return nil, 0, fmt.Errorf("protocol: recv %T payload: length %d outside 0..%d", msg, n, MaxPayload)
+	if n < 0 {
+		return nil, 0, fmt.Errorf("protocol: recv %T payload: negative length %d", msg, n)
 	}
 	c.body.n = n
 	return msg, n, nil
@@ -432,9 +502,13 @@ func (c *Conn) RecvHeader() (msg any, n int64, err error) {
 func (c *Conn) Payload() io.Reader { return &c.body }
 
 // ReadPayload reads the unread rest of the payload RecvHeader announced
-// into memory the way Recv does, under Recv's lifetime rule.
+// into memory the way Recv does, under Recv's lifetime rule. A payload
+// over MaxPayload is refused unread.
 func (c *Conn) ReadPayload() ([]byte, error) {
 	n := c.body.n
+	if n > MaxPayload {
+		return nil, fmt.Errorf("protocol: recv payload: length %d outside 0..%d", n, MaxPayload)
+	}
 	start, buf := min(n, growStart), c.in
 	if int64(cap(buf)) < start {
 		buf = make([]byte, start)
@@ -523,6 +597,11 @@ func (c *Conn) Call(msg any) error {
 	if err := c.Send(msg); err != nil {
 		return err
 	}
+	return c.RecvAck()
+}
+
+// RecvAck reads the reply to a request, a refusal as an error.
+func (c *Conn) RecvAck() error {
 	reply, err := c.Recv()
 	if err != nil {
 		return err

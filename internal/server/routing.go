@@ -20,7 +20,6 @@ import (
 
 	"bistro/internal/cluster"
 	"bistro/internal/diskfault"
-	"bistro/internal/landing"
 	"bistro/internal/protocol"
 )
 
@@ -84,7 +83,9 @@ func (s *Server) serveConn(conn *protocol.Conn) {
 			}
 			continue // Resolve answers with Resolved, not Ack
 		case protocol.Fetch:
-			s.serveFetch(conn, m)
+			if err := s.serveFetch(conn, m); err != nil {
+				return
+			}
 			continue // serveFetch writes its own reply
 		default:
 			ack = protocol.Ack{OK: false, Error: fmt.Sprintf("unexpected message %T", msg)}
@@ -130,7 +131,7 @@ func (s *Server) handleUpload(conn *protocol.Conn, m protocol.Upload, n int64) p
 	owner, remote := s.routeFor(filepath.ToSlash(m.Name))
 	if !remote || m.Relayed {
 		err := s.land.Deposit(m.Name, conn.Payload(), m.CRC)
-		if errors.Is(err, landing.ErrChecksum) {
+		if errors.Is(err, diskfault.ErrChecksum) {
 			return s.refuseCorrupt(m.Name, n)
 		}
 		if err != nil {
@@ -318,35 +319,44 @@ func (s *Server) punctuateFromSource(feed string) {
 	}
 }
 
-// serveFetch answers a hybrid-pull retrieval with the staged content,
-// falling back to the archiver for files expired from the retention
-// window — the long-horizon analysis path of §4.2.
-func (s *Server) serveFetch(conn *protocol.Conn, m protocol.Fetch) {
+// serveFetch answers a hybrid-pull retrieval with the staged (or, once
+// expired, archived) content streamed into one Deliver frame — the
+// long-horizon analysis path of §4.2. A file that fails to open is an
+// error Ack; one that fails mid-read (or is not the receipt's size)
+// cuts the frame, so the cause is logged here and the caller closes
+// conn, which the client sees as an unexpected EOF.
+func (s *Server) serveFetch(conn *protocol.Conn, m protocol.Fetch) error {
 	meta, ok := s.store.File(m.FileID)
 	if !ok {
-		conn.Send(protocol.Ack{OK: false, Error: "unknown file id"})
-		return
+		return conn.Send(protocol.Ack{OK: false, Error: "unknown file id"})
 	}
-	data, err := diskfault.ReadFile(s.fs, filepath.Join(s.stage, filepath.FromSlash(meta.StagedPath)), nil)
-	if errors.Is(err, fs.ErrNotExist) {
-		// Not staged any more: expired into the archive. Any other
-		// read error is the answer — an archive miss must not mask it.
-		if rc, aerr := s.arch.Open(meta.StagedPath); aerr == nil {
-			data, err = io.ReadAll(rc)
-			rc.Close()
-		}
-	}
+	rc, err := s.openStaged(meta.StagedPath)
 	if err != nil {
-		conn.Send(protocol.Ack{OK: false, Error: err.Error()})
-		return
+		return conn.Send(protocol.Ack{OK: false, Error: err.Error()})
 	}
-	conn.Send(protocol.Deliver{
+	defer rc.Close()
+	err = conn.SendFrom(protocol.Deliver{
 		FileID: meta.ID,
 		Feed:   firstOf(meta.Feeds),
 		Name:   meta.StagedPath,
-		Data:   data,
 		CRC:    meta.Checksum,
-	})
+	}, rc, meta.Size)
+	if err != nil {
+		s.logger.Logf("fetch", "file %d (%s): %v; closing the connection", meta.ID, meta.StagedPath, err)
+	}
+	return err
+}
+
+// openStaged opens a staged file through the filesystem seam, or from
+// the archive once it is no longer staged (expired into it). Only a
+// missing staged file goes to the archive: any other read error is the
+// answer, and an archive miss must not mask it.
+func (s *Server) openStaged(stagedPath string) (io.ReadCloser, error) {
+	f, err := s.fs.Open(filepath.Join(s.stage, filepath.FromSlash(stagedPath)))
+	if errors.Is(err, fs.ErrNotExist) && s.arch != nil {
+		return s.arch.Open(stagedPath)
+	}
+	return f, err
 }
 
 func firstOf(xs []string) string {

@@ -84,9 +84,6 @@ type Options struct {
 	OnAlarm func(feedlog.Alarm)
 	// Deadline is the per-file delivery target. Default 1 minute.
 	Deadline time.Duration
-	// StreamThreshold switches to chunked streaming delivery for
-	// staged files at or above this size. Default 4 MiB.
-	StreamThreshold int64
 	// Transport overrides the default transport (tests, simulations).
 	Transport transport.Transport
 	// LogWriter receives the activity log (default io.Discard).
@@ -204,6 +201,15 @@ func New(opts Options) (*Server, error) {
 	s.stage = s.resolveDir(cfg.StagingDir, "staging")
 	s.dbDir = filepath.Join(opts.Root, "receipts")
 	s.quar = s.resolveDir(cfg.QuarantineDir, "quarantine")
+	if opts.Transport == nil {
+		for _, sub := range cfg.Subscribers {
+			if sub.Host == "" {
+				if err := s.checkLocalDest(sub); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
 	for _, dir := range []string{s.stage, s.dbDir} {
 		if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: mkdir %s: %w", dir, err)
@@ -317,7 +323,6 @@ func New(opts Options) (*Server, error) {
 		Subscribers:     cfg.Subscribers,
 		StagingRoot:     s.stage,
 		Deadline:        opts.Deadline,
-		StreamThreshold: opts.StreamThreshold,
 		FeedPriority:    feedPrio,
 		Scheduler:       schedCfg,
 		Backoff:         cfg.Backoff.Policy(),
@@ -495,7 +500,8 @@ func (s *Server) resolveDir(dir, fallback string) string {
 }
 
 // buildTransport wires a composite transport: TCP push for subscribers
-// with hosts, local directories for the rest.
+// with hosts, local directories (dests checkLocalDest passed) for the
+// rest.
 func (s *Server) buildTransport() *compositeTransport {
 	local := transport.NewLocalDir()
 	remote := newTCPTransport(5*time.Second, s.clk, s.cfg.Backoff.Policy())
@@ -508,12 +514,42 @@ func (s *Server) buildTransport() *compositeTransport {
 		// Local subscribers receive files under Root; the delivery
 		// engine prefixes each file with the subscriber's dest, so the
 		// transport root must not repeat it.
-		if sub.Dest == "" {
-			sub.Dest = filepath.Join("delivered", sub.Name)
-		}
 		local.Register(sub.Name, s.root)
 	}
 	return comp
+}
+
+// checkLocalDest defaults a host-less subscriber's dest and refuses a
+// dest its files, written under Root at dest, must not reach: one that
+// would not resolve strictly under Root, or one that overlaps a
+// directory holding the server's own state, where pushed files would
+// be re-ingested (landing) or mixed into staging, receipts, quarantine
+// or the archive.
+func (s *Server) checkLocalDest(sub *config.Subscriber) error {
+	if sub.Dest == "" {
+		sub.Dest = filepath.Join("delivered", sub.Name)
+	}
+	rel, err := diskfault.LocalName(sub.Dest)
+	if err != nil {
+		return fmt.Errorf("server: subscriber %s: dest: %w", sub.Name, err)
+	}
+	dest := filepath.Join(s.root, rel)
+	own := []string{s.resolveDir(s.cfg.LandingDir, "landing"), s.stage, s.dbDir, s.quar}
+	if s.cfg.ArchiveDir != "" {
+		own = append(own, s.resolveDir(s.cfg.ArchiveDir, "archive"))
+	}
+	for _, dir := range own {
+		if within(dest, dir) || within(dir, dest) {
+			return fmt.Errorf("server: subscriber %s: dest %q overlaps the server's own %s", sub.Name, sub.Dest, dir)
+		}
+	}
+	return nil
+}
+
+// within reports whether path is dir or lies under it.
+func within(path, dir string) bool {
+	rel, err := filepath.Rel(dir, path)
+	return err == nil && filepath.IsLocal(rel)
 }
 
 // onDeliveryEvent feeds the monitoring subsystem and the caller's tap.
@@ -702,18 +738,8 @@ func (s *Server) startHTTPFeed() (*httpfeed.Server, error) {
 		Registry:   s.reg,
 		Clock:      s.clk.Now,
 		Log:        s.FeedHTTPLog,
-		Open: func(stagedPath string) (io.ReadCloser, error) {
-			abs := filepath.Join(s.stage, filepath.FromSlash(stagedPath))
-			f, err := s.fs.Open(abs)
-			if err == nil {
-				return f, nil
-			}
-			if errors.Is(err, fs.ErrNotExist) && s.arch != nil {
-				return s.arch.Open(stagedPath)
-			}
-			return nil, err
-		},
-		Ingest: s.land.DepositUnchecked,
+		Open:       s.openStaged,
+		Ingest:     s.land.DepositUnchecked,
 		Resolve: func(name string) []string {
 			matches := s.class.Classify(name)
 			feeds := make([]string, len(matches))
@@ -1400,8 +1426,8 @@ func (s *Server) addSubscriberDeferred(sub *config.Subscriber) error {
 	if sub.Host != "" {
 		s.trans.setHost(sub.Name, sub.Host)
 	} else {
-		if sub.Dest == "" {
-			sub.Dest = filepath.Join("delivered", sub.Name)
+		if err := s.checkLocalDest(sub); err != nil {
+			return err
 		}
 		s.trans.local.Register(sub.Name, s.root)
 	}

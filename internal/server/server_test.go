@@ -661,6 +661,80 @@ subscriber wh { dest "in" subscribe CPU }
 	}
 }
 
+// midReadFault opens staged files that fail their first read once
+// armed: the open succeeded, so the Fetch reply is already on the wire.
+type midReadFault struct {
+	diskfault.FS
+	armed atomic.Bool
+}
+
+type failingRead struct{ diskfault.File }
+
+func (failingRead) Read([]byte) (int, error) { return 0, errBadSector }
+
+func (f *midReadFault) Open(name string) (diskfault.File, error) {
+	file, err := f.FS.Open(name)
+	if err == nil && f.armed.Load() && strings.Contains(name, "staging") {
+		return failingRead{file}, nil
+	}
+	return file, err
+}
+
+// lockedBuffer is a log sink safe to read while the server writes it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// A read that fails after the Fetch reply's header is sent cuts the
+// frame: the client loses the connection, and the cause, which no Ack
+// can carry any more, is in the server's log under the file id.
+func TestFetchMidReadErrorLogged(t *testing.T) {
+	fault := &midReadFault{FS: diskfault.OS()}
+	log := &lockedBuffer{}
+	s := newServer(t, `
+feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt" }
+subscriber wh { dest "in" subscribe CPU }
+`, func(o *Options) {
+		o.Listen = "127.0.0.1:0"
+		o.FS = fault
+		o.LogWriter = log
+	})
+	if err := s.Deposit("CPU_POLL1_201009250451.txt", []byte("half a file")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "delivery", func() bool { return s.Store().DeliveredCount("wh") == 1 })
+	id := s.Store().FilesInFeed("CPU")[0].ID
+	conn, err := protocolDial(t, s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fault.armed.Store(true)
+	if err := conn.Send(protocol.Fetch{FileID: id}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := conn.Recv(); err == nil {
+		t.Fatalf("fetch over a mid-read failure = %#v, want the connection cut", reply)
+	}
+	want := fmt.Sprintf("file %d (CPU/CPU_POLL1_201009250451.txt): ", id)
+	waitFor(t, "the fetch failure logged", func() bool {
+		return strings.Contains(log.String(), want) && strings.Contains(log.String(), errBadSector.Error())
+	})
+}
+
 func TestRevisedDefinitionClaimsQuarantinedFiles(t *testing.T) {
 	// Run 1: no feed matches these files; they are quarantined.
 	root := t.TempDir()
@@ -803,8 +877,8 @@ subscriber wh {
 }
 
 func TestStreamingDeliveryOverTCP(t *testing.T) {
-	// Force every transfer through the chunked path and push a file
-	// larger than one chunk end to end.
+	// A file above the delivery engine's stream threshold goes from
+	// staging to the subscriber daemon in one streamed Deliver frame.
 	subDir := t.TempDir()
 	daemon, err := subclient.Start("127.0.0.1:0", subclient.Options{Name: "wh", DestDir: subDir})
 	if err != nil {
@@ -815,9 +889,9 @@ func TestStreamingDeliveryOverTCP(t *testing.T) {
 feed BLOB { pattern "blob_%%Y%%m%%d%%H%%M.bin" }
 subscriber wh { host "%s" dest "in" subscribe BLOB }
 `, daemon.Addr())
-	s := newServer(t, cfgSrc, func(o *Options) { o.StreamThreshold = 1 })
+	s := newServer(t, cfgSrc, nil)
 
-	payload := make([]byte, 600<<10)
+	payload := make([]byte, 5<<20)
 	for i := range payload {
 		payload[i] = byte(i % 251)
 	}
@@ -1068,5 +1142,73 @@ func TestSubscribeFromWithoutReplayRefused(t *testing.T) {
 	}, 5*time.Second)
 	if err == nil {
 		t.Fatal("FROM subscription accepted without a replay block")
+	}
+}
+
+// A runtime subscriber without a host is delivered into the server
+// root under its dest: a dest that would climb out of the root is
+// refused at SUBSCRIBE, and nothing is written outside the root.
+func TestRuntimeLocalDestConfinedToRoot(t *testing.T) {
+	parent := t.TempDir()
+	s := newServer(t, testConfig, func(o *Options) {
+		o.Root = filepath.Join(parent, "root")
+		o.Listen = "127.0.0.1:0"
+	})
+	if err := s.Deposit("CPU_POLL1_201009250451.txt", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := protocolDial(t, s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i, dest := range []string{"../outside", "in/../../outside", "."} {
+		sub := protocol.Subscribe{Name: fmt.Sprintf("evil%d", i), Dest: dest, Feeds: []string{"SNMP/CPU"}}
+		if err := conn.Call(sub); err == nil || !strings.Contains(err.Error(), "invalid path") {
+			t.Fatalf("dest %q: err = %v, want an invalid-path refusal", dest, err)
+		}
+	}
+	// The server's own trees under the root are no dest either: files
+	// pushed into landing would be ingested again, round after round.
+	for i, dest := range []string{"landing", "landing/in", "staging", "receipts", "quarantine/x"} {
+		sub := protocol.Subscribe{Name: fmt.Sprintf("own%d", i), Dest: dest, Feeds: []string{"SNMP/CPU"}}
+		if err := conn.Call(sub); err == nil || !strings.Contains(err.Error(), "overlaps") {
+			t.Fatalf("dest %q: err = %v, want an overlap refusal", dest, err)
+		}
+	}
+	if err := s.Deposit("CPU_POLL1_201009250452.txt", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both files delivered to wh", func() bool { return s.Store().DeliveredCount("wh") == 2 })
+	entries, err := os.ReadDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "root" {
+		t.Fatalf("the root's parent holds %v, want only root", entries)
+	}
+	for _, own := range []string{"landing", "receipts", "quarantine"} {
+		if _, err := os.Stat(filepath.Join(parent, "root", own, "SNMP", "CPU", "CPU_POLL1_201009250452.txt")); err == nil {
+			t.Fatalf("a refused subscriber's file reached %s", own)
+		}
+	}
+}
+
+// TestConfiguredLocalDestRefusedAtNew: a host-less subscriber from the
+// config file gets the same dest check as a runtime one, at start-up,
+// instead of a delivery that fails with "invalid path" on every retry.
+func TestConfiguredLocalDestRefusedAtNew(t *testing.T) {
+	for dest, want := range map[string]string{
+		"/abs":     "invalid path",
+		"../x":     "invalid path",
+		"a/../..":  "invalid path",
+		"landing":  "overlaps",
+		"arch/old": "overlaps",
+	} {
+		cfg := mustConfig(t, strings.Replace(testConfig, `dest "wh-in"`, fmt.Sprintf("dest %q", dest), 1)+`archive "arch"`+"\n")
+		_, err := New(Options{Config: cfg, Root: t.TempDir(), ScanInterval: -1, NoSync: true})
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "subscriber wh") {
+			t.Fatalf("dest %q: New err = %v, want %q naming the subscriber", dest, err, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -161,61 +160,24 @@ func (t *tcpTransport) call(host string, msg any) error {
 	})
 }
 
-// streamChunk is the chunk size for large-file transfers.
-const streamChunk = 256 << 10
-
+// deliver pushes one file as one Deliver frame: from memory when the
+// engine read it, else streamed from its staged path, with the Ack
+// awaited under the same connection hold.
 func (t *tcpTransport) deliver(host string, f transport.File) error {
+	msg := protocol.Deliver{FileID: f.FileID, Feed: f.Feed, Name: f.Name, Data: f.Data, CRC: f.CRC}
 	if f.Data != nil {
-		return t.call(host, protocol.Deliver{
-			FileID: f.FileID,
-			Feed:   f.Feed,
-			Name:   f.Name,
-			Data:   f.Data,
-			CRC:    f.CRC,
-		})
+		return t.call(host, msg)
 	}
-	// Large file: stream in chunks under one connection hold.
 	return t.withConn(host, func(conn *protocol.Conn) error {
 		src, err := f.Open()
 		if err != nil {
 			return err
 		}
 		defer src.Close()
-		if err := conn.Send(protocol.DeliverBegin{
-			FileID: f.FileID, Feed: f.Feed, Name: f.Name, Size: f.Size, CRC: f.CRC,
-		}); err != nil {
+		if err := conn.SendFrom(msg, src, f.Size); err != nil {
 			return err
 		}
-		buf := make([]byte, streamChunk)
-		for {
-			n, rerr := src.Read(buf)
-			if n > 0 {
-				if err := conn.Send(protocol.DeliverChunk{Data: buf[:n]}); err != nil {
-					return err
-				}
-			}
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				return fmt.Errorf("server: stream read: %w", rerr)
-			}
-		}
-		if err := conn.Send(protocol.DeliverEnd{}); err != nil {
-			return err
-		}
-		reply, err := conn.Recv()
-		if err != nil {
-			return err
-		}
-		ack, ok := reply.(protocol.Ack)
-		if !ok {
-			return fmt.Errorf("server: expected Ack, got %T", reply)
-		}
-		if !ack.OK {
-			return fmt.Errorf("server: remote error: %s", ack.Error)
-		}
-		return nil
+		return conn.RecvAck()
 	})
 }
 

@@ -148,7 +148,7 @@ func landingTemps(t *testing.T, s *Server) []string {
 	t.Helper()
 	var temps []string
 	filepath.WalkDir(s.land.Dir(), func(path string, d fs.DirEntry, err error) error {
-		if err == nil && strings.HasPrefix(d.Name(), landing.TmpPrefix) {
+		if err == nil && strings.HasPrefix(d.Name(), diskfault.TmpPrefix) {
 			temps = append(temps, path)
 		}
 		return nil
@@ -167,8 +167,8 @@ func TestStaleLandingTempSwept(t *testing.T) {
 	t.Cleanup(s.Stop)
 	dir := s.land.Dir()
 	stale := []string{
-		filepath.Join(dir, landing.TmpPrefix+"BPS_poller1_201009250451.csv"),
-		filepath.Join(dir, "2010", "09", landing.TmpPrefix+"CPU_POLL1_201009250451.txt"),
+		filepath.Join(dir, diskfault.TmpPrefix+"BPS_poller1_201009250451.csv"),
+		filepath.Join(dir, "2010", "09", diskfault.TmpPrefix+"CPU_POLL1_201009250451.txt"),
 	}
 	own := filepath.Join(dir, ".BPS_poller1_201009250452.csv.part")
 	for _, p := range append(stale, own) {
@@ -228,7 +228,7 @@ func TestHalfReceivedUploadInvisible(t *testing.T) {
 	if err := conn.Send(protocol.Upload{Name: name, Data: data, CRC: crc32.ChecksumIEEE(data)}); err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(s.land.Dir(), landing.TmpPrefix+name)
+	tmp := filepath.Join(s.land.Dir(), diskfault.TmpPrefix+name)
 	waitFor(t, "half the upload in its landing temp", func() bool {
 		fi, err := os.Stat(tmp)
 		return err == nil && fi.Size() > 0

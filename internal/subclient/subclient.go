@@ -11,14 +11,14 @@ package subclient
 
 import (
 	"fmt"
-	"hash/crc32"
+	"io"
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 
+	"bistro/internal/diskfault"
 	"bistro/internal/protocol"
 )
 
@@ -128,13 +128,13 @@ func (d *Daemon) acceptLoop() {
 	}
 }
 
-// serve handles one server connection until it closes. A received
-// payload lives in the Conn's buffer until the next Recv, so every
-// handler has written it out before it returns.
+// serve handles one server connection until it closes. A Deliver's
+// payload streams from the wire to disk; whatever a refusal leaves
+// unread, the next RecvHeader skips.
 func (d *Daemon) serve(conn *protocol.Conn) {
 	defer conn.Close()
 	for {
-		msg, err := conn.Recv()
+		msg, _, err := conn.RecvHeader()
 		if err != nil {
 			return
 		}
@@ -143,9 +143,7 @@ func (d *Daemon) serve(conn *protocol.Conn) {
 		case protocol.Hello:
 			ack = protocol.Ack{OK: true}
 		case protocol.Deliver:
-			ack = d.handleDeliver(m)
-		case protocol.DeliverBegin:
-			ack = d.handleStream(conn, m)
+			ack = d.handleDeliver(m, conn.Payload())
 		case protocol.Notify:
 			ack = d.handleNotify(m)
 		case protocol.Trigger:
@@ -154,83 +152,6 @@ func (d *Daemon) serve(conn *protocol.Conn) {
 			ack = protocol.Ack{OK: false, Error: fmt.Sprintf("unexpected message %T", msg)}
 		}
 		if err := conn.Send(ack); err != nil {
-			return
-		}
-	}
-}
-
-// handleStream receives a chunked transfer opened by DeliverBegin,
-// writing to a temp file and renaming into place once the checksum
-// verifies at DeliverEnd.
-func (d *Daemon) handleStream(conn *protocol.Conn, m protocol.DeliverBegin) protocol.Ack {
-	if d.isDuplicate(m.FileID) {
-		drainStream(conn)
-		return protocol.Ack{OK: true}
-	}
-	rel := filepath.FromSlash(m.Name)
-	if filepath.IsAbs(rel) || strings.HasPrefix(filepath.Clean(rel), "..") {
-		drainStream(conn)
-		return protocol.Ack{OK: false, Error: "invalid path"}
-	}
-	dst := filepath.Join(d.opts.DestDir, rel)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		drainStream(conn)
-		return protocol.Ack{OK: false, Error: err.Error()}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".bistro-rx-*")
-	if err != nil {
-		drainStream(conn)
-		return protocol.Ack{OK: false, Error: err.Error()}
-	}
-	crc := crc32.NewIEEE()
-	var size int64
-	fail := func(msg string) protocol.Ack {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return protocol.Ack{OK: false, Error: msg}
-	}
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return fail("stream interrupted: " + err.Error())
-		}
-		switch c := msg.(type) {
-		case protocol.DeliverChunk:
-			if _, err := tmp.Write(c.Data); err != nil {
-				drainStream(conn)
-				return fail(err.Error())
-			}
-			crc.Write(c.Data)
-			size += int64(len(c.Data))
-		case protocol.DeliverEnd:
-			if size != m.Size || crc.Sum32() != m.CRC {
-				return fail(fmt.Sprintf("stream verification failed: %d/%d bytes", size, m.Size))
-			}
-			if err := tmp.Close(); err != nil {
-				os.Remove(tmp.Name())
-				return protocol.Ack{OK: false, Error: err.Error()}
-			}
-			if err := os.Rename(tmp.Name(), dst); err != nil {
-				os.Remove(tmp.Name())
-				return protocol.Ack{OK: false, Error: err.Error()}
-			}
-			d.fileWritten(m.FileID, m.Name)
-			return protocol.Ack{OK: true}
-		default:
-			return fail(fmt.Sprintf("unexpected %T inside stream", msg))
-		}
-	}
-}
-
-// drainStream consumes a broken stream's remaining chunks so the
-// connection returns to message framing before the error Ack.
-func drainStream(conn *protocol.Conn) {
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		if _, done := msg.(protocol.DeliverEnd); done {
 			return
 		}
 	}
@@ -251,64 +172,28 @@ func (d *Daemon) isDuplicate(fileID uint64) bool {
 	return false
 }
 
-// markDelivered records a file id after its content is in place.
-func (d *Daemon) markDelivered(fileID uint64) {
-	if !d.opts.DedupByID || fileID == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.seen[fileID] = true
-	d.mu.Unlock()
-}
-
-// fileWritten books one pushed file whose content is in place. Its
-// name goes to the OnFile hook when there is one and onto the Received
-// list otherwise: a daemon that hands every name on must not also keep
-// them all for as long as it runs.
-func (d *Daemon) fileWritten(fileID uint64, name string) {
-	d.markDelivered(fileID)
-	if d.opts.OnFile != nil {
-		d.opts.OnFile(name)
-		return
-	}
-	d.mu.Lock()
-	d.received = append(d.received, name)
-	d.mu.Unlock()
-}
-
-func (d *Daemon) handleDeliver(m protocol.Deliver) protocol.Ack {
+// handleDeliver writes one pushed file from its payload with
+// diskfault.Receive. Its name then goes to the OnFile hook when there
+// is one and onto the Received list otherwise: a daemon that hands
+// every name on must not also keep them all for as long as it runs.
+func (d *Daemon) handleDeliver(m protocol.Deliver, payload io.Reader) protocol.Ack {
 	if d.isDuplicate(m.FileID) {
 		return protocol.Ack{OK: true}
 	}
-	if crc32.ChecksumIEEE(m.Data) != m.CRC {
-		return protocol.Ack{OK: false, Error: "checksum mismatch"}
-	}
-	rel := filepath.FromSlash(m.Name)
-	if filepath.IsAbs(rel) || strings.HasPrefix(filepath.Clean(rel), "..") {
-		return protocol.Ack{OK: false, Error: "invalid path"}
-	}
-	dst := filepath.Join(d.opts.DestDir, rel)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	if err := diskfault.Receive(diskfault.OS(), d.opts.DestDir, m.Name, payload, m.CRC, true); err != nil {
 		return protocol.Ack{OK: false, Error: err.Error()}
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".bistro-rx-*")
-	if err != nil {
-		return protocol.Ack{OK: false, Error: err.Error()}
+	d.mu.Lock()
+	if d.opts.DedupByID && m.FileID != 0 {
+		d.seen[m.FileID] = true
 	}
-	if _, err := tmp.Write(m.Data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return protocol.Ack{OK: false, Error: err.Error()}
+	if d.opts.OnFile == nil {
+		d.received = append(d.received, m.Name)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return protocol.Ack{OK: false, Error: err.Error()}
+	d.mu.Unlock()
+	if d.opts.OnFile != nil {
+		d.opts.OnFile(m.Name)
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return protocol.Ack{OK: false, Error: err.Error()}
-	}
-	d.fileWritten(m.FileID, m.Name)
 	return protocol.Ack{OK: true}
 }
 

@@ -1,11 +1,16 @@
 package subclient
 
 import (
+	"bytes"
+	"errors"
 	"hash/crc32"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,13 +77,35 @@ func TestDeliverRejectsBadChecksum(t *testing.T) {
 	}
 }
 
+// A name that would not resolve strictly under DestDir is refused and
+// leaves nothing anywhere, DestDir's parent included ("" and "." used
+// to put a temp file there).
 func TestDeliverRejectsEscapingPath(t *testing.T) {
-	d := startDaemon(t, Options{Name: "s"})
-	conn := dial(t, d)
-	for _, p := range []string{"../evil", "/abs"} {
-		if err := conn.Call(deliver(p, []byte("x"))); err == nil {
-			t.Fatalf("path %q accepted", p)
+	w := startWatched(t, Options{Name: "s"})
+	conn := dial(t, w.Daemon)
+	for _, p := range []string{"../evil", "/abs", "", ".", "a/..", "a/../../evil"} {
+		if err := conn.Call(deliver(p, []byte("x"))); err == nil || !strings.Contains(err.Error(), "invalid path") {
+			t.Fatalf("path %q: err = %v, want an invalid-path refusal", p, err)
 		}
+	}
+	w.expectNothing(t)
+}
+
+// Names that merely hold dots are legal and land where they say.
+func TestDeliverAcceptsDottedNames(t *testing.T) {
+	w := startWatched(t, Options{Name: "s"})
+	conn := dial(t, w.Daemon)
+	for _, p := range []string{"..hidden", "CPU/poll..txt", "a/../b"} {
+		if err := conn.Call(deliver(p, []byte(p))); err != nil {
+			t.Fatalf("path %q: %v", p, err)
+		}
+		got, err := os.ReadFile(filepath.Join(w.dest, filepath.FromSlash(p)))
+		if err != nil || string(got) != p {
+			t.Fatalf("path %q: content %q, %v", p, got, err)
+		}
+	}
+	if n := w.files.Load(); n != 3 {
+		t.Fatalf("OnFile fired %d times, want 3", n)
 	}
 }
 
@@ -248,78 +275,185 @@ func TestConcurrentDeliveries(t *testing.T) {
 	}
 }
 
-func TestChunkedStreamDelivery(t *testing.T) {
-	dest := t.TempDir()
-	d := startDaemon(t, Options{Name: "s", DestDir: dest})
-	conn := dial(t, d)
+// watched is a daemon whose DestDir sits alone in a fresh parent
+// directory, with its OnFile calls counted.
+type watched struct {
+	*Daemon
+	parent, dest string
+	files        atomic.Int32
+}
 
-	payload := make([]byte, 300<<10) // forces several 100KB chunks below
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	if err := conn.Send(protocol.DeliverBegin{
-		FileID: 5, Feed: "F", Name: "big/file.bin",
-		Size: int64(len(payload)), CRC: crc32.ChecksumIEEE(payload),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < len(payload); off += 100 << 10 {
-		end := off + 100<<10
-		if end > len(payload) {
-			end = len(payload)
+func startWatched(t *testing.T, opts Options) *watched {
+	t.Helper()
+	w := &watched{parent: t.TempDir()}
+	w.dest = filepath.Join(w.parent, "dest")
+	opts.DestDir = w.dest
+	opts.OnFile = func(string) { w.files.Add(1) }
+	w.Daemon = startDaemon(t, opts)
+	return w
+}
+
+// entries lists every path under the parent but DestDir itself.
+func (w *watched) entries(t *testing.T) []string {
+	t.Helper()
+	var got []string
+	filepath.WalkDir(w.parent, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && path != w.parent && path != w.dest {
+			got = append(got, path)
 		}
-		if err := conn.Send(protocol.DeliverChunk{Data: payload[off:end]}); err != nil {
-			t.Fatal(err)
-		}
+		return nil
+	})
+	return got
+}
+
+// expectNothing fails unless no file (temp or final) exists and
+// OnFile never fired.
+func (w *watched) expectNothing(t *testing.T) {
+	t.Helper()
+	if got := w.entries(t); len(got) != 0 {
+		t.Fatalf("left behind: %v", got)
 	}
-	if err := conn.Send(protocol.DeliverEnd{}); err != nil {
+	if n := w.files.Load(); n != 0 {
+		t.Fatalf("OnFile fired %d times", n)
+	}
+}
+
+// pattern is size bytes that no shifted copy matches.
+func pattern(size int) []byte {
+	p := make([]byte, size)
+	for i := range p {
+		p[i] = byte(i * 31)
+	}
+	return p
+}
+
+// sendFrom streams a Deliver of data the way the server sends files
+// above its stream threshold, and returns the reply.
+func sendFrom(t *testing.T, conn *protocol.Conn, m protocol.Deliver, data []byte) protocol.Ack {
+	t.Helper()
+	if err := conn.SendFrom(m, bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := conn.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack, ok := reply.(protocol.Ack); !ok || !ack.OK {
+	ack, ok := reply.(protocol.Ack)
+	if !ok {
 		t.Fatalf("reply = %#v", reply)
+	}
+	return ack
+}
+
+// A file larger than the daemon's read buffer streams from the socket
+// into place in one Deliver frame, and the connection stays usable.
+func TestStreamedDeliver(t *testing.T) {
+	dest := t.TempDir()
+	d := startDaemon(t, Options{Name: "s", DestDir: dest})
+	conn := dial(t, d)
+	payload := pattern(600 << 10)
+	m := protocol.Deliver{FileID: 5, Feed: "F", Name: "big/file.bin", CRC: crc32.ChecksumIEEE(payload)}
+	if ack := sendFrom(t, conn, m, payload); !ack.OK {
+		t.Fatalf("ack = %+v", ack)
 	}
 	got, err := os.ReadFile(filepath.Join(dest, "big", "file.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(payload) {
-		t.Fatalf("size = %d", len(got))
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("content differs (%d bytes, want %d)", len(got), len(payload))
 	}
-	for i := range got {
-		if got[i] != payload[i] {
-			t.Fatalf("content mismatch at %d", i)
-		}
-	}
-	// The connection is reusable afterwards.
 	if err := conn.Call(protocol.Hello{Role: "server"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestChunkedStreamBadChecksum(t *testing.T) {
-	d := startDaemon(t, Options{Name: "s", DestDir: t.TempDir()})
-	conn := dial(t, d)
-	payload := []byte("streamed")
-	if err := conn.Send(protocol.DeliverBegin{
-		FileID: 6, Name: "f.bin", Size: int64(len(payload)), CRC: 0xBAD,
-	}); err != nil {
-		t.Fatal(err)
+// A streamed file that fails its CRC leaves no temp, no file and no
+// OnFile call, and the next frame on the Conn is served.
+func TestStreamedDeliverBadChecksum(t *testing.T) {
+	w := startWatched(t, Options{Name: "s"})
+	conn := dial(t, w.Daemon)
+	payload := pattern(600 << 10)
+	m := protocol.Deliver{FileID: 6, Name: "f.bin", CRC: crc32.ChecksumIEEE(payload) ^ 1}
+	if ack := sendFrom(t, conn, m, payload); ack.OK || ack.Error != "checksum mismatch" {
+		t.Fatalf("bad stream answered %+v", ack)
 	}
-	conn.Send(protocol.DeliverChunk{Data: payload})
-	conn.Send(protocol.DeliverEnd{})
-	reply, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack, ok := reply.(protocol.Ack); !ok || ack.OK {
-		t.Fatalf("bad stream acked OK: %#v", reply)
-	}
-	// Connection still usable (framing intact).
+	w.expectNothing(t)
 	if err := conn.Call(protocol.Hello{Role: "server"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A sender that hangs up mid-payload leaves its temp only while the
+// bytes are arriving: afterwards there is no temp, no file and no
+// OnFile call.
+func TestStreamedDeliverSenderHangsUp(t *testing.T) {
+	w := startWatched(t, Options{Name: "s"})
+	conn := dial(t, w.Daemon)
+	payload := pattern(1 << 20)
+	pr, pw := io.Pipe()
+	sent := make(chan error, 1)
+	go func() {
+		m := protocol.Deliver{FileID: 7, Name: "f.bin", CRC: crc32.ChecksumIEEE(payload)}
+		sent <- conn.SendFrom(m, pr, int64(len(payload)))
+	}()
+	if _, err := pw.Write(payload[:len(payload)/2]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the half-sent file in its temp", func() bool {
+		fi, err := os.Stat(filepath.Join(w.dest, ".bistro-tmp-f.bin"))
+		return err == nil && fi.Size() > 0
+	})
+	conn.Close()
+	pw.CloseWithError(errors.New("sender gone"))
+	if err := <-sent; err == nil {
+		t.Fatal("SendFrom over a closed Conn succeeded")
+	}
+	waitFor(t, "the temp removed", func() bool { return len(w.entries(t)) == 0 })
+	w.expectNothing(t)
+}
+
+// Refusals that read none of the payload — a duplicate file id, a bad
+// name — keep the Conn in frame sync: the next Deliver is written.
+func TestRefusedDeliverKeepsFrameSync(t *testing.T) {
+	w := startWatched(t, Options{Name: "s", DedupByID: true})
+	conn := dial(t, w.Daemon)
+	first := []byte("first copy")
+	if err := conn.Call(protocol.Deliver{FileID: 1, Name: "a.bin", Data: first, CRC: crc32.ChecksumIEEE(first)}); err != nil {
+		t.Fatal(err)
+	}
+	big := pattern(600 << 10)
+	crc := crc32.ChecksumIEEE(big)
+	if ack := sendFrom(t, conn, protocol.Deliver{FileID: 1, Name: "a.bin", CRC: crc}, big); !ack.OK {
+		t.Fatalf("duplicate answered %+v, want an OK", ack)
+	}
+	if ack := sendFrom(t, conn, protocol.Deliver{FileID: 2, Name: "../evil.bin", CRC: crc}, big); ack.OK || !strings.Contains(ack.Error, "invalid path") {
+		t.Fatalf("escaping name answered %+v, want an invalid-path refusal", ack)
+	}
+	if ack := sendFrom(t, conn, protocol.Deliver{FileID: 3, Name: "b.bin", CRC: crc}, big); !ack.OK {
+		t.Fatalf("deliver after two refusals answered %+v", ack)
+	}
+	if got, _ := os.ReadFile(filepath.Join(w.dest, "a.bin")); !bytes.Equal(got, first) {
+		t.Fatalf("the duplicate rewrote a.bin (%d bytes)", len(got))
+	}
+	if got, _ := os.ReadFile(filepath.Join(w.dest, "b.bin")); !bytes.Equal(got, big) {
+		t.Fatalf("b.bin holds %d bytes, want %d", len(got), len(big))
+	}
+	if got := w.entries(t); len(got) != 2 {
+		t.Fatalf("dest holds %v, want a.bin and b.bin", got)
+	}
+	if n, dups := w.files.Load(), w.DuplicatesSuppressed(); n != 2 || dups != 1 {
+		t.Fatalf("OnFile fired %d times with %d duplicates suppressed, want 2 and 1", n, dups)
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

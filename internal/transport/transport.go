@@ -12,10 +12,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"bistro/internal/diskfault"
@@ -115,8 +112,9 @@ func (l *LocalDir) dirOf(sub string) (string, error) {
 }
 
 // Deliver writes the file under the subscriber's destination directory
-// atomically, streaming from the staged path for large files, and
-// verifies the checksum.
+// with diskfault.Receive, streaming from the staged path for large
+// files: a name that would resolve outside the directory is refused,
+// and the file appears only once complete and checksum-verified.
 func (l *LocalDir) Deliver(sub string, f File) error {
 	dir, err := l.dirOf(sub)
 	if err != nil {
@@ -127,32 +125,8 @@ func (l *LocalDir) Deliver(sub string, f File) error {
 		return err
 	}
 	defer src.Close()
-	dst := filepath.Join(dir, filepath.FromSlash(f.Name))
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("transport: mkdir: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".bistro-dlv-*")
-	if err != nil {
-		return fmt.Errorf("transport: temp: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	if _, err := diskfault.Copy(io.MultiWriter(tmp, crc), src); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("transport: write: %w", err)
-	}
-	if crc.Sum32() != f.CRC {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("transport: checksum mismatch for %s", f.Name)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("transport: close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("transport: rename: %w", err)
+	if err := diskfault.Receive(diskfault.OS(), dir, f.Name, src, f.CRC, true); err != nil {
+		return fmt.Errorf("transport: deliver %s: %w", f.Name, err)
 	}
 	return nil
 }

@@ -38,6 +38,23 @@ func TestLocalDirChecksumRejected(t *testing.T) {
 	}
 }
 
+// A name that would resolve outside the subscriber's directory is
+// refused and nothing is written anywhere.
+func TestLocalDirEscapingNameRejected(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "dest")
+	l := NewLocalDir()
+	l.Register("sub", dir)
+	for _, name := range []string{"../outside/f.csv", "in/../../f.csv", "/abs/f.csv", ""} {
+		if err := l.Deliver("sub", file(name, []byte("data"))); err == nil {
+			t.Fatalf("name %q accepted", name)
+		}
+	}
+	if entries, _ := os.ReadDir(parent); len(entries) != 0 {
+		t.Fatalf("the refused deliveries left %v", entries)
+	}
+}
+
 func TestLocalDirUnknownSubscriber(t *testing.T) {
 	l := NewLocalDir()
 	if err := l.Deliver("ghost", file("f", nil)); err == nil {
