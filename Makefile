@@ -30,8 +30,10 @@ bench-smoke:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkE1[4589]|BenchmarkE16|BenchmarkE17|BenchmarkE20' -benchtime=1x . | tee BENCH_10.json
 
 # Race-mode pass over the clustering layer and its replication stress
-# tests: concurrent group-commit shipping, the seeded failover
-# property harness, and the two-node routing tests.
+# tests: concurrent group-commit shipping, the standby's streamed spool
+# (stalled, oversized and refused payloads; the allocation pin skips
+# itself under -race), the seeded failover property harness, and the
+# two-node routing tests.
 cluster-race:
 	$(GO) test -race -count=1 ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/server/

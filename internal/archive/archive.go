@@ -123,7 +123,7 @@ func (a *Archiver) MoveExpired(v receipts.FileMeta) error {
 		return nil
 	}
 	dst := filepath.Join(a.archiveRoot, filepath.FromSlash(v.StagedPath))
-	err := a.moveFile(src, dst)
+	err := diskfault.MoveDurable(a.FS, src, dst)
 	switch {
 	case err == nil:
 		a.Metrics.moved(v.Size)
@@ -186,6 +186,9 @@ func (a *Archiver) ReconcileManifest(lookup func(stagedPath string) (receipts.Fi
 			}
 			return nil
 		}
+		if strings.HasPrefix(d.Name(), diskfault.TmpPrefix) {
+			return nil // a copy a crash cut short: never archive history
+		}
 		rel, rerr := filepath.Rel(a.archiveRoot, path)
 		if rerr != nil {
 			return rerr
@@ -205,49 +208,6 @@ func (a *Archiver) ReconcileManifest(lookup func(stagedPath string) (receipts.Fi
 		return repaired, fmt.Errorf("archive: manifest reconcile: %w", err)
 	}
 	return repaired, nil
-}
-
-// moveFile renames when possible and falls back to copy+remove across
-// filesystems. Either way the destination is made durable before the
-// source disappears: after a rename the destination directory is
-// fsynced; in the copy fallback the destination file and its directory
-// are fsynced before os.Remove(src) — otherwise a crash in the gap
-// loses the file on both sides.
-func (a *Archiver) moveFile(src, dst string) error {
-	if err := a.FS.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	if err := a.FS.Rename(src, dst); err == nil {
-		return a.FS.SyncDir(filepath.Dir(dst))
-	} else if os.IsNotExist(err) {
-		return err
-	}
-	in, err := a.FS.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := a.FS.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := diskfault.Copy(out, in); err != nil {
-		out.Close()
-		a.FS.Remove(dst)
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		a.FS.Remove(dst)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	if err := a.FS.SyncDir(filepath.Dir(dst)); err != nil {
-		return err
-	}
-	return a.FS.Remove(src)
 }
 
 // Open serves a file from long-term storage (long-horizon analysis
@@ -275,64 +235,32 @@ func (a *Archiver) BackupReceipts(receiptsDir string) error {
 	if err := a.store.Checkpoint(); err != nil {
 		return err
 	}
-	dstDir := filepath.Join(a.archiveRoot, "receipts-backup")
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		return fmt.Errorf("archive: backup mkdir: %w", err)
-	}
-	entries, err := os.ReadDir(receiptsDir)
-	if err != nil {
-		return fmt.Errorf("archive: read receipts dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if err := a.copyFile(filepath.Join(receiptsDir, e.Name()), filepath.Join(dstDir, e.Name())); err != nil {
-			return fmt.Errorf("archive: backup %s: %w", e.Name(), err)
-		}
-	}
-	return nil
+	return a.copyDir(receiptsDir, filepath.Join(a.archiveRoot, "receipts-backup"))
 }
 
 // RestoreReceipts copies a backup back into place (the receipts dir
 // must not hold an open store).
 func (a *Archiver) RestoreReceipts(receiptsDir string) error {
-	srcDir := filepath.Join(a.archiveRoot, "receipts-backup")
-	entries, err := os.ReadDir(srcDir)
+	return a.copyDir(filepath.Join(a.archiveRoot, "receipts-backup"), receiptsDir)
+}
+
+// copyDir makes a durable copy in dst of every file directly in src,
+// skipping temps.
+func (a *Archiver) copyDir(src, dst string) error {
+	entries, err := os.ReadDir(src)
 	if err != nil {
-		return fmt.Errorf("archive: no backup: %w", err)
+		return fmt.Errorf("archive: read %s: %w", src, err)
 	}
-	if err := os.MkdirAll(receiptsDir, 0o755); err != nil {
-		return fmt.Errorf("archive: restore mkdir: %w", err)
+	if err := a.FS.MkdirAll(dst, 0o755); err != nil {
+		return fmt.Errorf("archive: mkdir: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
+		if e.IsDir() || strings.HasPrefix(e.Name(), diskfault.TmpPrefix) {
 			continue
 		}
-		if err := a.copyFile(filepath.Join(srcDir, e.Name()), filepath.Join(receiptsDir, e.Name())); err != nil {
-			return fmt.Errorf("archive: restore %s: %w", e.Name(), err)
+		if err := diskfault.CopyDurable(a.FS, filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())); err != nil {
+			return fmt.Errorf("archive: copy %s: %w", e.Name(), err)
 		}
 	}
 	return nil
-}
-
-func (a *Archiver) copyFile(src, dst string) error {
-	in, err := a.FS.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := a.FS.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := diskfault.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

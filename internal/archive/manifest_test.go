@@ -230,3 +230,39 @@ func TestNoArchiveRootCountsAndAlarms(t *testing.T) {
 		t.Fatalf("alarms = %v (want exactly one)", alarms)
 	}
 }
+
+// A temp a crash left in the archive tree (a cut-short copy) is never
+// indexed as archive history, whatever the lookup answers for it, and
+// is never backed up as receipts.
+func TestReconcileManifestSkipsTemps(t *testing.T) {
+	f := newFixture(t, 24*time.Hour)
+	f.enableManifest(t)
+	tmp := filepath.Join(f.archRoot, "F", diskfault.TmpPrefix+"lost.csv")
+	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, []byte("half"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := f.arch.ReconcileManifest(func(staged string) (receipts.FileMeta, bool) {
+		return receipts.FileMeta{ID: 9, StagedPath: staged, Feeds: []string{"F"}, Arrived: t0}, true
+	})
+	if err != nil || n != 0 || f.arch.Manifest().Has(9) {
+		t.Fatalf("repaired=%d err=%v, indexed=%v: a temp entered the manifest", n, err, f.arch.Manifest().Has(9))
+	}
+	if err := os.WriteFile(filepath.Join(f.dbDir, diskfault.TmpPrefix+"ckpt"), []byte("half"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.arch.BackupReceipts(f.dbDir); err != nil {
+		t.Fatal(err)
+	}
+	backup, err := os.ReadDir(filepath.Join(f.archRoot, "receipts-backup"))
+	if err != nil || len(backup) == 0 {
+		t.Fatalf("backup: %v, %v", backup, err)
+	}
+	for _, e := range backup {
+		if strings.HasPrefix(e.Name(), diskfault.TmpPrefix) {
+			t.Fatalf("backup copied the temp %s", e.Name())
+		}
+	}
+}

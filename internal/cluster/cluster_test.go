@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -194,7 +196,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A staged file ships with CRC.
-	if err := sh.ShipFile("f/live0.csv", []byte("payload")); err != nil {
+	if err := shipBytes(sh, "f/live0.csv", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	// Checkpoint ships a fresh snapshot and resets the standby WAL.
@@ -275,7 +277,7 @@ func TestStandbyNacksCorruptFrames(t *testing.T) {
 	}
 
 	// Bad CRC on a shipped file.
-	if err := sh.ShipFile("f/x", []byte("data")); err != nil {
+	if err := shipBytes(sh, "f/x", []byte("data")); err != nil {
 		t.Fatal(err)
 	}
 	sh2 := NewShipper(st.Addr(), ShipperOptions{Node: "a"})
@@ -283,7 +285,7 @@ func TestStandbyNacksCorruptFrames(t *testing.T) {
 	if err := sh2.shipSnapshot(mustState(t, owner)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh2.sendRaw(RepFile{Seq: 99, Path: "f/y", Data: []byte("data"), CRC: 1}); err == nil {
+	if err := sh2.ShipFile("f/y", strings.NewReader("data"), 4, 1); err == nil {
 		t.Fatal("corrupt CRC should nack")
 	}
 	// Escape the staging tree.
@@ -292,7 +294,7 @@ func TestStandbyNacksCorruptFrames(t *testing.T) {
 	if err := sh3.shipSnapshot(mustState(t, owner)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh3.sendRaw(RepFile{Seq: 100, Path: "../escape", Data: nil, CRC: 0}); err == nil {
+	if err := sh3.ShipFile("../escape", strings.NewReader(""), 0, 0); err == nil {
 		t.Fatal("path escape should nack")
 	}
 	// Garbage WAL payload.
@@ -443,12 +445,24 @@ func mustState(t *testing.T, s *receipts.Store) []byte {
 	return state
 }
 
+// shipBytes ships data as the staged file relPath.
+func shipBytes(sh *Shipper, relPath string, data []byte) error {
+	return sh.ShipFile(relPath, bytes.NewReader(data), int64(len(data)), crc32.ChecksumIEEE(data))
+}
+
+// archiveBytes ships data as meta's archived content, sized and
+// checksummed as its receipt would be.
+func archiveBytes(sh *Shipper, meta receipts.FileMeta, at time.Time, data []byte) error {
+	meta.Size, meta.Checksum = int64(len(data)), crc32.ChecksumIEEE(data)
+	return sh.ShipArchive(meta, at, bytes.NewReader(data))
+}
+
 // sendRaw pushes one hand-built frame down the stream, for tests that
 // need to inject corrupt messages.
 func (sh *Shipper) sendRaw(msg any) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, err := sh.roundLocked(msg); err != nil {
+	if _, err := sh.roundLocked(msg, nil, 0); err != nil {
 		return sh.failLocked("raw", err)
 	}
 	return nil

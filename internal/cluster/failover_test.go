@@ -206,7 +206,7 @@ func TestShipArchiveMirrorsMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stage the payload first, as live ingest would.
-	if err := sh.ShipFile("f/old.csv", []byte("history")); err != nil {
+	if err := shipBytes(sh, "f/old.csv", []byte("history")); err != nil {
 		t.Fatal(err)
 	}
 	meta := receipts.FileMeta{
@@ -214,7 +214,7 @@ func TestShipArchiveMirrorsMove(t *testing.T) {
 		Feeds: []string{"f"}, Size: 7,
 	}
 	when := time.Now().UTC()
-	if err := sh.ShipArchive(meta, when, []byte("history")); err != nil {
+	if err := archiveBytes(sh, meta, when, []byte("history")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(st.Root(), "archive", "f", "old.csv"))
@@ -232,12 +232,12 @@ func TestShipArchiveMirrorsMove(t *testing.T) {
 		t.Fatal("standby manifest missing the archived id")
 	}
 	// Idempotent re-ship (bootstrap backlog path after a reconnect).
-	if err := sh.ShipArchive(meta, when, []byte("history")); err != nil {
+	if err := archiveBytes(sh, meta, when, []byte("history")); err != nil {
 		t.Fatalf("re-shipping an applied archive frame must be a no-op: %v", err)
 	}
 	// Path confinement still applies to archive frames.
 	sh.mu.Lock()
-	_, rerr := sh.roundLocked(RepArchive{Seq: 999, Meta: receipts.FileMeta{ID: 8, StagedPath: "../escape"}, ArchivedAt: when})
+	_, rerr := sh.roundLocked(RepArchive{Seq: 999, Meta: receipts.FileMeta{ID: 8, StagedPath: "../escape"}, ArchivedAt: when}, nil, 0)
 	sh.mu.Unlock()
 	if rerr == nil {
 		t.Fatal("archive path escape must nack")
@@ -397,11 +397,11 @@ func TestStandbyAppliesDottedNames(t *testing.T) {
 	if err := sh.Bootstrap(owner, t.TempDir(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.ShipFile("CPU/poll..txt", []byte("staged")); err != nil {
+	if err := shipBytes(sh, "CPU/poll..txt", []byte("staged")); err != nil {
 		t.Fatalf("shipping CPU/poll..txt: %v", err)
 	}
 	meta := receipts.FileMeta{ID: 9, Name: "a..b", StagedPath: "f/a..b", Feeds: []string{"f"}, Size: 8}
-	if err := sh.ShipArchive(meta, time.Now().UTC(), []byte("archived")); err != nil {
+	if err := archiveBytes(sh, meta, time.Now().UTC(), []byte("archived")); err != nil {
 		t.Fatalf("shipping the archive of f/a..b: %v", err)
 	}
 	for path, want := range map[string]string{

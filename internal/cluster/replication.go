@@ -43,9 +43,11 @@ type RepHeartbeat struct {
 // RepArchive ships one archive promotion: the owner moved an expired
 // staged file into its archive tree and appended its manifest entries,
 // and the standby must mirror both so a promoted survivor serves
-// replay/history, not just live traffic. Data carries the archived
-// content so the standby needs no surviving staged copy — during a
-// live re-seed the staged file may already be gone on both ends.
+// replay/history, not just live traffic. The archived content streams
+// behind the envelope (Meta.Size bytes, IEEE CRC32 Meta.Checksum, both
+// from the receipt) so the standby needs no surviving staged copy —
+// during a live re-seed the staged file may already be gone on both
+// ends.
 type RepArchive struct {
 	Seq uint64
 	// Meta is the archived file's receipt metadata (StagedPath is the
@@ -53,10 +55,6 @@ type RepArchive struct {
 	Meta receipts.FileMeta
 	// ArchivedAt is the owner's archive timestamp for manifest entries.
 	ArchivedAt time.Time
-	// Data is the archived file content.
-	Data []byte
-	// CRC is the IEEE CRC32 of Data.
-	CRC uint32
 }
 
 // RepSnapshot re-seeds the standby's receipt database: State is a full
@@ -71,17 +69,17 @@ type RepSnapshot struct {
 	State []byte
 }
 
-// RepFile ships one staged payload so the standby's staging tree keeps
+// RepFile ships one staged file so the standby's staging tree keeps
 // up with the receipts that reference it. Files ship before the
 // arrival receipt commits, mirroring the owner's own ordering (staged
-// bytes durable before the receipt points at them).
+// bytes durable before the receipt points at them). The content
+// streams behind the envelope, of any length.
 type RepFile struct {
 	Seq uint64
 	// Path is the staging-relative path.
 	Path string
-	// Data is the staged content.
-	Data []byte
-	// CRC is the IEEE CRC32 of Data.
+	// CRC is the IEEE CRC32 of the content: the receipt's checksum, or
+	// a CRC pass over the file where no receipt is in hand.
 	CRC uint32
 }
 
@@ -107,14 +105,16 @@ type RepAck struct {
 	Epoch uint64
 }
 
-// RepFile and RepArchive are protocol.Payloaders: their content travels
-// raw behind the envelope. RepBatch and RepSnapshot stay plain gob.
+// RepFile and RepArchive are protocol.Payloaders whose content only
+// streams: the owner sends it from the file with SendFrom and the
+// standby spools it from Payload into a diskfault.Writer, so neither
+// end holds it in memory. RepBatch and RepSnapshot stay plain gob.
 var _, _ protocol.Payloader = RepFile{}, RepArchive{}
 
-func (m RepFile) PayloadBytes() []byte        { return m.Data }
-func (m RepFile) WithPayload(b []byte) any    { m.Data = b; return m }
-func (m RepArchive) PayloadBytes() []byte     { return m.Data }
-func (m RepArchive) WithPayload(b []byte) any { m.Data = b; return m }
+func (m RepFile) PayloadBytes() []byte      { return nil }
+func (m RepFile) WithPayload([]byte) any    { return m }
+func (m RepArchive) PayloadBytes() []byte   { return nil }
+func (m RepArchive) WithPayload([]byte) any { return m }
 
 func init() {
 	gob.Register(RepHello{})

@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -14,6 +14,9 @@ import (
 	"bistro/internal/protocol"
 	"bistro/internal/receipts"
 )
+
+// errStreamDown fails a ship attempted while the stream is down.
+var errStreamDown = errors.New("replication stream down")
 
 // ShipperOptions configure an owner's replication stream.
 type ShipperOptions struct {
@@ -101,17 +104,26 @@ func (sh *Shipper) Bootstrap(store *receipts.Store, stagingRoot string, fsys dis
 		if rerr != nil {
 			return rerr
 		}
-		data, rerr := diskfault.ReadFile(fsys, path, nil)
+		f, rerr := fsys.Open(path)
 		if rerr != nil {
 			if errors.Is(rerr, fs.ErrNotExist) {
 				// Archived or removed between the directory listing and
-				// the read — a live owner keeps expiring while it
+				// the open — a live owner keeps expiring while it
 				// re-seeds a standby. The receipt side covers it.
 				return nil
 			}
 			return rerr
 		}
-		return sh.ShipFile(filepath.ToSlash(rel), data)
+		defer f.Close()
+		// No receipt in hand: a CRC pass first, then the file streams.
+		size, crc, rerr := diskfault.CopyCRC(io.Discard, f)
+		if rerr == nil {
+			_, rerr = f.Seek(0, io.SeekStart)
+		}
+		if rerr != nil {
+			return rerr
+		}
+		return sh.ShipFile(filepath.ToSlash(rel), f, size, crc)
 	})
 	if werr != nil {
 		return fmt.Errorf("cluster: bootstrap staging walk: %w", werr)
@@ -135,19 +147,14 @@ func (sh *Shipper) shipSnapshot(state []byte) error {
 		return sh.failLocked("dial", err)
 	}
 	sh.conn = conn
-	if _, err := sh.roundLocked(RepHello{Node: sh.opts.Node, Epoch: sh.epoch()}); err != nil {
+	if _, err := sh.roundLocked(RepHello{Node: sh.opts.Node, Epoch: sh.epoch()}, nil, 0); err != nil {
 		return sh.failLocked("hello", err)
 	}
-	sh.seq++
-	ack, err := sh.roundLocked(RepSnapshot{Seq: sh.seq, State: state})
-	if err != nil {
+	if err := sh.exchangeLocked(snapshotFrame(state), nil, int64(len(state))); err != nil {
 		return sh.failLocked("snapshot", err)
 	}
-	sh.hw = ack.HW
 	sh.booted = true
 	sh.alarmed = false
-	sh.addBytes(len(state))
-	sh.setHW()
 	return nil
 }
 
@@ -167,128 +174,112 @@ func (sh *Shipper) Heartbeat() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if !sh.booted {
-		return fmt.Errorf("cluster: heartbeat: replication stream down")
+		return fmt.Errorf("cluster: heartbeat: %w", errStreamDown)
 	}
-	sh.seq++
-	ack, err := sh.roundLocked(RepHeartbeat{Seq: sh.seq, Epoch: sh.epoch()})
-	if err != nil {
+	if err := sh.exchangeLocked(func(seq uint64) any { return RepHeartbeat{Seq: seq, Epoch: sh.epoch()} }, nil, 0); err != nil {
 		return sh.failLocked("heartbeat", err)
 	}
-	sh.hw = ack.HW
 	if m := sh.opts.Metrics; m != nil {
 		m.Heartbeats.Inc()
 	}
-	sh.setHW()
 	return nil
 }
 
-// ShipArchive replicates one archive promotion (content + receipt
-// metadata + archive timestamp) so the standby mirrors the archive
-// tree and manifest. Called from the owner's expiry path after the
-// local move; a failure fails the expiry pass, and the archive backlog
+// ShipArchive replicates one archive promotion (receipt metadata,
+// archive timestamp, and the content streamed from r: meta.Size bytes
+// whose CRC is meta.Checksum) so the standby mirrors the archive tree
+// and manifest. Called from the owner's expiry path after the local
+// move; a failure fails the expiry pass, and the archive backlog
 // re-ships on the next bootstrap.
-func (sh *Shipper) ShipArchive(meta receipts.FileMeta, archivedAt time.Time, data []byte) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.booted {
-		return sh.failLocked("archive", fmt.Errorf("replication stream down"))
-	}
-	sh.seq++
-	ack, err := sh.roundLocked(RepArchive{
-		Seq:        sh.seq,
-		Meta:       meta,
-		ArchivedAt: archivedAt,
-		Data:       data,
-		CRC:        crc32.ChecksumIEEE(data),
-	})
-	if err != nil {
-		return sh.failLocked("archive "+meta.StagedPath, err)
-	}
-	sh.hw = ack.HW
-	sh.addBytes(len(data))
-	sh.setHW()
-	return nil
+func (sh *Shipper) ShipArchive(meta receipts.FileMeta, archivedAt time.Time, r io.Reader) error {
+	return sh.ship("archive "+meta.StagedPath, func(seq uint64) any {
+		return RepArchive{Seq: seq, Meta: meta, ArchivedAt: archivedAt}
+	}, r, meta.Size)
 }
 
 // ShipBatch is the receipts flush hook: one group-commit batch, one
 // standby fsync, acknowledged before any committer is released.
 func (sh *Shipper) ShipBatch(payloads [][]byte) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.booted {
-		return sh.failLocked("batch", fmt.Errorf("replication stream down"))
-	}
-	sh.seq++
-	ack, err := sh.roundLocked(RepBatch{Seq: sh.seq, Payloads: payloads})
-	if err != nil {
-		return sh.failLocked("batch", err)
-	}
-	sh.hw = ack.HW
-	if m := sh.opts.Metrics; m != nil {
-		m.ShipBatches.Inc()
-	}
 	n := 0
 	for _, p := range payloads {
 		n += len(p)
 	}
-	sh.addBytes(n)
-	sh.setHW()
-	return nil
+	err := sh.ship("batch", func(seq uint64) any { return RepBatch{Seq: seq, Payloads: payloads} }, nil, int64(n))
+	if m := sh.opts.Metrics; m != nil && err == nil {
+		m.ShipBatches.Inc()
+	}
+	return err
 }
 
-// ShipFile replicates one staged payload (before its arrival receipt
-// commits, mirroring the owner's own staged-then-logged ordering).
-func (sh *Shipper) ShipFile(relPath string, data []byte) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.booted {
-		return sh.failLocked("file", fmt.Errorf("replication stream down"))
-	}
-	sh.seq++
-	ack, err := sh.roundLocked(RepFile{
-		Seq:  sh.seq,
-		Path: relPath,
-		Data: data,
-		CRC:  crc32.ChecksumIEEE(data),
-	})
-	if err != nil {
-		return sh.failLocked("file "+relPath, err)
-	}
-	sh.hw = ack.HW
-	if m := sh.opts.Metrics; m != nil {
+// ShipFile replicates one staged file (before its arrival receipt
+// commits, mirroring the owner's own staged-then-logged ordering): size
+// bytes streamed from r whose IEEE CRC32 is crc — the receipt's size
+// and checksum.
+func (sh *Shipper) ShipFile(relPath string, r io.Reader, size int64, crc uint32) error {
+	err := sh.ship("file "+relPath, func(seq uint64) any { return RepFile{Seq: seq, Path: relPath, CRC: crc} }, r, size)
+	if m := sh.opts.Metrics; m != nil && err == nil {
 		m.ShipFiles.Inc()
 	}
-	sh.addBytes(len(data))
-	sh.setHW()
-	return nil
+	return err
 }
 
 // ShipCheckpoint is the receipts checkpoint hook: the standby installs
 // the snapshot and resets its shipped WAL, mirroring compaction.
 func (sh *Shipper) ShipCheckpoint(state []byte) error {
+	return sh.ship("checkpoint", snapshotFrame(state), nil, int64(len(state)))
+}
+
+func snapshotFrame(state []byte) func(seq uint64) any {
+	return func(seq uint64) any { return RepSnapshot{Seq: seq, State: state} }
+}
+
+// ship runs one exchange on the booted stream; a failure, or a stream
+// already down, is a replication failure (failLocked).
+func (sh *Shipper) ship(stage string, frame func(seq uint64) any, body io.Reader, n int64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.booted {
-		return sh.failLocked("checkpoint", fmt.Errorf("replication stream down"))
+	err := errStreamDown
+	if sh.booted {
+		err = sh.exchangeLocked(frame, body, n)
 	}
-	sh.seq++
-	ack, err := sh.roundLocked(RepSnapshot{Seq: sh.seq, State: state})
 	if err != nil {
-		return sh.failLocked("checkpoint", err)
+		return sh.failLocked(stage, err)
 	}
-	sh.hw = ack.HW
-	sh.addBytes(len(state))
-	sh.setHW()
 	return nil
 }
 
-// roundLocked performs one request/response exchange. Caller holds
-// sh.mu with sh.conn established.
-func (sh *Shipper) roundLocked(msg any) (RepAck, error) {
+// exchangeLocked sends frame(seq) for the next sequence number, with n
+// bytes streamed from body behind it when body is set, and takes the
+// standby's ack, counting n shipped bytes. Caller holds sh.mu with
+// sh.conn established.
+func (sh *Shipper) exchangeLocked(frame func(seq uint64) any, body io.Reader, n int64) error {
+	sh.seq++
+	ack, err := sh.roundLocked(frame(sh.seq), body, n)
+	if err != nil {
+		return err
+	}
+	sh.hw = ack.HW
+	if m := sh.opts.Metrics; m != nil {
+		m.ShipBytes.Add(n)
+		m.AckedHW.Set(int64(sh.hw))
+	}
+	return nil
+}
+
+// roundLocked performs one request/response exchange: msg, followed,
+// when body is set, by n bytes streamed from it. Caller holds sh.mu
+// with sh.conn established.
+func (sh *Shipper) roundLocked(msg any, body io.Reader, n int64) (RepAck, error) {
 	if sh.conn == nil {
 		return RepAck{}, fmt.Errorf("no connection")
 	}
-	if err := sh.conn.Send(msg); err != nil {
+	var err error
+	if body != nil {
+		err = sh.conn.SendFrom(msg.(protocol.Payloader), body, n)
+	} else {
+		err = sh.conn.Send(msg)
+	}
+	if err != nil {
 		return RepAck{}, err
 	}
 	reply, err := sh.conn.Recv()
@@ -324,18 +315,6 @@ func (sh *Shipper) failLocked(stage string, err error) error {
 		sh.opts.Alarm(werr.Error())
 	}
 	return werr
-}
-
-func (sh *Shipper) addBytes(n int) {
-	if m := sh.opts.Metrics; m != nil {
-		m.ShipBytes.Add(int64(n))
-	}
-}
-
-func (sh *Shipper) setHW() {
-	if m := sh.opts.Metrics; m != nil {
-		m.AckedHW.Set(int64(sh.hw))
-	}
 }
 
 // Healthy reports whether the stream is up (bootstrapped and no

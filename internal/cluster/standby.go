@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"hash/crc32"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -100,6 +100,9 @@ func StartStandby(addr string, opts StandbyOptions) (*Standby, error) {
 		epoch:   opts.Epoch,
 		conns:   make(map[*protocol.Conn]struct{}),
 	}
+	for _, dir := range []string{s.stage, s.archDir, s.dbDir} {
+		diskfault.RemoveTemps(fsys, dir) // spools a crash cut short, never acked
+	}
 	ww, err := receipts.OpenWALWriter(fsys, s.dbDir)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: standby wal: %w", err)
@@ -194,9 +197,10 @@ func (s *Standby) acceptLoop() {
 	}
 }
 
-// serve applies one owner connection's stream. A received payload lives
-// in the Conn's buffer until the next Recv; apply has made it durable
-// before it returns.
+// serve applies one owner connection's stream. A RepFile's or
+// RepArchive's content is spooled into a diskfault.Writer before apply
+// takes the lock, so a slow payload on one connection never holds up
+// frames (a heartbeat, say) applied from another.
 func (s *Standby) serve(conn *protocol.Conn) {
 	defer func() {
 		conn.Close()
@@ -205,11 +209,18 @@ func (s *Standby) serve(conn *protocol.Conn) {
 		s.mu.Unlock()
 	}()
 	for {
-		msg, err := conn.Recv()
+		msg, _, err := conn.RecvHeader()
 		if err != nil {
 			return
 		}
-		ack := s.apply(msg)
+		var sp *spooled
+		switch m := msg.(type) {
+		case RepFile:
+			sp, err = s.spool(conn.Payload(), s.stage, m.Path, m.CRC)
+		case RepArchive:
+			sp, err = s.spool(conn.Payload(), s.archDir, m.Meta.StagedPath, m.Meta.Checksum)
+		}
+		ack := s.apply(msg, sp, err)
 		if err := conn.Send(ack); err != nil {
 			return
 		}
@@ -221,13 +232,53 @@ func (s *Standby) serve(conn *protocol.Conn) {
 	}
 }
 
-// apply makes one stream message durable. Serialized: a re-connecting
-// owner's snapshot must not interleave with a stale stream's batches.
-func (s *Standby) apply(msg any) RepAck {
+// spooled is a shipped file's content written, not yet committed,
+// beside its destination.
+type spooled struct {
+	w        diskfault.Writer
+	rel, dst string // the name the owner sent, made local; its path here
+}
+
+// spool streams a payload into a Writer beside dir/name and checks its
+// CRC. An unsafe name is refused before anything is written; on any
+// error the temp is gone.
+func (s *Standby) spool(body io.Reader, dir, name string, crc uint32) (*spooled, error) {
+	rel, err := diskfault.LocalName(name)
+	if err != nil {
+		return nil, fmt.Errorf("unsafe shipped payload: %w", err)
+	}
+	dst := filepath.Join(dir, rel)
+	w, err := diskfault.Create(s.fs, filepath.Dir(dst))
+	if err != nil {
+		return nil, err
+	}
+	sp := &spooled{w: w, rel: rel, dst: dst}
+	if _, err := diskfault.CopySocket(&sp.w, body); err != nil {
+		sp.w.Abort()
+		return nil, fmt.Errorf("shipped payload %q: %w", name, err)
+	}
+	if sp.w.CRC() != crc {
+		sp.w.Abort()
+		return nil, fmt.Errorf("shipped payload %q failed CRC", name)
+	}
+	return sp, nil
+}
+
+// apply makes one stream message durable; sp and spoolErr are what
+// spooling its content (if it has any) produced. Serialized: a
+// re-connecting owner's snapshot must not interleave with a stale
+// stream's batches.
+func (s *Standby) apply(msg any, sp *spooled, spoolErr error) RepAck {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.detached {
+		if sp != nil {
+			sp.w.Abort()
+		}
 		return s.nackLocked(fmt.Errorf("standby detached (promoted)"))
+	}
+	if spoolErr != nil {
+		return s.nackLocked(spoolErr)
 	}
 	var err error
 	var seq uint64
@@ -249,13 +300,13 @@ func (s *Standby) apply(msg any) RepAck {
 		err = s.applySnapshotLocked(m)
 	case RepFile:
 		seq = m.Seq
-		err = s.applyFileLocked(m)
+		err = sp.w.Commit(sp.dst)
 	case RepBatch:
 		seq = m.Seq
 		err = s.applyBatchLocked(m)
 	case RepArchive:
 		seq = m.Seq
-		err = s.applyArchiveLocked(m)
+		err = s.applyArchiveLocked(m, sp)
 	default:
 		err = fmt.Errorf("unexpected replication message %T", msg)
 	}
@@ -306,30 +357,6 @@ func (s *Standby) applySnapshotLocked(m RepSnapshot) error {
 	return s.wal.Reset()
 }
 
-// applyFileLocked writes one staged payload durably.
-func (s *Standby) applyFileLocked(m RepFile) error {
-	_, err := s.writeShipped(s.stage, m.Path, m.Data, m.CRC)
-	return err
-}
-
-// writeShipped writes one shipped payload durably under dir, verifying
-// its CRC and confining its name to dir, and returns the name's
-// relative path.
-func (s *Standby) writeShipped(dir, name string, data []byte, crc uint32) (string, error) {
-	rel, err := diskfault.LocalName(name)
-	if err != nil {
-		return "", fmt.Errorf("unsafe shipped payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(data) != crc {
-		return "", fmt.Errorf("shipped payload %q failed CRC", name)
-	}
-	dst := filepath.Join(dir, rel)
-	if err := s.fs.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return "", err
-	}
-	return rel, diskfault.WriteDurable(s.fs, dst, data, 0o644)
-}
-
 // applyBatchLocked validates and appends one shipped group-commit
 // batch under a single fsync.
 func (s *Standby) applyBatchLocked(m RepBatch) error {
@@ -341,19 +368,18 @@ func (s *Standby) applyBatchLocked(m RepBatch) error {
 	return s.wal.AppendBatch(m.Payloads)
 }
 
-// applyArchiveLocked mirrors one archive promotion: write the archived
-// content durably under the standby's archive tree, drop any staged
+// applyArchiveLocked mirrors one archive promotion: commit the spooled
+// archived content under the standby's archive tree, drop any staged
 // copy (the owner's move already consumed its own), and append the
 // manifest entries. Idempotent: a re-shipped promotion (bootstrap
 // after a mid-expiry failure) overwrites the same bytes and the
 // manifest drops ids it already holds.
-func (s *Standby) applyArchiveLocked(m RepArchive) error {
-	rel, err := s.writeShipped(s.archDir, m.Meta.StagedPath, m.Data, m.CRC)
-	if err != nil {
+func (s *Standby) applyArchiveLocked(m RepArchive, sp *spooled) error {
+	if err := sp.w.Commit(sp.dst); err != nil {
 		return err
 	}
 	// The staged copy is now archive history on both ends.
-	s.fs.Remove(filepath.Join(s.stage, rel))
+	s.fs.Remove(filepath.Join(s.stage, sp.rel))
 	if s.man == nil {
 		man, err := archive.OpenManifest(s.fs, filepath.Join(s.archDir, archive.ManifestDir))
 		if err != nil {

@@ -18,11 +18,24 @@ func readAll(t *testing.T, path string) []byte {
 	return data
 }
 
+// writeDurable makes data durable at name through a Writer.
+func writeDurable(fsys FS, name string, data []byte) error {
+	w, err := Create(fsys, filepath.Dir(name))
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Commit(name)
+}
+
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	fsys := OS()
 	p := filepath.Join(dir, "a.txt")
-	if err := WriteDurable(fsys, p, []byte("hello"), 0o644); err != nil {
+	if err := writeDurable(fsys, p, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(fsys, p, nil)
@@ -141,11 +154,11 @@ func TestPowerCutRenameOverwriteRestoresOld(t *testing.T) {
 	dir := t.TempDir()
 	fsys := NewFaulty(OS(), Options{PowerCut: true})
 	dst := filepath.Join(dir, "ckpt")
-	if err := WriteDurable(fsys, dst, []byte("old-checkpoint"), 0o644); err != nil {
+	if err := writeDurable(fsys, dst, []byte("old-checkpoint")); err != nil {
 		t.Fatal(err)
 	}
 	src := filepath.Join(dir, "ckpt.tmp")
-	if err := WriteDurable(fsys, src, []byte("new-checkpoint"), 0o644); err != nil {
+	if err := writeDurable(fsys, src, []byte("new-checkpoint")); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsys.Rename(src, dst); err != nil {
@@ -165,7 +178,7 @@ func TestPowerCutRemoveResurrects(t *testing.T) {
 	dir := t.TempDir()
 	fsys := NewFaulty(OS(), Options{PowerCut: true})
 	p := filepath.Join(dir, "landing.csv")
-	if err := WriteDurable(fsys, p, []byte("rows"), 0o644); err != nil {
+	if err := writeDurable(fsys, p, []byte("rows")); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsys.Remove(p); err != nil {

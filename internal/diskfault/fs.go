@@ -32,7 +32,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"syscall"
 )
@@ -275,25 +274,4 @@ func copyBuf(dst io.Writer, src io.Reader, buf []byte, crc *uint32) (int64, erro
 			return n, rerr
 		}
 	}
-}
-
-// WriteDurable writes data and makes it fully durable: file contents
-// fsynced, then the parent directory entry fsynced.
-func WriteDurable(fsys FS, name string, data []byte, perm os.FileMode) error {
-	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(name))
 }

@@ -9,8 +9,8 @@ import (
 	"path/filepath"
 )
 
-// TmpPrefix marks a file Receive is still writing; scans skip it as a
-// dot-file, and a server sweeps stale ones from landing at start-up.
+// TmpPrefix marks a file Receive or a Writer is still writing; scans
+// skip it as a dot-file, and start-up sweeps stale ones (RemoveTemps).
 const TmpPrefix = ".bistro-tmp-"
 
 // ErrChecksum refuses received content that fails its CRC.

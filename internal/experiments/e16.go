@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"bistro/internal/cluster"
@@ -160,18 +161,32 @@ feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M.txt" }
 	return text
 }
 
-// pickAddr reserves an ephemeral localhost address by binding and
-// releasing it — the static topology needs the protocol addresses
-// before either server exists.
+// pickAddr reserves a localhost address for the static topology, which
+// needs the protocol addresses before either server exists. It draws
+// ports from just below the kernel's ephemeral range, checking that
+// each binds: a port a ":0" bind was handed and gave back can go to any
+// concurrent ":0" listener before the server binds it, one below the
+// range cannot. Calls walk the window from a per-process start, so one
+// process never draws a port twice.
 func pickAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+	lo := 32768 // Linux's default floor
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		fmt.Sscan(string(b), &lo)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
+	window := min(8192, lo-1024)
+	for range max(window, 0) {
+		port := lo - 1 - (os.Getpid()+int(nextPort.Add(1)))%window
+		addr := fmt.Sprintf("127.0.0.1:%d", port)
+		if ln, err := net.Listen("tcp", addr); err == nil {
+			ln.Close()
+			return addr, nil
+		}
+	}
+	return "", fmt.Errorf("no free port below the ephemeral range (%d)", lo)
 }
+
+// nextPort counts pickAddr's draws.
+var nextPort atomic.Int64
 
 // RunFailoverRounds executes the kill/promote property loop. Each
 // round is independent: fresh owner, standby, and subscriber; a seeded

@@ -108,38 +108,28 @@ func ProcessFS(fsys diskfault.FS, src, dst string, mode config.Compression) (Res
 	return out.Commit(dst)
 }
 
-// Output is a staged file being written durably: a temp file in its
-// destination's directory (or an ancestor of it), optionally
+// Output is a staged file being written durably: a diskfault.Writer in
+// its destination's directory (or an ancestor of it), optionally
 // gzip-compressed, with the size and CRC32 of the bytes that actually
-// reach the file. Commit is the one fsync-rename-dirsync sequence on
-// the ingest path: the receipt DB will point at the destination, so the
-// temp file is fsynced before the rename and the directory after it.
-// Without both, a power cut after the arrival receipt commits can leave
-// the receipt referencing a truncated or missing staged file.
+// reach the file — receipts describe the bytes staged. Commit is the
+// Writer's fsync-rename-dirsync sequence: the receipt DB will point at
+// the destination.
 type Output struct {
-	fsys   diskfault.FS
-	dir    string
-	tmp    diskfault.File
-	zw     *gzip.Writer
-	size   int64
-	crc    uint32
-	closed bool
+	diskfault.Writer // Name, Abort, Size and CRC as is
+	zw               *gzip.Writer
 }
 
 // Create starts an Output in dir, creating the directory as needed.
 // With gz set, written bytes are gzip-compressed on their way to the
 // file.
 func Create(fsys diskfault.FS, dir string, gz bool) (*Output, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("normalize: mkdir: %w", err)
-	}
-	tmp, err := fsys.CreateTemp(dir, ".bistro-tmp-*")
+	w, err := diskfault.Create(fsys, dir)
 	if err != nil {
-		return nil, fmt.Errorf("normalize: temp file: %w", err)
+		return nil, fmt.Errorf("normalize: %w", err)
 	}
-	o := &Output{fsys: fsys, dir: dir, tmp: tmp}
+	o := &Output{Writer: w}
 	if gz {
-		o.zw = gzip.NewWriter((*fileWriter)(o))
+		o.zw = gzip.NewWriter(&o.Writer)
 	}
 	return o, nil
 }
@@ -149,44 +139,24 @@ func (o *Output) Write(b []byte) (int, error) {
 	if o.zw != nil {
 		return o.zw.Write(b)
 	}
-	return (*fileWriter)(o).Write(b)
+	return o.Writer.Write(b)
 }
-
-// fileWriter is the accounting layer under the optional gzip writer:
-// receipts describe the bytes actually staged.
-type fileWriter Output
-
-func (w *fileWriter) Write(b []byte) (int, error) {
-	n, err := w.tmp.Write(b)
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, b[:n])
-	w.size += int64(n)
-	return n, err
-}
-
-// Name is the temp file's path, readable after CloseForRead.
-func (o *Output) Name() string { return o.tmp.Name() }
 
 // CloseForRead finishes the content without making it durable or
 // renaming it, for bytes that feed another stage instead of staging.
 // Abort still removes the temp file.
 func (o *Output) CloseForRead() error {
-	if o.closed {
-		return nil
-	}
-	o.closed = true
 	var err error
 	if o.zw != nil {
 		err = o.zw.Close()
 	}
-	if cerr := o.tmp.Close(); err == nil {
+	if cerr := o.Writer.CloseForRead(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Commit makes the output durable at dst: flush, fsync, close, rename,
-// directory fsync. dst's directory is created only when it is not the
-// one the temp file was made in.
+// Commit makes the output durable at dst (see diskfault.Writer.Commit).
 func (o *Output) Commit(dst string) (Result, error) {
 	if o.zw != nil {
 		if err := o.zw.Close(); err != nil {
@@ -194,40 +164,10 @@ func (o *Output) Commit(dst string) (Result, error) {
 			return Result{}, fmt.Errorf("normalize: gzip close: %w", err)
 		}
 	}
-	if err := o.tmp.Sync(); err != nil {
-		o.Abort()
-		return Result{}, fmt.Errorf("normalize: sync temp: %w", err)
+	if err := o.Writer.Commit(dst); err != nil {
+		return Result{}, fmt.Errorf("normalize: %w", err)
 	}
-	o.closed = true
-	if err := o.tmp.Close(); err != nil {
-		o.Abort()
-		return Result{}, fmt.Errorf("normalize: close temp: %w", err)
-	}
-	dir := filepath.Dir(dst)
-	if dir != o.dir {
-		if err := o.fsys.MkdirAll(dir, 0o755); err != nil {
-			o.Abort()
-			return Result{}, fmt.Errorf("normalize: mkdir: %w", err)
-		}
-	}
-	if err := o.fsys.Rename(o.tmp.Name(), dst); err != nil {
-		o.Abort()
-		return Result{}, fmt.Errorf("normalize: rename: %w", err)
-	}
-	if err := o.fsys.SyncDir(dir); err != nil {
-		return Result{}, fmt.Errorf("normalize: sync dir: %w", err)
-	}
-	return Result{Size: o.size, Checksum: o.crc}, nil
-}
-
-// Abort discards the output. It is idempotent and safe after Commit,
-// which leaves nothing at the temp path.
-func (o *Output) Abort() {
-	if !o.closed {
-		o.closed = true
-		o.tmp.Close()
-	}
-	o.fsys.Remove(o.tmp.Name())
+	return Result{Size: o.Size(), Checksum: o.CRC()}, nil
 }
 
 // ChecksumFile computes the CRC32 of a file's content, used by

@@ -77,46 +77,31 @@ func CheckSnapshot(state []byte) error {
 	return nil
 }
 
-// WriteCheckpoint atomically installs a shipped checkpoint snapshot in
-// dir using the same temp + fsync + rename + dir-sync sequence the
-// owner's Checkpoint uses, so a standby crash never leaves a torn
-// snapshot.
+// WriteCheckpoint installs a shipped checkpoint snapshot in dir the
+// way the owner's Checkpoint installs its own, so a standby crash never
+// leaves a torn snapshot.
 func WriteCheckpoint(fsys diskfault.FS, dir string, state []byte) error {
 	if err := CheckSnapshot(state); err != nil {
 		return err
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("receipts: checkpoint mkdir: %w", err)
-	}
-	tmp := filepath.Join(dir, checkpointName+".tmp")
-	if err := writeFileSync(fsys, tmp, state); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("receipts: checkpoint write: %w", err)
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, checkpointName)); err != nil {
-		return fmt.Errorf("receipts: checkpoint rename: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("receipts: checkpoint dir sync: %w", err)
-	}
-	return nil
+	return installCheckpoint(fsys, dir, state)
 }
 
-// writeFileSync creates path with data and fsyncs the content.
-func writeFileSync(fsys diskfault.FS, path string, data []byte) error {
-	f, err := fsys.Create(path)
+// installCheckpoint makes state the durable checkpoint in dir with one
+// Write through a diskfault.Writer.
+func installCheckpoint(fsys diskfault.FS, dir string, state []byte) error {
+	w, err := diskfault.Create(fsys, dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("receipts: checkpoint: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	if _, err := w.Write(state); err != nil {
+		w.Abort()
+		return fmt.Errorf("receipts: checkpoint write: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err := w.Commit(filepath.Join(dir, checkpointName)); err != nil {
+		return fmt.Errorf("receipts: checkpoint: %w", err)
 	}
-	return f.Close()
+	return nil
 }
 
 // WALWriter is the standby's append end of a shipped receipt WAL: it

@@ -693,21 +693,13 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("receipts: checkpoint encode: %w", err)
 	}
-	tmp := filepath.Join(s.dir, checkpointName+".tmp")
-	if err := writeFileSync(s.fs, tmp, state); err != nil {
-		s.fs.Remove(tmp)
-		return fmt.Errorf("receipts: checkpoint write: %w", err)
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, checkpointName)); err != nil {
-		return fmt.Errorf("receipts: checkpoint rename: %w", err)
-	}
-	// fsync the directory so a crash cannot revert to a stale (or no)
-	// checkpoint after the WAL below has already been reset — without
-	// this, the rename may still be sitting in the page cache when the
-	// reset hits the disk, and recovery would see neither the history
-	// nor the snapshot.
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("receipts: checkpoint dir sync: %w", err)
+	// The install's directory fsync keeps a crash from reverting to a
+	// stale (or no) checkpoint after the WAL below has already been
+	// reset — without it, the rename may still be sitting in the page
+	// cache when the reset hits the disk, and recovery would see
+	// neither the history nor the snapshot.
+	if err := installCheckpoint(s.fs, s.dir, state); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.walBytes = 0

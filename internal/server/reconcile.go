@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"bistro/internal/classifier"
+	"bistro/internal/diskfault"
 	"bistro/internal/normalize"
 	"bistro/internal/receipts"
 )
@@ -172,14 +173,7 @@ func (s *Server) quarantineReceipt(meta receipts.FileMeta, reason string) error 
 // moveToQuarantine relocates a diverged file under the quarantine
 // directory, preserving its staging-relative path, durably.
 func (s *Server) moveToQuarantine(src, rel string) error {
-	dst := filepath.Join(s.quar, filepath.FromSlash(rel))
-	if err := s.fs.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	if err := s.fs.Rename(src, dst); err != nil {
-		return err
-	}
-	return s.fs.SyncDir(filepath.Dir(dst))
+	return diskfault.MoveDurable(s.fs, src, filepath.Join(s.quar, filepath.FromSlash(rel)))
 }
 
 // reingestOrphan records a fresh arrival for a staged file that has no
@@ -237,31 +231,16 @@ func (s *Server) recordOrphanArrival(name, stagedPath, path string, matches []cl
 	return true
 }
 
-// cleanStaleTmp removes `.bistro-tmp-*` droppings left by a crash
-// mid-upload (landing), mid-normalize (staging) or mid-plan (staging
-// and the quarantine tree, where plan reject sinks write). They are by
-// construction not yet referenced by any receipt. Other dot-files in
-// landing are sources' own in-progress deposits and stay.
+// cleanStaleTmp removes the temps a crash left: mid-upload (landing),
+// mid-normalize (staging), mid-plan (staging and the quarantine tree,
+// where plan reject sinks write), mid-checkpoint (receipts) and
+// mid-archive-copy (the archive root). They are by construction not yet
+// referenced by any receipt. Other dot-files in landing are sources'
+// own in-progress deposits and stay.
 func (s *Server) cleanStaleTmp() int {
-	var removed int
-	for _, root := range []string{s.land.Dir(), s.stage, s.quar} {
-		walkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				if errors.Is(err, fs.ErrNotExist) {
-					return nil
-				}
-				return err
-			}
-			if d.IsDir() {
-				return nil
-			}
-			if strings.HasPrefix(d.Name(), ".bistro-tmp-") {
-				if s.fs.Remove(path) == nil {
-					removed++
-				}
-			}
-			return nil
-		})
+	removed := 0
+	for _, root := range []string{s.land.Dir(), s.stage, s.quar, s.dbDir, s.resolveDir(s.cfg.ArchiveDir, "archive")} {
+		removed += diskfault.RemoveTemps(s.fs, root)
 	}
 	return removed
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"bistro/internal/diskfault"
 	"bistro/internal/feedlog"
 )
 
@@ -183,5 +184,57 @@ func TestQuarantineDirConfigKnob(t *testing.T) {
 	want := filepath.Join(root, "sickbay", "CPU", "CPU_POLL1_201009250451.txt")
 	if _, err := os.Stat(want); err != nil {
 		t.Fatalf("configured quarantine dir not used: %v", err)
+	}
+}
+
+// Start-up removes the temps a crash leaves in every tree a Writer or
+// Receive writes (landing, staging, quarantine, receipts and the
+// archive) and nothing else there.
+func TestStartupSweepsEveryTempTree(t *testing.T) {
+	root := t.TempDir()
+	cfg := mustConfig(t, reconcileConfig+`archive "arch"`+"\n")
+	staged := depositAndStop(t, root)
+	keep := []string{
+		staged,
+		filepath.Join(root, "landing", ".CPU_POLL1_201009250452.txt.part"),
+		filepath.Join(root, "quarantine", "kept"),
+		filepath.Join(root, "arch", "CPU", "kept.txt"),
+	}
+	receiptsFiles, err := os.ReadDir(filepath.Join(root, "receipts"))
+	if err != nil || len(receiptsFiles) == 0 {
+		t.Fatalf("receipts dir: %v, %v", receiptsFiles, err)
+	}
+	for _, e := range receiptsFiles {
+		keep = append(keep, filepath.Join(root, "receipts", e.Name()))
+	}
+	var temps []string
+	for _, dir := range []string{"landing", "staging/CPU", "quarantine", "receipts", "arch/CPU", "arch/receipts-backup"} {
+		temps = append(temps, filepath.Join(root, filepath.FromSlash(dir), diskfault.TmpPrefix+"stale"))
+	}
+	for _, p := range append(temps, keep[1:4]...) {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("half"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Options{Config: cfg, Root: root, ScanInterval: -1, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	for _, p := range temps {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s survived start-up (%v)", p, err)
+		}
+	}
+	for _, p := range keep {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("start-up removed %s: %v", p, err)
+		}
 	}
 }

@@ -384,11 +384,7 @@ func New(opts Options) (*Server, error) {
 			if sh == nil {
 				return nil
 			}
-			data, err := diskfault.ReadFile(s.fs, filepath.Join(archRoot, filepath.FromSlash(v.StagedPath)), nil)
-			if err != nil {
-				return fmt.Errorf("server: read archived %s for replication: %w", v.StagedPath, err)
-			}
-			return sh.ShipArchive(v, archivedAt, data)
+			return s.shipArchived(sh, archRoot, v, archivedAt)
 		}
 	}
 	if archRoot != "" && (cfg.Replay == nil || !cfg.Replay.NoManifest) {
@@ -866,18 +862,21 @@ func (s *Server) shipArchiveBacklog(sh *cluster.Shipper) error {
 		if !s.arch.Manifest().Has(meta.ID) {
 			continue
 		}
-		data, err := diskfault.ReadFile(s.fs, filepath.Join(archRoot, filepath.FromSlash(meta.StagedPath)), nil)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			return fmt.Errorf("server: read archived %s for backlog: %w", meta.StagedPath, err)
-		}
-		if err := sh.ShipArchive(meta, now, data); err != nil {
+		if err := s.shipArchived(sh, archRoot, meta, now); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 	}
 	return nil
+}
+
+// shipArchived streams one archived file to the standby.
+func (s *Server) shipArchived(sh *cluster.Shipper, archRoot string, meta receipts.FileMeta, at time.Time) error {
+	f, err := s.fs.Open(filepath.Join(archRoot, filepath.FromSlash(meta.StagedPath)))
+	if err != nil {
+		return fmt.Errorf("server: open archived %s for replication: %w", meta.StagedPath, err)
+	}
+	defer f.Close()
+	return sh.ShipArchive(meta, at, f)
 }
 
 // replicationLoop keeps one shipper's stream alive: heartbeats renew
@@ -1286,7 +1285,7 @@ func (s *Server) processArrival(root, rel string) ([]receipts.FileMeta, error) {
 		return nil, err
 	}
 	for i := range metas {
-		if err := s.shipStaged(metas[i].StagedPath); err != nil {
+		if err := s.shipStaged(&metas[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -1372,21 +1371,21 @@ func (s *Server) stageArrival(primary classifier.Match, name, src string) ([]rec
 	}}, nil
 }
 
-// shipStaged replicates one staged payload to the standby before the
-// receipt that references it commits — the same staged-then-logged
-// ordering the owner keeps locally. Shipping before the landing file
-// is removed keeps a failed ship retryable by rescan. No-op without a
-// shipper.
-func (s *Server) shipStaged(stagedPath string) error {
+// shipStaged streams one staged file to the standby before the receipt
+// that references it commits — the same staged-then-logged ordering
+// the owner keeps locally. Shipping before the landing file is removed
+// keeps a failed ship retryable by rescan. No-op without a shipper.
+func (s *Server) shipStaged(meta *receipts.FileMeta) error {
 	sh := s.getShipper()
 	if sh == nil {
 		return nil
 	}
-	data, err := diskfault.ReadFile(s.fs, filepath.Join(s.stage, filepath.FromSlash(stagedPath)), nil)
+	f, err := s.fs.Open(filepath.Join(s.stage, filepath.FromSlash(meta.StagedPath)))
 	if err != nil {
-		return fmt.Errorf("server: read staged %s for replication: %w", stagedPath, err)
+		return fmt.Errorf("server: open staged %s for replication: %w", meta.StagedPath, err)
 	}
-	return sh.ShipFile(stagedPath, data)
+	defer f.Close()
+	return sh.ShipFile(meta.StagedPath, f, meta.Size, meta.Checksum)
 }
 
 // recordUnmatched retains a bounded sample for the analyzer.
