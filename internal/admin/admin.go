@@ -8,7 +8,10 @@
 //     not /healthz, before directing traffic;
 //   - /statusz  — structured JSON snapshot (feeds, subscribers,
 //     receipts, scheduler load, node role, recent alarms), the
-//     machine-readable twin of `bistroctl status`.
+//     machine-readable twin of `bistroctl status`;
+//   - /debug/pprof/ — the running daemon's profiles (net/http/pprof),
+//     behind the same timeouts and body cap as every other endpoint; a
+//     CPU profile or trace must be shorter than the write timeout.
 //
 // The endpoint is deliberately separate from the source/subscriber
 // protocol listener: operators point scrapers and dashboards at it
@@ -21,6 +24,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"bistro/internal/metrics"
@@ -120,6 +125,14 @@ func Start(opts Options) (*Server, error) {
 	if opts.MaxHeaderBytes <= 0 {
 		opts.MaxHeaderBytes = 64 << 10
 	}
+	// Registered here, not on http.DefaultServeMux (where the pprof
+	// package's init also puts them), which nothing serves. Index
+	// serves the named profiles: heap, goroutine, allocs, block, mutex.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", withinWriteTimeout(pprof.Profile, 30, opts.WriteTimeout))
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", withinWriteTimeout(pprof.Trace, 1, opts.WriteTimeout))
 	// No admin endpoint reads a body, but cap it anyway so a client
 	// streaming one cannot hold memory or the connection.
 	capped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -142,6 +155,25 @@ func Start(opts Options) (*Server, error) {
 		s.srv.Serve(ln)
 	}()
 	return s, nil
+}
+
+// withinWriteTimeout refuses a CPU profile or trace whose `seconds`
+// (defaultSec when absent) reaches limit. net/http/pprof pushes the
+// connection's write deadline out by the run it is asked for, so
+// without this a client could keep the profiler or the tracer running
+// on the live daemon for as long as it liked.
+func withinWriteTimeout(h http.HandlerFunc, defaultSec float64, limit time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sec, err := strconv.ParseFloat(r.FormValue("seconds"), 64)
+		if err != nil || sec <= 0 {
+			sec = defaultSec
+		}
+		if time.Duration(sec*float64(time.Second)) >= limit {
+			http.Error(w, fmt.Sprintf("seconds must be under the admin write timeout (%s)", limit), http.StatusBadRequest)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // Addr returns the bound listen address.

@@ -57,9 +57,12 @@ type Logger struct {
 	OnAlarm func(Alarm)
 }
 
-// New creates a Logger writing its activity log to w (may be
-// io.Discard).
+// New creates a Logger writing its activity log to w. A nil w or
+// io.Discard writes no log: the lines are then not formatted at all.
 func New(w io.Writer, clk clock.Clock) *Logger {
+	if w == io.Discard {
+		w = nil
+	}
 	return &Logger{
 		clk:       clk,
 		w:         w,
@@ -118,7 +121,9 @@ func (l *Logger) FileClassified(feed, name string, size int64, dataTime time.Tim
 		}
 		m[bucket]++
 	}
-	l.logfLocked("classify", "%s -> %s (%d bytes)", name, feed, size)
+	if l.w != nil { // boxing the arguments would allocate per file
+		l.logfLocked("classify", "%s -> %s (%d bytes)", name, feed, size)
+	}
 }
 
 // FileUnmatched records a file no feed claimed.
@@ -134,7 +139,9 @@ func (l *Logger) Delivered(feed, sub, name string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stats(feed).Delivered++
-	l.logfLocked("deliver", "%s -> %s (%s)", name, sub, feed)
+	if l.w != nil {
+		l.logfLocked("deliver", "%s -> %s (%s)", name, sub, feed)
+	}
 }
 
 // DeliveryFailed records one failed delivery attempt.

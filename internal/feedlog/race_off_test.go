@@ -1,0 +1,5 @@
+//go:build !race
+
+package feedlog
+
+const raceEnabled = false

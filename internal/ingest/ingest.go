@@ -180,7 +180,7 @@ func (p *Pipeline) Ingest(root, rel string) error {
 		m.QueueDepth.Add(1)
 	}
 	sh := p.shardFor(rel)
-	j := job{root: root, rel: rel, done: make(chan error, 1)}
+	j := job{root: root, rel: rel, done: donePool.Get().(chan error)}
 	// Enqueue under the lock so Stop cannot close the shard channel
 	// between the stopped check and the send; a full shard queue
 	// blocks the submitter here, which is the intended backpressure.
@@ -188,8 +188,15 @@ func (p *Pipeline) Ingest(root, rel string) error {
 	// which is what makes "per-source order" well defined.
 	p.mu.Unlock()
 	sh <- j
-	return <-j.done
+	err := <-j.done
+	donePool.Put(j.done)
+	return err
 }
+
+// donePool recycles the channels submitters wait on. The worker sends
+// on each exactly once and Ingest receives that once before putting it
+// back, so a pooled channel is always empty.
+var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // worker runs one shard: classify+commit in shard order, then push to
 // the hand-off queue, then acknowledge the submitter. Acknowledging

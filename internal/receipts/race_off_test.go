@@ -1,0 +1,5 @@
+//go:build !race
+
+package receipts
+
+const raceEnabled = false

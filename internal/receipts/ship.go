@@ -16,7 +16,8 @@ import (
 // is durable). A Batch error fails every commit in the flush window —
 // an arrival is never acknowledged unless the standby holds it too.
 type ShipHooks struct {
-	// Batch ships one group-commit batch of framed WAL payloads.
+	// Batch ships one group-commit batch of framed WAL payloads. It
+	// must not keep them: their buffers are reused once it returns.
 	Batch func(payloads [][]byte) error
 	// Checkpoint ships a full gob snapshot (the standby installs it and
 	// resets its shipped WAL, mirroring the owner's compaction).

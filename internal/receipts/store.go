@@ -167,7 +167,11 @@ type groupCommit struct {
 	mu      sync.Mutex
 	queue   [][]byte
 	results []chan error
-	busy    bool
+	// spareQueue and spareResults are the cleared backing arrays of
+	// the batch flushed last: the next batch's queue reuses them.
+	spareQueue   [][]byte
+	spareResults []chan error
+	busy         bool
 	// wake is non-nil while the leader sleeps in its flush window; a
 	// committer that fills the batch closes it to cut the window short.
 	wake chan struct{}
@@ -268,18 +272,38 @@ var ErrCheckpoint = errors.New("receipts: checkpoint after commit failed")
 // applies it to memory. An error wrapping ErrCheckpoint means the
 // transaction itself stands.
 func (s *Store) commit(ops []op) error {
-	payload := make([]byte, 0, 64*len(ops))
-	for _, o := range ops {
-		payload = encodeOp(payload, o)
+	return commitRecords(s, ops, func(o op) op { return o })
+}
+
+// payloadPool holds transaction encode buffers. A buffer is free again
+// once append returns: the WAL copies it into its frame and the ship
+// hook keeps nothing (ShipHooks.Batch). Buffers past maxPooledPayload
+// (a large expiry batch) are left to the collector.
+var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledPayload = 64 << 10
+
+// commitRecords is commit over the records toOp makes of items, so a
+// caller with its own record type commits it without building an []op.
+func commitRecords[T any](s *Store, items []T, toOp func(T) op) error {
+	buf := payloadPool.Get().(*[]byte)
+	payload := (*buf)[:0]
+	for _, it := range items {
+		payload = encodeOp(payload, toOp(it))
 	}
 	s.commitLock.RLock()
-	if err := s.append(payload); err != nil {
+	err := s.append(payload)
+	if cap(payload) <= maxPooledPayload {
+		*buf = payload
+		payloadPool.Put(buf)
+	}
+	if err != nil {
 		s.commitLock.RUnlock()
 		return err
 	}
 	s.mu.Lock()
-	for _, o := range ops {
-		s.applyLocked(o)
+	for _, it := range items {
+		s.applyLocked(toOp(it))
 	}
 	s.commits++
 	s.walBytes += int64(len(payload)) + 8
@@ -355,7 +379,7 @@ func (s *Store) walAppend(payloads [][]byte) error {
 func (s *Store) groupAppend(payload []byte) error {
 	g := &s.gc
 	cfg := s.opts.GroupCommit
-	done := make(chan error, 1)
+	done := donePool.Get().(chan error)
 	g.mu.Lock()
 	g.queue = append(g.queue, payload)
 	g.results = append(g.results, done)
@@ -367,7 +391,7 @@ func (s *Store) groupAppend(payload []byte) error {
 			g.wake = nil
 		}
 		g.mu.Unlock()
-		return <-done
+		return putDone(done)
 	}
 	// Become leader: flush everything queued (including work that
 	// arrived while previous leaders ran).
@@ -390,8 +414,8 @@ func (s *Store) groupAppend(payload []byte) error {
 		}
 		batch := g.queue
 		waiters := g.results
-		g.queue = nil
-		g.results = nil
+		g.queue = g.spareQueue
+		g.results = g.spareResults
 		g.mu.Unlock()
 		err := s.walAppend(batch)
 		if m := s.opts.Metrics; m != nil && m.BatchSize != nil {
@@ -400,49 +424,63 @@ func (s *Store) groupAppend(payload []byte) error {
 		for _, ch := range waiters {
 			ch <- err
 		}
+		// Keep the flushed batch's arrays for the next one, cleared so
+		// no payload or channel stays reachable through them.
+		clear(batch)
+		clear(waiters)
 		g.mu.Lock()
+		g.spareQueue = batch[:0]
+		g.spareResults = waiters[:0]
 	}
 	g.busy = false
 	g.mu.Unlock()
-	return <-done
+	return putDone(done)
+}
+
+// donePool recycles the channels committers wait on. Each gets exactly
+// one send (the flush result) and one receive before it goes back, so
+// a pooled channel is always empty.
+var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// putDone receives the flush result from done and recycles done.
+func putDone(done chan error) error {
+	err := <-done
+	donePool.Put(done)
+	return err
 }
 
 // RecordArrival durably records a newly received file and returns its
 // assigned id: an arrival with no derived files.
 func (s *Store) RecordArrival(f FileMeta) (uint64, error) {
-	ids, err := s.RecordArrivalDerived(f, nil)
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
+	return s.RecordArrivalDerived(f, nil)
 }
 
 // RecordArrivalDerived durably records one arrival plus the files a
 // plan derived from it, in a single WAL transaction: either the whole
 // family survives a crash or none of it does, so a derived receipt's
 // Origin always resolves. Each derived meta's Origin is set to the
-// parent's assigned id. Returns the parent id followed by the derived
-// ids, in order.
-func (s *Store) RecordArrivalDerived(parent FileMeta, derived []FileMeta) ([]uint64, error) {
+// parent's assigned id. Returns the parent id; the derived files take
+// the ids after it, in order (derived[i] is parent id + 1 + i).
+func (s *Store) RecordArrivalDerived(parent FileMeta, derived []FileMeta) (uint64, error) {
+	var one [1]op
+	ops := one[:]
+	if len(derived) > 0 {
+		ops = make([]op, 1+len(derived))
+	}
 	s.mu.Lock()
-	ids := make([]uint64, 0, 1+len(derived))
 	parent.ID = s.nextID
-	s.nextID++
-	ids = append(ids, parent.ID)
-	ops := make([]op, 0, 1+len(derived))
-	ops = append(ops, op{kind: recArrival, file: parent})
-	for _, d := range derived {
-		d.ID = s.nextID
-		s.nextID++
-		d.Origin = parent.ID
-		ids = append(ids, d.ID)
-		ops = append(ops, op{kind: recDerived, file: d})
-	}
+	s.nextID += uint64(1 + len(derived))
 	s.mu.Unlock()
-	if err := s.commit(ops); err != nil {
-		return nil, err
+	ops[0] = op{kind: recArrival, file: parent}
+	for i, d := range derived {
+		d.ID = parent.ID + 1 + uint64(i)
+		d.Origin = parent.ID
+		ops[1+i] = op{kind: recDerived, file: d}
 	}
-	return ids, nil
+	if err := s.commit(ops); err != nil {
+		return 0, err
+	}
+	return parent.ID, nil
 }
 
 // RecordDelivery durably records that file id was delivered to sub.
@@ -462,11 +500,9 @@ type DeliveryRecord struct {
 // none does. The delivery engine's receipt committer uses it to pay
 // one flush window for everything acked on the wire meanwhile.
 func (s *Store) RecordDeliveryBatch(recs []DeliveryRecord) error {
-	ops := make([]op, len(recs))
-	for i, r := range recs {
-		ops[i] = op{kind: recDelivery, id: r.ID, sub: r.Sub, at: r.At}
-	}
-	return s.commit(ops)
+	return commitRecords(s, recs, func(r DeliveryRecord) op {
+		return op{kind: recDelivery, id: r.ID, sub: r.Sub, at: r.At}
+	})
 }
 
 // RecordExpire durably marks a file as expired from the retention

@@ -51,6 +51,12 @@ func TestChannelConfigDeliversViaGroup(t *testing.T) {
 			return err == nil
 		})
 	}
+	// The group receipt commits after the wire ack, so a landed file
+	// may not be credited yet: wait for the receipt, then check it.
+	waitFor(t, "group receipt for ticks", func() bool {
+		_, ok := s.Store().GroupCovers("ticks", 1)
+		return ok
+	})
 	for _, sub := range []string{"wh1", "wh2"} {
 		if !s.Store().Delivered(1, sub) {
 			t.Fatalf("%s not credited with file 1", sub)

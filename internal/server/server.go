@@ -1308,15 +1308,15 @@ func (s *Server) processArrival(root, rel string) ([]receipts.FileMeta, error) {
 		m.Arrived = now
 		m.DataTime = dataTime
 	}
-	ids, err := s.store.RecordArrivalDerived(metas[0], metas[1:])
+	id, err := s.store.RecordArrivalDerived(metas[0], metas[1:])
 	if err != nil {
 		return nil, err
 	}
 	for i := range metas {
 		m := &metas[i]
-		m.ID = ids[i]
+		m.ID = id + uint64(i)
 		if i > 0 {
-			m.Origin = ids[0]
+			m.Origin = id
 		}
 		for _, feed := range m.Feeds {
 			s.logger.FileClassified(feed, m.Name, m.Size, dataTime)
