@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"syscall"
 )
 
 // File is the file-handle surface Bistro's storage path needs;
@@ -74,54 +73,15 @@ type FS interface {
 }
 
 // osFS is the passthrough implementation backed by the real
-// filesystem.
+// filesystem. On linux/amd64 and linux/arm64 its path calls are raw
+// syscalls that allocate only the *os.File an open returns
+// (fs_linux.go); elsewhere they are the os package's (fs_other.go).
 type osFS struct{}
 
 // OS returns the real filesystem.
 func OS() FS { return osFS{} }
 
-func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
-}
-func (osFS) Open(name string) (File, error)   { return os.Open(name) }
-func (osFS) Create(name string) (File, error) { return os.Create(name) }
-func (osFS) CreateTemp(dir, pattern string) (File, error) {
-	return os.CreateTemp(dir, pattern)
-}
-func (osFS) Rename(oldpath, newpath string) error         { return rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                     { return os.Remove(name) }
-func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
-
-// rename is rename(2) itself. os.Rename first Lstats newpath to refuse
-// replacing a directory, an extra syscall and two allocations on every
-// staging, landing and checkpoint rename; no caller renames onto a
-// directory. The error is an *os.LinkError as os.Rename's, so
-// errors.Is(err, fs.ErrNotExist) still holds.
-func rename(oldpath, newpath string) error {
-	for {
-		err := syscall.Rename(oldpath, newpath)
-		if err == syscall.EINTR {
-			continue
-		}
-		if err != nil {
-			return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: err}
-		}
-		return nil
-	}
-}
-
-func (osFS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
 
 // nosyncFS wraps an FS making every Sync and SyncDir a no-op — for
 // tests and simulations where durability is irrelevant and fsync cost

@@ -1,0 +1,5 @@
+package diskfault
+
+import "syscall"
+
+const sysFstatat = syscall.SYS_FSTATAT

@@ -1,0 +1,5 @@
+//go:build race
+
+package diskfault
+
+const raceEnabled = true

@@ -108,7 +108,7 @@ func (m *Manager) FileReady(relPath string) error {
 	if err != nil {
 		return fmt.Errorf("landing: %w", err)
 	}
-	if _, err := os.Stat(filepath.Join(m.dir, rel)); err != nil {
+	if _, err := m.FS.Stat(filepath.Join(m.dir, rel)); err != nil {
 		return fmt.Errorf("landing: announced file missing: %w", err)
 	}
 	return m.ingest(rel)

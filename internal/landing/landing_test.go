@@ -196,10 +196,27 @@ func TestFileReady(t *testing.T) {
 	if got := ing.got(); len(got) != 1 {
 		t.Fatalf("ingested = %v", got)
 	}
-	// Announcing a missing file errors.
-	if err := m.FileReady("nope.csv"); err == nil {
-		t.Fatal("missing file accepted")
+	// Announcing a missing file errors, and the check goes through the
+	// filesystem seam.
+	rec := &statRecorder{FS: m.FS}
+	m.FS = rec
+	if err := m.FileReady("nope.csv"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing file: %v, want not-exist", err)
 	}
+	if want := filepath.Join(dir, "nope.csv"); len(rec.stats) != 1 || rec.stats[0] != want {
+		t.Fatalf("Stat calls through the seam = %q, want [%s]", rec.stats, want)
+	}
+}
+
+// statRecorder records the names its Stat is asked about.
+type statRecorder struct {
+	diskfault.FS
+	stats []string
+}
+
+func (r *statRecorder) Stat(name string) (os.FileInfo, error) {
+	r.stats = append(r.stats, name)
+	return r.FS.Stat(name)
 }
 
 func TestScanOnce(t *testing.T) {
