@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -148,21 +149,21 @@ func TestPayloadFrameAllocations(t *testing.T) {
 	}
 }
 
-// TestWireVersionRefusedByName: a v2 peer refuses an all-gob v1 frame
-// and a newer version's preamble with "protocol: peer speaks …"; a v1
-// peer refuses a v2 frame on its first decode and hangs up, which the
-// v2 side sees as a plain recv error, the same as any peer that hangs
+// TestWireVersionRefusedByName: this side refuses an all-gob v1 frame,
+// a v2 preamble and a newer version's with "protocol: peer speaks …"; a
+// v1 peer refuses our frame on its first decode and hangs up, which
+// this side sees as a plain recv error, the same as any peer that hangs
 // up before its first frame — no version is named without bytes.
 func TestWireVersionRefusedByName(t *testing.T) {
-	t.Run("v1 sends to v2", func(t *testing.T) {
+	t.Run("v1 peer sends", func(t *testing.T) {
 		a, b := tcpPair(t)
 		go newV1Conn(a).Send(Hello{Role: "source", Name: "old"})
 		_, err := NewConn(b).Recv()
 		if err == nil || !strings.Contains(err.Error(), "protocol: peer speaks v1") {
-			t.Fatalf("v2 receiving a v1 frame: err = %v", err)
+			t.Fatalf("receiving a v1 frame: err = %v", err)
 		}
 	})
-	t.Run("v2 sends to v1", func(t *testing.T) {
+	t.Run("v1 peer receives", func(t *testing.T) {
 		a, b := tcpPair(t)
 		refused := make(chan error, 1)
 		go func() {
@@ -176,18 +177,31 @@ func TestWireVersionRefusedByName(t *testing.T) {
 		conn.Timeout = 5 * time.Second
 		err := conn.Call(Hello{Role: "source", Name: "new"})
 		if v1err := <-refused; v1err == nil || !strings.HasPrefix(v1err.Error(), "gob: ") {
-			t.Fatalf("the v1 peer decoding a v2 frame: err = %v, want a gob error", v1err)
+			t.Fatalf("the v1 peer decoding our frame: err = %v, want a gob error", v1err)
 		}
 		if err == nil || !strings.HasPrefix(err.Error(), "protocol: recv: ") || strings.Contains(err.Error(), "peer speaks") {
-			t.Fatalf("v2 calling a v1 peer: err = %v, want a plain recv error", err)
+			t.Fatalf("calling a v1 peer: err = %v, want a plain recv error", err)
 		}
 	})
-	t.Run("v2 peer hangs up first", func(t *testing.T) {
+	t.Run("peer hangs up first", func(t *testing.T) {
 		a, b := tcpPair(t)
 		a.Close()
 		_, err := NewConn(b).Recv()
 		if err == nil || !errors.Is(err, io.EOF) || strings.Contains(err.Error(), "peer speaks") {
 			t.Fatalf("err = %v, want the wrapped EOF and no version named", err)
+		}
+	})
+	t.Run("v2 peer sends", func(t *testing.T) {
+		// A v2 frame: the preamble with version 2, then a bare gob
+		// envelope with no tag byte.
+		var v2 bytes.Buffer
+		v2.Write([]byte{preamble[0], preamble[1], preamble[2], 2})
+		if err := gob.NewEncoder(&v2).Encode(&envelope{Msg: Hello{Role: "source", Name: "v2"}}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewConn(&memConn{Reader: &v2}).Recv()
+		if want := "protocol: peer speaks wire v2, this side v3"; err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
 		}
 	})
 	t.Run("newer version", func(t *testing.T) {
@@ -252,16 +266,31 @@ func frames(t testing.TB, msgs ...any) []byte {
 	return c.out.Bytes()
 }
 
-// lyingFrame is a preamble and an Upload envelope that declares n
-// payload bytes, followed by ten.
+// lyingFrame is a preamble and an Upload frame that declares n payload
+// bytes, followed by ten.
 func lyingFrame(t testing.TB, n int64) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(preamble[:])
-	if err := gob.NewEncoder(&buf).Encode(&envelope{Msg: Upload{Name: "x"}, Payload: n}); err != nil {
+	conn := NewConn(&memConn{Reader: strings.NewReader("")})
+	if err := conn.send(conn.encode(Upload{Name: "x"}, n), nil); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString("0123456789")
+	return append(conn.c.(*memConn).out.Bytes(), "0123456789"...)
+}
+
+// gobFrame is msg's frame as a gob envelope behind tag 0, with its
+// payload behind it: the frame every message but the four per-file ones
+// travels in, and one those four may travel in too.
+func gobFrame(t testing.TB, msg any, payload []byte) []byte {
+	t.Helper()
+	env := envelope{Msg: msg, Payload: int64(len(payload))}
+	if p, ok := msg.(Payloader); ok {
+		env.Msg = p.WithPayload(nil)
+	}
+	buf := bytes.NewBuffer(append(preamble[:], tagGob))
+	if err := gob.NewEncoder(buf).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(payload)
 	return buf.Bytes()
 }
 
@@ -353,6 +382,17 @@ func FuzzFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
+	// Each tagged frame cut inside every field, an over-cap string
+	// length, an unknown tag, and a per-file message as gob behind tag 0.
+	for _, m := range taggedMessages() {
+		whole := frames(f, m)
+		for cut := len(preamble) + 1; cut < len(whole); cut++ {
+			f.Add(whole[:cut])
+		}
+	}
+	f.Add(binary.AppendUvarint(append(preamble[:], tagFileReady), maxString+1))
+	f.Add(append(preamble[:], 5))
+	f.Add(gobFrame(f, Upload{Name: "gob", CRC: 3, Relayed: true, Epoch: 2}, []byte("gob payload")))
 	// Payload frames back to back, so partial reads leave rests to skip.
 	f.Add(frames(f, allMessages()...))
 	f.Add(frames(f,

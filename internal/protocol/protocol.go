@@ -5,9 +5,9 @@
 // push-pull notification, remote trigger invocation, and acknowledged
 // receipt.
 //
-// Messages travel as gob-encoded envelopes over a stream connection;
-// a message that carries file content (a Payloader) leaves the content
-// out of its envelope and sends it raw right behind it, so a file is
+// Each frame is a tag byte, then a fixed binary layout for the four
+// per-file messages or a gob envelope for the rest; a message carrying
+// file content (a Payloader) sends it raw behind its frame, so a file is
 // never a gob value (docs/PROTOCOL.md, "Framing"). The protocol is
 // deliberately small: the paper's point is that the *existence* of
 // these messages — "this file is ready", "this batch is complete",
@@ -18,6 +18,8 @@ package protocol
 import (
 	"bufio"
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -219,8 +221,8 @@ func init() {
 	gob.Register(Ack{})
 }
 
-// Payloader is a message whose bulk bytes travel raw behind its gob
-// envelope instead of inside it. Upload, Deliver and DeliverChunk
+// Payloader is a message whose bulk bytes travel raw behind its frame
+// instead of inside it. Upload, Deliver and DeliverChunk
 // implement it here (Send sends one from memory, SendFrom from a
 // reader); the cluster's replication messages implement it
 // too, which is why it is exported.
@@ -244,8 +246,15 @@ func (m DeliverChunk) WithPayload(b []byte) any { m.Data = b; return m }
 
 // WireVersion is the frame format this package speaks. Version 1 was
 // all-gob: the payload rode inside the envelope and there was no
-// preamble.
-const WireVersion = 2
+// preamble. Version 2 had no tag byte: every message was gob.
+const WireVersion = 3
+
+// Frame tags: the byte that opens every frame after the preamble.
+const tagGob, tagUpload, tagDeliver, tagAck, tagFileReady byte = 0, 1, 2, 3, 4
+
+// maxString caps each string of a tagged frame: a sender refuses a
+// longer one unsent, a receiver a longer length before allocating.
+const maxString = 1 << 20
 
 // preamble opens each direction of a connection: three magic bytes and
 // the wire version. 0xBF is no valid gob length prefix (it would
@@ -281,10 +290,10 @@ type Conn struct {
 	r   *bufio.Reader // every byte read, shared by gob and the payloads
 	enc *gob.Encoder
 	dec *gob.Decoder
-	// out holds the encoded envelope being sent (behind the preamble on
-	// the first frame); vec and bufs pair it with the payload for one
-	// writev. They and the two envelopes live here so that a frame
-	// allocates no more than gob does.
+	// out holds the frame being sent (behind the preamble on the first
+	// frame); vec and bufs pair it with the payload for one writev. They
+	// and the two envelopes live here so that a gob frame allocates no
+	// more than gob does.
 	out     bytes.Buffer
 	vec     [2][]byte
 	bufs    net.Buffers
@@ -326,12 +335,9 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 	return conn, nil
 }
 
-// Send writes one message: its gob envelope and, for a Payloader, the
+// Send writes one message: its frame and, for a Payloader, the
 // payload's raw bytes, in one write.
 func (c *Conn) Send(msg any) error {
-	if err := c.armWrite(); err != nil {
-		return err
-	}
 	var payload []byte
 	if p, ok := msg.(Payloader); ok {
 		payload = p.PayloadBytes()
@@ -339,7 +345,25 @@ func (c *Conn) Send(msg any) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("protocol: send %T: %d-byte payload over the %d-byte cap", msg, len(payload), MaxPayload)
 	}
-	if err := c.encode(msg, int64(len(payload))); err != nil {
+	return c.send(c.encode(msg, int64(len(payload))), payload)
+}
+
+// SendAck sends an Ack, the reply to every file, unboxed.
+func (c *Conn) SendAck(ack Ack) error {
+	w := c.begin(tagAck)
+	ack.put(&w)
+	return c.send(w, nil)
+}
+
+// send writes the frame begun in c.out, its fields w and payload in one
+// write, unless a field was refused.
+func (c *Conn) send(w fieldsOut, payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	c.out.Write(w.b)
+	c.greeted = true
+	if err := c.armWrite(); err != nil {
 		return err
 	}
 	var err error
@@ -365,14 +389,8 @@ func (c *Conn) SendFrom(msg Payloader, r io.Reader, n int64) error {
 	if n < 0 {
 		return fmt.Errorf("protocol: send %T: negative payload length %d", msg, n)
 	}
-	if err := c.armWrite(); err != nil {
+	if err := c.send(c.encode(msg, n), nil); err != nil {
 		return err
-	}
-	if err := c.encode(msg, n); err != nil {
-		return err
-	}
-	if _, err := c.c.Write(c.out.Bytes()); err != nil {
-		return fmt.Errorf("protocol: send: %w", err)
 	}
 	c.src = io.LimitedReader{R: r, N: n}
 	sent, err := diskfault.CopySocket((*armedWriter)(c), &c.src)
@@ -408,28 +426,124 @@ func (c *Conn) armWrite() error {
 	return nil
 }
 
-// encode leaves msg's envelope in c.out, behind the preamble on the
-// connection's first frame. A Payloader's envelope carries no payload,
-// only its length n.
-func (c *Conn) encode(msg any, n int64) error {
-	c.sendEnv = envelope{Msg: msg}
-	if p, ok := msg.(Payloader); ok {
-		c.sendEnv = envelope{Msg: p.WithPayload(nil), Payload: n}
+// encode starts msg's frame in c.out: a tag, then a per-file message's
+// fields (its payload length n last) or a gob envelope.
+func (c *Conn) encode(msg any, n int64) fieldsOut {
+	var w fieldsOut
+	switch m := msg.(type) {
+	case Upload:
+		w = c.begin(tagUpload)
+		m.put(&w)
+		w.uvarint(uint64(n))
+	case Deliver:
+		w = c.begin(tagDeliver)
+		m.put(&w)
+		w.uvarint(uint64(n))
+	case Ack:
+		w = c.begin(tagAck)
+		m.put(&w)
+	case FileReady:
+		w = c.begin(tagFileReady)
+		w.str(m.Path)
+	default:
+		w = c.begin(tagGob) // the envelope goes to c.out: w stays empty
+		c.sendEnv = envelope{Msg: msg}
+		if p, ok := msg.(Payloader); ok {
+			c.sendEnv = envelope{Msg: p.WithPayload(nil), Payload: n}
+		}
+		if err := c.enc.Encode(&c.sendEnv); err != nil {
+			w.err = fmt.Errorf("protocol: send: %w", err)
+		}
+		c.sendEnv = envelope{}
 	}
+	return w
+}
+
+// begin starts a frame in c.out with tag, behind the preamble until one
+// is sent, and returns c.out's spare capacity for the fields.
+func (c *Conn) begin(tag byte) fieldsOut {
 	c.out.Reset()
 	if !c.greeted {
 		c.out.Write(preamble[:])
-		c.greeted = true
 	}
-	err := c.enc.Encode(&c.sendEnv)
-	c.sendEnv = envelope{}
-	if err != nil {
-		return fmt.Errorf("protocol: send: %w", err)
-	}
-	return nil
+	c.out.WriteByte(tag)
+	return fieldsOut{b: c.out.AvailableBuffer()}
 }
 
-// Recv reads one message: its envelope, then any payload the envelope
+// fieldsOut appends a tagged frame's fields; an over-cap string sticks.
+type fieldsOut struct {
+	b   []byte
+	err error
+}
+
+func (w *fieldsOut) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *fieldsOut) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+
+func (w *fieldsOut) bool(v bool) {
+	w.b = append(w.b, 0)
+	if v {
+		w.b[len(w.b)-1] = 1
+	}
+}
+
+func (w *fieldsOut) str(s string) {
+	if len(s) > maxString {
+		w.err = cmp.Or(w.err, fmt.Errorf("protocol: send: %d-byte string over the %d-byte cap", len(s), maxString))
+	}
+	w.uvarint(uint64(len(s)))
+	w.b = append(w.b, s...)
+}
+
+// The tagged layouts (docs/PROTOCOL.md, "Framing"), as recv reads them.
+
+func (m Upload) put(w *fieldsOut)  { w.str(m.Name); w.u32(m.CRC); w.bool(m.Relayed); w.uvarint(m.Epoch) }
+func (m Deliver) put(w *fieldsOut) { w.uvarint(m.FileID); w.str(m.Feed); w.str(m.Name); w.u32(m.CRC) }
+func (m Ack) put(w *fieldsOut)     { w.bool(m.OK); w.str(m.Error); w.str(m.Redirect); w.uvarint(m.Epoch) }
+
+// fieldsIn reads a tagged frame's fields: the first error sticks, later reads are garbage.
+type fieldsIn struct {
+	r   *bufio.Reader
+	err error
+}
+
+func (d *fieldsIn) uvarint() uint64 {
+	v, err := binary.ReadUvarint(d.r)
+	d.err = cmp.Or(d.err, err)
+	return v
+}
+
+func (d *fieldsIn) bool() bool { return d.uvarint() != 0 }
+
+// u32 reads in place: a [4]byte handed to io.ReadFull would escape.
+func (d *fieldsIn) u32() (v uint32) {
+	b, err := d.r.Peek(4)
+	if d.err = cmp.Or(d.err, err); err == nil {
+		v = binary.LittleEndian.Uint32(b)
+		d.r.Discard(4)
+	}
+	return v
+}
+
+// str's only allocation is the string, and an empty one costs none.
+func (d *fieldsIn) str() string {
+	n := d.uvarint()
+	if n > maxString {
+		d.err = cmp.Or(d.err, fmt.Errorf("%d-byte string over the %d-byte cap", n, maxString))
+	}
+	if d.err != nil || n == 0 {
+		return ""
+	}
+	if b, err := d.r.Peek(int(n)); err == nil {
+		defer d.r.Discard(int(n))
+		return string(b)
+	}
+	b := make([]byte, n) // longer than the read buffer, or cut short
+	_, err := io.ReadFull(d.r, b)
+	d.err = cmp.Or(d.err, err)
+	return string(b)
+}
+
+// Recv reads one message: its frame, then any payload the frame
 // declares, into a buffer that grows only as the bytes arrive. It is
 // RecvHeader followed by ReadPayload.
 //
@@ -450,13 +564,17 @@ func (c *Conn) Recv() (any, error) {
 	return msg.(Payloader).WithPayload(data), nil
 }
 
-// RecvHeader reads one message's envelope and leaves its payload on the
+// RecvHeader reads one message's frame and leaves its payload on the
 // wire: msg carries no payload bytes, and n (any non-negative length)
 // is how many follow it. The caller streams them from Payload or reads
 // them whole with ReadPayload; whatever it leaves unread, the next Recv
 // or RecvHeader skips, so a handler that refuses a message early stays
 // in frame sync.
-func (c *Conn) RecvHeader() (msg any, n int64, err error) {
+func (c *Conn) RecvHeader() (msg any, n int64, err error) { return c.recv(nil) }
+
+// recv is RecvHeader, except that with ack set a tagged Ack is decoded
+// into *ack, unboxed, and msg is nil.
+func (c *Conn) recv(ack *Ack) (msg any, n int64, err error) {
 	if c.Timeout > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return nil, 0, fmt.Errorf("protocol: set deadline: %w", err)
@@ -475,10 +593,38 @@ func (c *Conn) RecvHeader() (msg any, n int64, err error) {
 		}
 		c.verified = true
 	}
-	c.recvEnv = envelope{}
-	err = c.dec.Decode(&c.recvEnv)
-	msg, n = c.recvEnv.Msg, c.recvEnv.Payload
-	c.recvEnv = envelope{}
+	tag, err := c.r.ReadByte()
+	if err != nil {
+		return nil, 0, fmt.Errorf("protocol: recv: %w", err)
+	}
+	d := fieldsIn{r: c.r}
+	switch {
+	case tag == tagGob:
+		c.recvEnv = envelope{}
+		err = c.dec.Decode(&c.recvEnv)
+		msg, n = c.recvEnv.Msg, c.recvEnv.Payload
+		c.recvEnv = envelope{}
+	case tag == tagUpload:
+		msg = Upload{Name: d.str(), CRC: d.u32(), Relayed: d.bool(), Epoch: d.uvarint()}
+		n = int64(d.uvarint())
+	case tag == tagDeliver:
+		msg = Deliver{FileID: d.uvarint(), Feed: d.str(), Name: d.str(), CRC: d.u32()}
+		n = int64(d.uvarint())
+	case tag == tagAck:
+		a := Ack{OK: d.bool(), Error: d.str(), Redirect: d.str(), Epoch: d.uvarint()}
+		if ack == nil {
+			msg = a
+		} else {
+			*ack = a
+		}
+	case tag == tagFileReady:
+		msg = FileReady{Path: d.str()}
+	default:
+		err = fmt.Errorf("unknown frame tag %d", tag)
+	}
+	if err = cmp.Or(err, d.err); err == io.EOF {
+		err = io.ErrUnexpectedEOF // the frame ends after its tag
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("protocol: recv: %w", err)
 	}
@@ -552,20 +698,16 @@ func (b *payloadBody) Read(p []byte) (int, error) {
 // refused our frame) is a plain recv error.
 func (c *Conn) readPreamble() error {
 	var got [4]byte
-	if n, err := io.ReadFull(c.r, got[:]); err != nil {
-		if n == 0 || bytes.Equal(got[:n], preamble[:n]) {
-			return fmt.Errorf("protocol: recv: %w", err)
-		}
-		return fmt.Errorf("protocol: peer speaks v1 (all-gob, no preamble) or another protocol (first bytes % x), this side v%d", got[:n], WireVersion)
-	}
+	n, err := io.ReadFull(c.r, got[:])
 	switch {
-	case got == preamble:
-		return nil
-	case bytes.Equal(got[:3], preamble[:3]):
+	case err != nil && bytes.Equal(got[:n], preamble[:n]):
+		return fmt.Errorf("protocol: recv: %w", err)
+	case err != nil || !bytes.Equal(got[:3], preamble[:3]):
+		return fmt.Errorf("protocol: peer speaks v1 (all-gob, no preamble) or another protocol (first bytes % x), this side v%d", got[:n], WireVersion)
+	case got[3] != WireVersion:
 		return fmt.Errorf("protocol: peer speaks wire v%d, this side v%d", got[3], WireVersion)
-	default:
-		return fmt.Errorf("protocol: peer speaks v1 (all-gob, no preamble) or another protocol (first bytes % x), this side v%d", got, WireVersion)
 	}
+	return nil
 }
 
 // readGrown reads exactly n bytes without allocating ahead of the wire:
@@ -600,21 +742,29 @@ func (c *Conn) Call(msg any) error {
 	return c.RecvAck()
 }
 
-// RecvAck reads the reply to a request, a refusal as an error.
+// RecvAck reads the reply to a request, unboxed; a refusal is a *RemoteError.
 func (c *Conn) RecvAck() error {
-	reply, err := c.Recv()
+	var ack Ack
+	reply, _, err := c.recv(&ack)
 	if err != nil {
 		return err
 	}
-	ack, ok := reply.(Ack)
-	if !ok {
-		return fmt.Errorf("protocol: expected Ack, got %T", reply)
+	if reply != nil {
+		var ok bool
+		if ack, ok = reply.(Ack); !ok {
+			return fmt.Errorf("protocol: expected Ack, got %T", reply)
+		}
 	}
 	if !ack.OK {
-		return fmt.Errorf("protocol: remote error: %s", ack.Error)
+		return &RemoteError{Ack: ack}
 	}
 	return nil
 }
+
+// RemoteError is a refusal Ack: the connection is still in frame sync.
+type RemoteError struct{ Ack Ack }
+
+func (e *RemoteError) Error() string { return "protocol: remote error: " + e.Ack.Error }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }

@@ -90,7 +90,7 @@ func (s *Server) serveConn(conn *protocol.Conn) {
 		default:
 			ack = protocol.Ack{OK: false, Error: fmt.Sprintf("unexpected message %T", msg)}
 		}
-		if err := conn.Send(ack); err != nil {
+		if err := conn.SendAck(ack); err != nil {
 			return
 		}
 	}
@@ -380,13 +380,17 @@ func newPeerPool(timeout time.Duration) *peerPool {
 }
 
 // call sends one request to the peer and waits for its Ack, retrying
-// once on a fresh connection when a pooled one has gone stale.
+// once on a fresh connection when a pooled one has gone stale. A
+// refusal is the peer's answer, not a stale connection: it is returned
+// at once and the connection kept.
 func (p *peerPool) call(addr string, msg any) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var refused *protocol.RemoteError
 	if conn, ok := p.conns[addr]; ok {
-		if err := conn.Call(msg); err == nil {
-			return nil
+		err := conn.Call(msg)
+		if err == nil || errors.As(err, &refused) {
+			return err
 		}
 		conn.Close()
 		delete(p.conns, addr)
@@ -395,12 +399,12 @@ func (p *peerPool) call(addr string, msg any) error {
 	if err != nil {
 		return err
 	}
-	if err := conn.Call(msg); err != nil {
+	if err = conn.Call(msg); err != nil && !errors.As(err, &refused) {
 		conn.Close()
 		return err
 	}
 	p.conns[addr] = conn
-	return nil
+	return err
 }
 
 func (p *peerPool) close() {

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net"
 	"os"
+	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -62,12 +65,16 @@ func splitFeeds(t *testing.T) (ownedByA, ownedByB string) {
 
 // startTwoNodeCluster runs both nodes of a two-feed topology from one
 // shared configuration text (node b via the NodeName override, as a
-// second host would run it).
+// second host would run it). The topology names both addresses before
+// either node listens, so they are reserved and released first; when a
+// listener elsewhere takes one in between, the pair starts again on
+// fresh ports.
 func startTwoNodeCluster(t *testing.T) (nodeA, nodeB *Server, feedA, feedB string) {
 	t.Helper()
 	feedA, feedB = splitFeeds(t)
-	addrA, addrB := reserveAddr(t), reserveAddr(t)
-	cfgSrc := fmt.Sprintf(`
+	for attempt := 1; ; attempt++ {
+		addrA, addrB := reserveAddr(t), reserveAddr(t)
+		cfgSrc := fmt.Sprintf(`
 cluster {
     self "a"
     node "a" { addr "%s" }
@@ -76,12 +83,27 @@ cluster {
 feed %s { pattern "%s_%%Y%%m%%d%%H%%M.txt" }
 feed %s { pattern "%s_%%Y%%m%%d%%H%%M.txt" }
 `, addrA, addrB, feedA, feedA, feedB, feedB)
-	nodeA = newServer(t, cfgSrc, func(o *Options) { o.Listen = addrA })
-	nodeB = newServer(t, cfgSrc, func(o *Options) {
-		o.Listen = addrB
-		o.NodeName = "b"
-	})
-	return nodeA, nodeB, feedA, feedB
+		var err error
+		nodeB = nil
+		if nodeA, err = startServer(t, cfgSrc, func(o *Options) { o.Listen = addrA }); err == nil {
+			nodeB, err = startServer(t, cfgSrc, func(o *Options) {
+				o.Listen = addrB
+				o.NodeName = "b"
+			})
+		}
+		if err == nil {
+			return nodeA, nodeB, feedA, feedB
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 5 {
+			t.Fatal(err)
+		}
+		t.Logf("a reserved port was taken before its node listened (%v); starting again", err)
+		for _, s := range []*Server{nodeA, nodeB} {
+			if s != nil {
+				s.Stop()
+			}
+		}
+	}
 }
 
 func TestClusterUploadForwardedToOwner(t *testing.T) {
@@ -284,4 +306,52 @@ func TestClusterRelayedUploadNeverForwardedAgain(t *testing.T) {
 	waitFor(t, "relayed upload ingested locally", func() bool {
 		return nodeA.Store().Stats().Files == 1
 	})
+}
+
+// TestRefusedRelaySentOnce: a relayed upload the owner refuses (here
+// fenced by a stale epoch) reaches the owner once, and the relay after
+// it reuses the pooled peer connection. A refusal is the owner's
+// answer, not a sign of a stale connection to redial and send again on.
+func TestRefusedRelaySentOnce(t *testing.T) {
+	nodeA, nodeB, _, feedB := startTwoNodeCluster(t)
+	src, err := sourceclient.Dial(nodeA.Addr(), "poller1", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	upload := func(minute int) error {
+		return src.Upload(fmt.Sprintf("%s_2010092504%02d.txt", feedB, minute), []byte("relayed\n"))
+	}
+	pooled := func() *protocol.Conn {
+		nodeA.peers.mu.Lock()
+		defer nodeA.peers.mu.Unlock()
+		return nodeA.peers.conns[nodeB.Addr()]
+	}
+	if err := upload(50); err != nil {
+		t.Fatal(err)
+	}
+	first := pooled()
+	if first == nil {
+		t.Fatal("an accepted relay left no pooled connection")
+	}
+
+	nodeB.shard.ObserveEpoch(5) // node a's relays now carry a stale epoch
+	if err := upload(51); err == nil || !strings.Contains(err.Error(), "fenced") {
+		t.Fatalf("stale-epoch relay: err = %v, want the owner's fencing refusal", err)
+	}
+	if got := nodeB.Metrics().Counter("bistro_cluster_fenced_total", "").Value(); got != 1 {
+		t.Fatalf("the refused relay reached the owner %d times, want once", got)
+	}
+	if pooled() != first {
+		t.Fatal("a refusal closed the pooled connection")
+	}
+
+	nodeA.shard.ObserveEpoch(5)
+	if err := upload(52); err != nil {
+		t.Fatalf("relay after a refusal: %v", err)
+	}
+	if pooled() != first {
+		t.Fatal("the relay after a refusal dialled a new connection")
+	}
+	waitFor(t, "both accepted relays ingested on node b", func() bool { return nodeB.Store().Stats().Files == 2 })
 }

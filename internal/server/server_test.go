@@ -60,6 +60,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func newServer(t *testing.T, cfgSrc string, mutate func(*Options)) *Server {
 	t.Helper()
+	s, err := startServer(t, cfgSrc, mutate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// startServer is newServer reporting a failed Start instead of failing
+// the test. The server, stopped at cleanup, is nil only if New failed.
+func startServer(t *testing.T, cfgSrc string, mutate func(*Options)) (*Server, error) {
+	t.Helper()
 	opts := Options{
 		Config:       mustConfig(t, cfgSrc),
 		Root:         t.TempDir(),
@@ -71,13 +82,10 @@ func newServer(t *testing.T, cfgSrc string, mutate func(*Options)) *Server {
 	}
 	s, err := New(opts)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	t.Cleanup(s.Stop)
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return s, s.Start()
 }
 
 func TestEndToEndLocalDelivery(t *testing.T) {

@@ -151,7 +151,7 @@ func (d *Daemon) serve(conn *protocol.Conn) {
 		default:
 			ack = protocol.Ack{OK: false, Error: fmt.Sprintf("unexpected message %T", msg)}
 		}
-		if err := conn.Send(ack); err != nil {
+		if err := conn.SendAck(ack); err != nil {
 			return
 		}
 	}
