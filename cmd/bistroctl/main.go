@@ -95,14 +95,14 @@ func main() {
 			usage()
 		}
 		for _, path := range args[1:] {
-			data, err := os.ReadFile(path)
+			info, err := os.Stat(path)
 			if err != nil {
 				fatal("read %s: %v", path, err)
 			}
-			if err := client.Upload(filepath.Base(path), data); err != nil {
+			if err := client.UploadFile(filepath.Base(path), path); err != nil {
 				fatal("upload %s: %v", path, err)
 			}
-			fmt.Printf("uploaded %s (%d bytes)\n", filepath.Base(path), len(data))
+			fmt.Printf("uploaded %s (%d bytes)\n", filepath.Base(path), info.Size())
 		}
 	case "ready":
 		if len(args) < 2 {

@@ -852,7 +852,10 @@ func (e *Engine) readStaged(stagedPath, abs string, buf []byte) ([]byte, error) 
 
 // stagingReads opens staged files for the transports that stream them
 // through the engine's FS seam, and counts what they read into
-// StagingReadBytes as readStaged does for files read into memory.
+// StagingReadBytes as readStaged does for files read into memory. A
+// staged file that fails to open or read is this server's fault, not
+// the subscriber's: the error is permanent for the job (retrying will
+// not mend the disk) and never counts against the subscriber's breaker.
 type stagingReads struct {
 	diskfault.FS
 	read *metrics.Counter
@@ -861,7 +864,7 @@ type stagingReads struct {
 func (s stagingReads) Open(name string) (diskfault.File, error) {
 	f, err := s.FS.Open(name)
 	if err != nil {
-		return nil, err
+		return nil, backoff.Permanent(err)
 	}
 	return countedFile{File: f, read: s.read}, nil
 }
@@ -875,6 +878,9 @@ type countedFile struct {
 func (f countedFile) Read(p []byte) (int, error) {
 	n, err := f.File.Read(p)
 	f.read.Add(int64(n))
+	if err != nil && err != io.EOF {
+		err = backoff.Permanent(err)
+	}
 	return n, err
 }
 

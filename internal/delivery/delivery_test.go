@@ -13,6 +13,7 @@ import (
 	"bistro/internal/backoff"
 	"bistro/internal/clock"
 	"bistro/internal/config"
+	"bistro/internal/diskfault"
 	"bistro/internal/metrics"
 	"bistro/internal/netsim"
 	"bistro/internal/receipts"
@@ -753,4 +754,62 @@ func TestMissingReceiptSkipsJobWithFailure(t *testing.T) {
 	waitFor(t, "healthy delivery after skips", func() bool {
 		return h.events.count(EvDelivered) == 1
 	})
+}
+
+// brokenReads is a filesystem whose opened files fail a Read once after
+// bytes have been read from them.
+type brokenReads struct {
+	diskfault.FS
+	after int64
+}
+
+func (b brokenReads) Open(name string) (diskfault.File, error) {
+	f, err := b.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &brokenFile{File: f, left: b.after}, nil
+}
+
+type brokenFile struct {
+	diskfault.File
+	left int64
+}
+
+func (f *brokenFile) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, errors.New("injected read error")
+	}
+	n, err := f.File.Read(p[:min(int64(len(p)), f.left)])
+	f.left -= int64(n)
+	return n, err
+}
+
+// TestStagedReadErrorFailsJobNotSubscriber: a staged file that fails
+// mid-read while it streams is this server's fault. Its job fails
+// outright with no retry scheduled, and the subscriber's breaker
+// records nothing against the subscriber.
+func TestStagedReadErrorFailsJobNotSubscriber(t *testing.T) {
+	lt := transport.NewLocalDir()
+	lt.Register("wh", t.TempDir())
+	h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
+		o.FS = brokenReads{FS: diskfault.OS(), after: 64 << 10}
+	})
+	h.engine.streamMin = 1 // everything streams
+	h.engine.Start()
+	defer h.engine.Stop()
+	meta := h.stage("BPS/big.bin", []string{"BPS"}, make([]byte, 128<<10))
+	h.engine.EnqueueFile(meta)
+	waitFor(t, "the failed delivery", func() bool { return h.events.count(EvDeliveryFailed) == 1 })
+	time.Sleep(50 * time.Millisecond) // a retry, were one scheduled, is due after 20 ms
+	if n := h.events.count(EvRetryScheduled); n != 0 {
+		t.Fatalf("%d retries scheduled for a staged file that cannot be read", n)
+	}
+	br := h.engine.stateFor("wh").breaker
+	if br.State() != backoff.Closed || br.LastErr() != nil {
+		t.Fatalf("breaker %v (last error %v), want closed with nothing recorded", br.State(), br.LastErr())
+	}
+	if n := h.events.count(EvDeliveryFailed); n != 1 || h.store.Delivered(meta.ID, "wh") {
+		t.Fatalf("%d failures, delivered %v: want the one failure and no delivery", n, h.store.Delivered(meta.ID, "wh"))
+	}
 }

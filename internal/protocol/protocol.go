@@ -226,10 +226,6 @@ func init() {
 // implement it here (Send sends one from memory, SendFrom from a
 // reader); the cluster's replication messages implement it
 // too, which is why it is exported.
-//
-// A received Payloader's bytes may sit in the receiving Conn's own
-// buffer: they are valid until the next Recv on that Conn (the rule of
-// bufio.Scanner.Bytes). A caller that keeps them longer copies them.
 type Payloader interface {
 	// PayloadBytes returns the bytes to send raw.
 	PayloadBytes() []byte
@@ -264,12 +260,11 @@ var preamble = [4]byte{0xBF, 'B', 'F', WireVersion}
 
 const (
 	// MaxPayload caps a payload held in memory: Send refuses to write a
-	// longer one, and Recv and ReadPayload refuse to read one. A payload
-	// that streams (SendFrom, Payload) may be any length.
+	// longer one, and Recv refuses to read one. A payload that streams
+	// (SendFrom, Payload) may be any length.
 	MaxPayload = 1 << 30
 	// growStart is the most a payload buffer allocates before the bytes
-	// it is sized for have arrived (see readGrown), and so the most a
-	// Conn keeps between frames.
+	// it is sized for have arrived (see readGrown).
 	growStart = 4 << 20
 )
 
@@ -282,9 +277,8 @@ type envelope struct {
 
 // Conn is a message-oriented wrapper over a stream connection. One
 // goroutine may Send while another Recvs; two Sends (or two Recvs) must
-// not overlap. After an error from Send, SendFrom, Recv, RecvHeader,
-// ReadPayload or a Payload read the stream may be mid-frame: close the
-// Conn.
+// not overlap. After an error from Send, SendFrom, Recv, RecvHeader or
+// a Payload read the stream may be mid-frame: close the Conn.
 type Conn struct {
 	c   net.Conn
 	r   *bufio.Reader // every byte read, shared by gob and the payloads
@@ -300,10 +294,6 @@ type Conn struct {
 	sendEnv envelope
 	recvEnv envelope
 	src     io.LimitedReader // SendFrom's source
-	// in is the buffer payloads start in (see Recv): kept from frame to
-	// frame, so a warm connection reads a payload of up to growStart
-	// bytes without allocating.
-	in []byte
 	// body is the payload of the frame last received (see RecvHeader).
 	body     payloadBody
 	greeted  bool // our preamble is written
@@ -544,32 +534,28 @@ func (d *fieldsIn) str() string {
 }
 
 // Recv reads one message: its frame, then any payload the frame
-// declares, into a buffer that grows only as the bytes arrive. It is
-// RecvHeader followed by ReadPayload.
-//
-// A payload starts in a buffer the Conn keeps, min(payload, growStart)
-// bytes: a received message's payload bytes are valid only until the
-// next Recv on this Conn (like bufio.Scanner.Bytes). A payload larger
-// than growStart grows out of it into buffers of its own, which the
-// Conn lets go.
+// declares, into a buffer of its own that grows only as the bytes
+// arrive (see readGrown). A payload over MaxPayload is refused unread.
 func (c *Conn) Recv() (any, error) {
 	msg, n, err := c.RecvHeader()
 	if err != nil || n == 0 {
 		return msg, err
 	}
-	data, err := c.ReadPayload()
+	if n > MaxPayload {
+		return nil, fmt.Errorf("protocol: recv payload: length %d outside 0..%d", n, MaxPayload)
+	}
+	data, err := readGrown(&c.body, n, make([]byte, min(n, growStart)))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("protocol: recv payload: %w", err)
 	}
 	return msg.(Payloader).WithPayload(data), nil
 }
 
 // RecvHeader reads one message's frame and leaves its payload on the
 // wire: msg carries no payload bytes, and n (any non-negative length)
-// is how many follow it. The caller streams them from Payload or reads
-// them whole with ReadPayload; whatever it leaves unread, the next Recv
-// or RecvHeader skips, so a handler that refuses a message early stays
-// in frame sync.
+// is how many follow it. The caller streams them from Payload; whatever
+// it leaves unread, the next Recv or RecvHeader skips, so a handler that
+// refuses a message early stays in frame sync.
 func (c *Conn) RecvHeader() (msg any, n int64, err error) { return c.recv(nil) }
 
 // recv is RecvHeader, except that with ack set a tagged Ack is decoded
@@ -646,28 +632,6 @@ func (c *Conn) recv(ack *Ack) (msg any, n int64, err error) {
 // a connection that ends first is io.ErrUnexpectedEOF. It is valid
 // until the next Recv or RecvHeader.
 func (c *Conn) Payload() io.Reader { return &c.body }
-
-// ReadPayload reads the unread rest of the payload RecvHeader announced
-// into memory the way Recv does, under Recv's lifetime rule. A payload
-// over MaxPayload is refused unread.
-func (c *Conn) ReadPayload() ([]byte, error) {
-	n := c.body.n
-	if n > MaxPayload {
-		return nil, fmt.Errorf("protocol: recv payload: length %d outside 0..%d", n, MaxPayload)
-	}
-	start, buf := min(n, growStart), c.in
-	if int64(cap(buf)) < start {
-		buf = make([]byte, start)
-	}
-	data, err := readGrown(&c.body, n, buf[:start])
-	if err != nil {
-		return nil, fmt.Errorf("protocol: recv payload: %w", err)
-	}
-	// A replacement buffer is kept only once a payload has filled it,
-	// so a lying length leaves nothing behind.
-	c.in = buf
-	return data, nil
-}
 
 // payloadBody reads one frame's payload from the Conn's read buffer.
 type payloadBody struct {

@@ -11,12 +11,9 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"bistro/internal/cluster"
 	"bistro/internal/diskfault"
@@ -122,8 +119,9 @@ func (s *Server) routeFor(name string) (cluster.Node, bool) {
 // misplaced file instead of a forwarding loop. Content that fails its
 // CRC is refused before it is forwarded or becomes visible in landing:
 // staging would otherwise give it a fresh checksum and deliver it as
-// valid. A deposit streams from the socket into landing; only a
-// forwarded upload is read into memory first.
+// valid. A deposit streams from the socket into landing; a forwarded
+// upload streams into a temp there (which landing scans skip), and from
+// it to the owner.
 func (s *Server) handleUpload(conn *protocol.Conn, m protocol.Upload, n int64) protocol.Ack {
 	if ack, fenced := s.fenceRelayed(m); fenced {
 		return ack
@@ -139,22 +137,53 @@ func (s *Server) handleUpload(conn *protocol.Conn, m protocol.Upload, n int64) p
 		}
 		return protocol.Ack{OK: true}
 	}
-	data, err := conn.ReadPayload()
+	w, err := diskfault.Create(s.fs, s.land.Dir())
 	if err != nil {
 		return protocol.Ack{OK: false, Error: err.Error()}
 	}
-	if crc32.ChecksumIEEE(data) != m.CRC {
+	defer w.Abort()
+	if _, err := diskfault.CopySocket(&w, conn.Payload()); err != nil {
+		return protocol.Ack{OK: false, Error: err.Error()}
+	}
+	if w.CRC() != m.CRC {
 		return s.refuseCorrupt(m.Name, n)
 	}
-	fwd := m
-	fwd.Data = data
-	fwd.Relayed = true
-	fwd.Epoch = s.shard.Epoch()
-	if err := s.peers.call(owner.Addr, fwd); err != nil {
+	if err := w.CloseForRead(); err != nil {
+		return protocol.Ack{OK: false, Error: err.Error()}
+	}
+	if err := s.forward(owner, m.Name, w.Name(), m.CRC, w.Size()); err != nil {
 		return protocol.Ack{OK: false, Error: fmt.Sprintf("forward to %s: %v", owner.Name, err)}
 	}
 	s.logger.Logf("cluster", "upload %s forwarded to owner %s", m.Name, owner.Name)
 	return protocol.Ack{OK: true}
+}
+
+// forward relays the size bytes at path, whose CRC is crc, to owner as
+// a relayed Upload stamped with this node's epoch, re-opening path for
+// each attempt. An attempt that fails after it got a connection (a
+// pooled one the owner has since closed) is tried once more, on the
+// fresh connection the pool then dials; a refusal is the owner's
+// answer and is not.
+func (s *Server) forward(owner cluster.Node, name, path string, crc uint32, size int64) error {
+	msg := protocol.Upload{Name: name, CRC: crc, Relayed: true, Epoch: s.shard.Epoch()}
+	var connected bool
+	send := func(conn *protocol.Conn) error {
+		f, err := s.fs.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		connected = true
+		if err := conn.SendFrom(msg, f, size); err != nil {
+			return err
+		}
+		return conn.RecvAck()
+	}
+	err := s.pool.withConn(owner.Addr, send)
+	if err != nil && connected && !refusal(err) {
+		err = s.pool.withConn(owner.Addr, send)
+	}
+	return err
 }
 
 // refuseCorrupt counts, alarms and NACKs an upload that failed its CRC.
@@ -204,23 +233,24 @@ func (s *Server) handleRejoin(m protocol.Rejoin) protocol.Ack {
 	return protocol.Ack{OK: true, Epoch: s.shard.Epoch()}
 }
 
-// handleFileReady ingests a shared-filesystem deposit, shipping the
-// bytes to the owning node when the feed is sharded elsewhere (the
-// landing zone is node-local, so a cross-shard FileReady becomes a
-// relayed Upload).
+// handleFileReady ingests a shared-filesystem deposit, streaming the
+// landed file to the owning node when the feed is sharded elsewhere
+// (the landing zone is node-local, so a cross-shard FileReady becomes a
+// relayed Upload) and removing it once the owner has acked.
 func (s *Server) handleFileReady(m protocol.FileReady) protocol.Ack {
 	name := filepath.ToSlash(m.Path)
 	if owner, remote := s.routeFor(name); remote {
 		src := filepath.Join(s.land.Dir(), filepath.FromSlash(m.Path))
-		data, err := diskfault.ReadFile(s.fs, src, nil)
+		f, err := s.fs.Open(src)
 		if err != nil {
 			return protocol.Ack{OK: false, Error: err.Error()}
 		}
-		fwd := protocol.Upload{
-			Name: name, Data: data, CRC: crc32.ChecksumIEEE(data),
-			Relayed: true, Epoch: s.shard.Epoch(),
+		size, crc, err := diskfault.CopyCRC(io.Discard, f)
+		f.Close()
+		if err != nil {
+			return protocol.Ack{OK: false, Error: err.Error()}
 		}
-		if err := s.peers.call(owner.Addr, fwd); err != nil {
+		if err := s.forward(owner, name, src, crc, size); err != nil {
 			return protocol.Ack{OK: false, Error: fmt.Sprintf("forward to %s: %v", owner.Name, err)}
 		}
 		if err := s.fs.Remove(src); err != nil {
@@ -364,54 +394,4 @@ func firstOf(xs []string) string {
 		return ""
 	}
 	return xs[0]
-}
-
-// peerPool keeps one protocol connection per peer node for forwarded
-// uploads, redialing on failure.
-type peerPool struct {
-	timeout time.Duration
-
-	mu    sync.Mutex
-	conns map[string]*protocol.Conn
-}
-
-func newPeerPool(timeout time.Duration) *peerPool {
-	return &peerPool{timeout: timeout, conns: make(map[string]*protocol.Conn)}
-}
-
-// call sends one request to the peer and waits for its Ack, retrying
-// once on a fresh connection when a pooled one has gone stale. A
-// refusal is the peer's answer, not a stale connection: it is returned
-// at once and the connection kept.
-func (p *peerPool) call(addr string, msg any) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var refused *protocol.RemoteError
-	if conn, ok := p.conns[addr]; ok {
-		err := conn.Call(msg)
-		if err == nil || errors.As(err, &refused) {
-			return err
-		}
-		conn.Close()
-		delete(p.conns, addr)
-	}
-	conn, err := protocol.Dial(addr, p.timeout)
-	if err != nil {
-		return err
-	}
-	if err = conn.Call(msg); err != nil && !errors.As(err, &refused) {
-		conn.Close()
-		return err
-	}
-	p.conns[addr] = conn
-	return err
-}
-
-func (p *peerPool) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for addr, conn := range p.conns {
-		conn.Close()
-		delete(p.conns, addr)
-	}
 }

@@ -323,9 +323,10 @@ func TestRefusedRelaySentOnce(t *testing.T) {
 		return src.Upload(fmt.Sprintf("%s_2010092504%02d.txt", feedB, minute), []byte("relayed\n"))
 	}
 	pooled := func() *protocol.Conn {
-		nodeA.peers.mu.Lock()
-		defer nodeA.peers.mu.Unlock()
-		return nodeA.peers.conns[nodeB.Addr()]
+		h := nodeA.pool.hostConn(nodeB.Addr())
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.conn
 	}
 	if err := upload(50); err != nil {
 		t.Fatal(err)

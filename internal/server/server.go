@@ -134,6 +134,9 @@ type Server struct {
 	adm   *admin.Server       // nil unless the config has an admin block
 	httpd *httpfeed.Server    // nil unless the config has an http block
 	trans *compositeTransport // nil when Options.Transport overrides
+	// pool holds the node's protocol connections: pushes to subscriber
+	// daemons (through trans) and relays to cluster peers.
+	pool *tcpTransport
 
 	// Cluster state — all nil/zero on a single-node server (the
 	// 1-shard degenerate case pays nothing for the routing layer).
@@ -142,7 +145,6 @@ type Server struct {
 	shard    *cluster.ShardMap
 	shipper  *cluster.Shipper // nil unless this node ships to a standby
 	clusterM *cluster.Metrics
-	peers    *peerPool
 	failover cluster.FailoverParams
 
 	mu        sync.Mutex
@@ -242,7 +244,6 @@ func New(opts Options) (*Server, error) {
 		}
 		s.shard = shard
 		s.clusterM = cluster.NewMetrics(s.reg)
-		s.peers = newPeerPool(5 * time.Second)
 		s.failover = failoverParams(cfg.Cluster)
 		if self, ok := shard.Self(); ok && self.Standby != "" {
 			s.shipper = s.newShipper(self.Standby)
@@ -275,6 +276,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.plans = plans
 
+	s.pool = newTCPTransport(5*time.Second, s.clk, cfg.Backoff.Policy())
 	trans := opts.Transport
 	if trans == nil {
 		comp := s.buildTransport()
@@ -500,8 +502,7 @@ func (s *Server) resolveDir(dir, fallback string) string {
 // rest.
 func (s *Server) buildTransport() *compositeTransport {
 	local := transport.NewLocalDir()
-	remote := newTCPTransport(5*time.Second, s.clk, s.cfg.Backoff.Policy())
-	comp := &compositeTransport{local: local, remote: remote, hosts: make(map[string]string)}
+	comp := &compositeTransport{local: local, remote: s.pool, hosts: make(map[string]string)}
 	for _, sub := range s.cfg.Subscribers {
 		if sub.Host != "" {
 			comp.hosts[sub.Name] = sub.Host
@@ -1020,14 +1021,9 @@ func (s *Server) Stop() {
 		s.replay.Stop()
 	}
 	s.engine.Stop()
-	if s.trans != nil {
-		s.trans.remote.close()
-	}
+	s.pool.close()
 	if sh := s.getShipper(); sh != nil {
 		sh.Close()
-	}
-	if s.peers != nil {
-		s.peers.close()
 	}
 	s.wg.Wait()
 	s.store.Close()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -71,11 +72,12 @@ func (c *compositeTransport) Ping(sub string) error {
 
 var _ transport.Transport = (*compositeTransport)(nil)
 
-// tcpTransport pushes protocol messages to subscriber daemons,
-// maintaining one connection per host. Redials are gated by a per-host
-// backoff: after a dial failure, further attempts inside the backoff
-// window fail fast instead of re-paying the connect timeout — the
-// delivery engine's own retry schedule decides when to come back.
+// tcpTransport is a node's one connection pool: it pushes protocol
+// messages to subscriber daemons and relays uploads to the cluster
+// nodes that own them, keeping one connection per host. Redials are
+// gated by a per-host backoff: after a dial failure, further attempts
+// inside the backoff window fail fast instead of re-paying the connect
+// timeout — the caller's own retry schedule decides when to come back.
 type tcpTransport struct {
 	timeout time.Duration
 	clk     clock.Clock
@@ -122,8 +124,11 @@ func (t *tcpTransport) hostConn(host string) *hostConn {
 	return h
 }
 
-// withConn runs fn holding the (cached) connection to host, dropping
-// the connection on any error so the next call redials.
+// withConn runs fn holding the (cached) connection to host. The
+// connection is kept after a success or a refusal (a
+// *protocol.RemoteError: the peer answered, the stream is in frame
+// sync) and dropped after any other error, which may have left it
+// mid-frame, so the next call redials.
 func (t *tcpTransport) withConn(host string, fn func(*protocol.Conn) error) error {
 	h := t.hostConn(host)
 	h.mu.Lock()
@@ -145,12 +150,20 @@ func (t *tcpTransport) withConn(host string, fn func(*protocol.Conn) error) erro
 		conn.Timeout = t.timeout
 		h.conn = conn
 	}
-	if err := fn(h.conn); err != nil {
+	err := fn(h.conn)
+	if err != nil && !refusal(err) {
 		h.conn.Close()
 		h.conn = nil
-		return err
 	}
-	return nil
+	return err
+}
+
+// refusal reports whether err is a peer's refusal (a
+// *protocol.RemoteError). Its target is on the heap, so it is asked
+// only once a call has failed.
+func refusal(err error) bool {
+	var refused *protocol.RemoteError
+	return errors.As(err, &refused)
 }
 
 // call sends a request and awaits the Ack.

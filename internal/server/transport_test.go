@@ -1,15 +1,20 @@
 package server
 
 import (
+	"errors"
 	"hash/crc32"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bistro/internal/backoff"
+	"bistro/internal/diskfault"
+	"bistro/internal/protocol"
 	"bistro/internal/subclient"
 	"bistro/internal/transport"
 )
@@ -130,4 +135,90 @@ func TestTCPTransportPerHostDialBackoff(t *testing.T) {
 			t.Fatalf("ping %d to healthy host: %v", i, err)
 		}
 	}
+}
+
+// answeringSubscriber serves Deliver frames on every connection it
+// accepts, reading each payload to its end and answering ack. It
+// returns its address and the count of connections it accepted.
+func answeringSubscriber(t *testing.T, ack protocol.Ack) (string, *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := new(atomic.Int32)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func(conn *protocol.Conn) {
+				defer conn.Close()
+				for {
+					if _, _, err := conn.RecvHeader(); err != nil {
+						return
+					}
+					if _, err := io.Copy(io.Discard, conn.Payload()); err != nil {
+						return
+					}
+					if conn.SendAck(ack) != nil {
+						return
+					}
+				}
+			}(protocol.NewConn(c))
+		}
+	}()
+	return ln.Addr().String(), accepted
+}
+
+// TestRefusedDeliveryKeepsConnection pins the pool's rule: a refusal
+// keeps the connection (the subscriber answered, the stream is in
+// frame sync), and a push cut mid-payload drops it, so the next one
+// goes out on a fresh connection. TestRefusedRelaySentOnce pins the
+// same rule for relays.
+func TestRefusedDeliveryKeepsConnection(t *testing.T) {
+	data := []byte("1,2,3\n")
+	f := transport.File{FileID: 1, Feed: "BPS", Name: "in/BPS/f1.csv", Data: data,
+		CRC: crc32.ChecksumIEEE(data), Size: int64(len(data))}
+
+	t.Run("refused", func(t *testing.T) {
+		host, accepted := answeringSubscriber(t, protocol.Ack{Error: "disk full"})
+		tr := newTCPTransport(5*time.Second, nil, backoff.Policy{})
+		defer tr.close()
+		for i := 0; i < 5; i++ {
+			var refused *protocol.RemoteError
+			if err := tr.deliver(host, f); !errors.As(err, &refused) {
+				t.Fatalf("delivery %d: err = %v, want the refusal", i, err)
+			}
+		}
+		if n := accepted.Load(); n != 1 {
+			t.Fatalf("five refused deliveries used %d connections, want 1", n)
+		}
+	})
+
+	t.Run("cut mid-payload", func(t *testing.T) {
+		host, accepted := answeringSubscriber(t, protocol.Ack{OK: true})
+		tr := newTCPTransport(5*time.Second, nil, backoff.Policy{})
+		defer tr.close()
+		// The staged file ends 700 KiB short of the size its receipt
+		// declares: the push is cut after the first 300 KiB.
+		staged := filepath.Join(t.TempDir(), "staged.bin")
+		if err := os.WriteFile(staged, make([]byte, 300<<10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cut := transport.File{FileID: 2, Feed: "BPS", Name: "in/BPS/f2.bin", Path: staged,
+			FS: diskfault.OS(), Size: 1 << 20}
+		if err := tr.deliver(host, cut); err == nil || !strings.Contains(err.Error(), "payload cut") {
+			t.Fatalf("cut delivery: err = %v, want the cut payload", err)
+		}
+		if err := tr.deliver(host, f); err != nil {
+			t.Fatalf("delivery after a cut one: %v", err)
+		}
+		if n := accepted.Load(); n != 2 {
+			t.Fatalf("a cut delivery and the next used %d connections, want 2", n)
+		}
+	})
 }

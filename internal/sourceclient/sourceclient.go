@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 
 	"bistro/internal/backoff"
 	"bistro/internal/clock"
+	"bistro/internal/diskfault"
 	"bistro/internal/protocol"
 )
 
@@ -82,6 +84,28 @@ func (c *Client) Upload(name string, data []byte) error {
 		Data: data,
 		CRC:  crc32.ChecksumIEEE(data),
 	})
+}
+
+// UploadFile streams the file at path to the server's landing zone
+// under name: one pass reads its size and CRC, a second sends it, so a
+// file of any length costs a copy buffer, not its size in memory.
+func (c *Client) UploadFile(name, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	size, crc, err := diskfault.CopyCRC(io.Discard, f)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if err := c.conn.SendFrom(protocol.Upload{Name: name, CRC: crc}, f, size); err != nil {
+		return err
+	}
+	return c.conn.RecvAck()
 }
 
 // FileReady announces a file the source already deposited into the
@@ -162,11 +186,11 @@ func (c *Client) WatchDir(dir string, opts WatchOptions) error {
 			if prev, ok := seen[key]; ok && prev == st {
 				return nil
 			}
-			data, rerr2 := os.ReadFile(path)
-			if rerr2 != nil {
-				return nil
+			uerr := c.UploadFile(key, path)
+			var unreadable *fs.PathError
+			if errors.As(uerr, &unreadable) {
+				return nil // vanished mid-scan, or not readable
 			}
-			uerr := c.Upload(key, data)
 			if uerr == nil {
 				seen[key] = st
 				if opts.Remove {

@@ -1,7 +1,6 @@
 package sourceclient
 
 import (
-	"bytes"
 	"hash/crc32"
 	"net"
 	"os"
@@ -50,11 +49,6 @@ func newFakeServer(t *testing.T) *fakeServer {
 					msg, err := conn.Recv()
 					if err != nil {
 						return
-					}
-					if up, ok := msg.(protocol.Upload); ok {
-						// The payload is the Conn's until the next Recv.
-						up.Data = bytes.Clone(up.Data)
-						msg = up
 					}
 					fs.mu.Lock()
 					fs.msgs = append(fs.msgs, msg)
