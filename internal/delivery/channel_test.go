@@ -5,6 +5,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"bistro/internal/config"
 	"bistro/internal/diskfault"
 	"bistro/internal/metrics"
+	"bistro/internal/oracle"
 	"bistro/internal/receipts"
 	"bistro/internal/scheduler"
 	"bistro/internal/transport"
@@ -23,12 +25,14 @@ import (
 
 // countTrans records every successful delivery per (subscriber, file)
 // so tests can assert exactly-once, and fails transfers to subscribers
-// marked down with a plain (transient) error.
+// marked down with a plain (transient) error. With a ledger set it also
+// feeds each delivery to it on the channel plane, by base name.
 type countTrans struct {
-	mu    sync.Mutex
-	down  map[string]bool
-	got   map[string]map[uint64]int
-	bytes map[string]int64
+	mu     sync.Mutex
+	down   map[string]bool
+	got    map[string]map[uint64]int
+	bytes  map[string]int64
+	ledger *oracle.Ledger
 }
 
 func newCountTrans() *countTrans {
@@ -62,6 +66,9 @@ func (c *countTrans) Deliver(sub string, f transport.File) error {
 	}
 	c.got[sub][f.FileID]++
 	c.bytes[sub] += int64(len(f.Data))
+	if c.ledger != nil {
+		c.ledger.Deliver(oracle.Channel, sub, path.Base(f.Name), f.CRC)
+	}
 	return nil
 }
 
@@ -178,6 +185,7 @@ func TestChannelMembersGetNoIndividualJobs(t *testing.T) {
 // the log and re-attaches — every file delivered exactly once.
 func TestChannelChurnExactlyOnce(t *testing.T) {
 	ct := newCountTrans()
+	ct.ledger = oracle.New()
 	subs := []*config.Subscriber{sub("m1", "BPS"), sub("m2", "BPS")}
 	h := newHarness(t, ct, subs, chanOpts("m1", "m2"))
 	h.engine.Start()
@@ -219,12 +227,14 @@ func TestChannelChurnExactlyOnce(t *testing.T) {
 		return h.store.Delivered(f4.ID, "m1") && h.store.Delivered(f4.ID, "m2")
 	})
 
-	for _, m := range []string{"m1", "m2"} {
-		for _, f := range []receipts.FileMeta{f1, f2, f3, f4} {
-			if n := ct.count(m, f.ID); n != 1 {
-				t.Errorf("%s received %s %d times, want exactly 1", m, f.Name, n)
-			}
-		}
+	for _, f := range []receipts.FileMeta{f1, f2, f3, f4} {
+		ct.ledger.Deposit(path.Base(f.Name), f.Checksum, true)
+	}
+	if n := ct.ledger.Undelivered(oracle.Channel, "m1", "m2"); n != 0 {
+		t.Errorf("%d (member, file) pairs never delivered whole", n)
+	}
+	if n := ct.ledger.Duplicates(oracle.Channel) + ct.ledger.Strays(oracle.Channel); n != 0 {
+		t.Errorf("%d deliveries beyond exactly one per (member, file)", n)
 	}
 	if h.events.count(EvChannelDetached) == 0 {
 		t.Error("no detach event for the mid-fan-out failure")

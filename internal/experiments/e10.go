@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
-	"bistro/internal/config"
 	"bistro/internal/metrics"
 	"bistro/internal/receipts"
 	"bistro/internal/server"
@@ -31,7 +29,7 @@ func E10Recovery(o Options) (Table, error) {
 		Header: []string{"measure", "value"},
 	}
 
-	root, err := os.MkdirTemp("", "bistro-e10-*")
+	root, err := tempRoot("e10")
 	if err != nil {
 		return t, err
 	}
@@ -46,39 +44,24 @@ subscriber wh { dest "in" subscribe BPS }
 		Convention: workload.ConvUnderscoreTS, SizeBytes: 256,
 	})
 	files := gen.Window(start, start.Add(time.Duration(totalFiles/3)*time.Minute))
-	if len(files) < totalFiles {
-		totalFiles = len(files)
-	}
-	files = files[:totalFiles]
+	files = files[:min(totalFiles, len(files))]
+	totalFiles = len(files)
 
 	runServer := func(deposit []workload.File, waitDelivered int) error {
-		cfg, err := config.Parse(cfgSrc)
-		if err != nil {
-			return err
-		}
-		srv, err := server.New(server.Options{
-			Config: cfg, Root: root, ScanInterval: -1, NoSync: false,
-		})
+		srv, err := startServer(cfgSrc, server.Options{Root: root, ScanInterval: -1})
 		if err != nil {
 			return err
 		}
 		defer srv.Stop()
-		if err := srv.Start(); err != nil {
-			return err
-		}
 		for _, f := range deposit {
 			if err := srv.Deposit(f.Name, workload.Payload(f)); err != nil {
 				return err
 			}
 		}
-		deadline := time.Now().Add(60 * time.Second)
-		for time.Now().Before(deadline) {
-			if srv.Store().DeliveredCount("wh") >= waitDelivered {
-				return nil
-			}
-			time.Sleep(5 * time.Millisecond)
+		if !waitFor(60*time.Second, func() bool { return srv.Store().DeliveredCount("wh") >= waitDelivered }) {
+			return fmt.Errorf("e10: delivered %d, want %d", srv.Store().DeliveredCount("wh"), waitDelivered)
 		}
-		return fmt.Errorf("e10: delivered %d, want %d", srv.Store().DeliveredCount("wh"), waitDelivered)
+		return nil
 	}
 
 	half := totalFiles / 2
@@ -92,16 +75,7 @@ subscriber wh { dest "in" subscribe BPS }
 	}
 
 	// Count delivered files on disk: exactly one per generated file.
-	delivered := 0
-	err = filepath.WalkDir(filepath.Join(root, "in"), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			delivered++
-		}
-		return nil
-	})
-	if err != nil {
-		return t, err
-	}
+	delivered, _ := dirStats(filepath.Join(root, "in"))
 	t.Rows = append(t.Rows,
 		[]string{"files generated", fmt.Sprintf("%d", totalFiles)},
 		[]string{"files on subscriber disk after restart", fmt.Sprintf("%d", delivered)},
@@ -155,7 +129,7 @@ const walWriters = 8
 // WAL fsyncs those commits cost (the store's own
 // bistro_receipts_fsync_seconds count).
 func walThroughput(opts receipts.Options, perWriter int) (float64, int64, error) {
-	dir, err := os.MkdirTemp("", "bistro-e10-wal-*")
+	dir, err := tempRoot("e10-wal")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -166,31 +140,21 @@ func walThroughput(opts receipts.Options, perWriter int) (float64, int64, error)
 		return 0, 0, err
 	}
 	defer store.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, walWriters)
 	fsyncs0 := opts.Metrics.FsyncSeconds.Count()
 	startT := time.Now()
-	for w := 0; w < walWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				_, err := store.RecordArrival(receipts.FileMeta{
-					Name: fmt.Sprintf("w%d-%d", w, i), StagedPath: "x",
-					Feeds: []string{"F"}, Arrived: time.Now(),
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
+	if err := inParallel(walWriters, func(w int) error {
+		for i := 0; i < perWriter; i++ {
+			if _, err := store.RecordArrival(receipts.FileMeta{
+				Name: fmt.Sprintf("w%d-%d", w, i), StagedPath: "x",
+				Feeds: []string{"F"}, Arrived: time.Now(),
+			}); err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(startT)
-	close(errs)
-	for err := range errs {
+		}
+		return nil
+	}); err != nil {
 		return 0, 0, err
 	}
+	elapsed := time.Since(startT)
 	return float64(walWriters*perWriter) / elapsed.Seconds(), opts.Metrics.FsyncSeconds.Count() - fsyncs0, nil
 }

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -13,7 +10,6 @@ import (
 	"bistro/internal/config"
 	"bistro/internal/delivery"
 	"bistro/internal/netsim"
-	"bistro/internal/receipts"
 	"bistro/internal/trigger"
 )
 
@@ -48,22 +44,11 @@ func E11Degradation(o Options) (Table, error) {
 	}
 
 	for _, flap := range []bool{false, true} {
-		m, err := e11Scenario(window, flap)
+		row, err := e11Scenario(window, flap)
 		if err != nil {
 			return t, err
 		}
-		name := "no-fault"
-		if flap {
-			name = "flap-fault"
-		}
-		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%d", m.delivered),
-			secs(m.healthyMean),
-			secs(m.healthyMax),
-			fmt.Sprintf("%d", m.retries),
-			fmt.Sprintf("%d", m.probes),
-		})
+		t.Rows = append(t.Rows, row)
 	}
 
 	for _, fixed := range []bool{true, false} {
@@ -85,26 +70,20 @@ func E11Degradation(o Options) (Table, error) {
 	return t, nil
 }
 
-type e11Metrics struct {
-	delivered   int
-	healthyMean time.Duration
-	healthyMax  time.Duration
-	retries     int
-	probes      int
-}
-
 // e11Scenario runs three subscribers (one optionally flapping) over
-// window on a simulated clock, a file every 5s, and reports delivery
-// and fault-path counters.
-func e11Scenario(window time.Duration, flap bool) (e11Metrics, error) {
-	var m e11Metrics
+// window on a simulated clock, a file every 5s, and returns the
+// scenario's table row of delivery and fault-path counters.
+func e11Scenario(window time.Duration, flap bool) ([]string, error) {
+	var delivered, retries int
 	start := time.Date(2011, 6, 12, 0, 0, 0, 0, time.UTC)
 	period := 5 * time.Second
 	deadline := time.Minute
 	clk := clock.NewSimulated(start)
 	ns := netsim.New(clk)
+	var subs []*config.Subscriber
 	for _, name := range []string{"wh1", "wh2", "flappy"} {
 		ns.Register(name, netsim.HostConfig{})
+		subs = append(subs, &config.Subscriber{Name: name, Dest: "in", Feeds: []string{"F"}})
 	}
 	if flap {
 		ns.SetFaults("flappy", netsim.FaultPlan{Windows: []netsim.FlapWindow{
@@ -113,35 +92,21 @@ func e11Scenario(window time.Duration, flap bool) (e11Metrics, error) {
 		}})
 	}
 
-	root, err := os.MkdirTemp("", "bistro-e11-*")
+	st, err := newStagedStore("e11")
 	if err != nil {
-		return m, err
+		return nil, err
 	}
-	defer os.RemoveAll(root)
-	store, err := receipts.Open(filepath.Join(root, "db"), receipts.Options{NoSync: true})
-	if err != nil {
-		return m, err
-	}
-	defer store.Close()
-	staging := filepath.Join(root, "staging")
-	if err := os.MkdirAll(staging, 0o755); err != nil {
-		return m, err
-	}
+	defer st.close()
 
 	var mu sync.Mutex
 	arrivalOf := make(map[uint64]time.Time)
 	var healthyTardy []time.Duration
-	subs := []*config.Subscriber{
-		{Name: "wh1", Dest: "in", Feeds: []string{"F"}},
-		{Name: "wh2", Dest: "in", Feeds: []string{"F"}},
-		{Name: "flappy", Dest: "in", Feeds: []string{"F"}},
-	}
 	eng, err := delivery.New(delivery.Options{
 		Clock:       clk,
-		Store:       store,
+		Store:       st.store,
 		Transport:   ns,
 		Subscribers: subs,
-		StagingRoot: staging,
+		StagingRoot: st.staging,
 		Deadline:    deadline,
 		// NoJitter keeps the run deterministic for the shape assertions.
 		Backoff: backoff.Policy{Base: time.Second, Max: 30 * time.Second, Multiplier: 2, NoJitter: true, Threshold: 3},
@@ -150,9 +115,9 @@ func e11Scenario(window time.Duration, flap bool) (e11Metrics, error) {
 			defer mu.Unlock()
 			switch ev.Kind {
 			case delivery.EvRetryScheduled:
-				m.retries++
+				retries++
 			case delivery.EvDelivered:
-				m.delivered++
+				delivered++
 				if ev.Subscriber != "flappy" {
 					tardy := ev.At.Sub(arrivalOf[ev.FileID].Add(deadline))
 					if tardy < 0 {
@@ -165,7 +130,7 @@ func e11Scenario(window time.Duration, flap bool) (e11Metrics, error) {
 		TriggerInvoker: trigger.InvokerFunc(func(trigger.Invocation) error { return nil }),
 	})
 	if err != nil {
-		return m, err
+		return nil, err
 	}
 	eng.Start()
 	defer eng.Stop()
@@ -173,29 +138,13 @@ func e11Scenario(window time.Duration, flap bool) (e11Metrics, error) {
 	n := 0
 	for at := start; at.Before(start.Add(window)); at = at.Add(period) {
 		clk.AdvanceTo(at)
-		name := fmt.Sprintf("F/file%04d.csv", n)
-		n++
-		payload := []byte(fmt.Sprintf("measurement %s\n", at.Format(time.RFC3339)))
-		p := filepath.Join(staging, filepath.FromSlash(name))
-		os.MkdirAll(filepath.Dir(p), 0o755)
-		if err := os.WriteFile(p, payload, 0o644); err != nil {
-			return m, err
-		}
-		meta := receipts.FileMeta{
-			Name:       name,
-			StagedPath: name,
-			Feeds:      []string{"F"},
-			Size:       int64(len(payload)),
-			Checksum:   crc32.ChecksumIEEE(payload),
-			Arrived:    at,
-		}
-		id, err := store.RecordArrival(meta)
+		meta, err := st.stage(fmt.Sprintf("F/file%04d.csv", n), "F", []byte(fmt.Sprintf("measurement %s\n", at.Format(time.RFC3339))), at)
 		if err != nil {
-			return m, err
+			return nil, err
 		}
-		meta.ID = id
+		n++
 		mu.Lock()
-		arrivalOf[id] = at
+		arrivalOf[meta.ID] = at
 		mu.Unlock()
 		eng.EnqueueFile(meta)
 		// Step through the period so retry releases and probe timers
@@ -211,7 +160,7 @@ func e11Scenario(window time.Duration, flap bool) (e11Metrics, error) {
 	drainUntil := time.Now().Add(20 * time.Second)
 	for time.Now().Before(drainUntil) {
 		mu.Lock()
-		done := m.delivered >= want
+		done := delivered >= want
 		mu.Unlock()
 		if done {
 			break
@@ -222,18 +171,18 @@ func e11Scenario(window time.Duration, flap bool) (e11Metrics, error) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	var total time.Duration
-	for _, d := range healthyTardy {
-		total += d
-		if d > m.healthyMax {
-			m.healthyMax = d
-		}
+	name := "no-fault"
+	if flap {
+		name = "flap-fault"
 	}
-	if len(healthyTardy) > 0 {
-		m.healthyMean = total / time.Duration(len(healthyTardy))
-	}
-	m.probes = ns.Pings("flappy")
-	return m, nil
+	return []string{
+		name,
+		fmt.Sprintf("%d", delivered),
+		secs(meanDuration(healthyTardy)),
+		secs(maxDuration(healthyTardy)),
+		fmt.Sprintf("%d", retries),
+		fmt.Sprintf("%d", ns.Pings("flappy")),
+	}, nil
 }
 
 // e11Probes runs one permanently-down subscriber over window and
@@ -246,20 +195,11 @@ func e11Probes(window time.Duration, fixed bool) (int, error) {
 	ns.Register("down", netsim.HostConfig{})
 	ns.SetDown("down", true)
 
-	root, err := os.MkdirTemp("", "bistro-e11p-*")
+	st, err := newStagedStore("e11p")
 	if err != nil {
 		return 0, err
 	}
-	defer os.RemoveAll(root)
-	store, err := receipts.Open(filepath.Join(root, "db"), receipts.Options{NoSync: true})
-	if err != nil {
-		return 0, err
-	}
-	defer store.Close()
-	staging := filepath.Join(root, "staging")
-	if err := os.MkdirAll(staging, 0o755); err != nil {
-		return 0, err
-	}
+	defer st.close()
 
 	pol := backoff.Policy{Base: 15 * time.Second, Max: 2 * time.Minute, Multiplier: 2, NoJitter: true, Threshold: 1}
 	if fixed {
@@ -268,10 +208,10 @@ func e11Probes(window time.Duration, fixed bool) (int, error) {
 	}
 	eng, err := delivery.New(delivery.Options{
 		Clock:          clk,
-		Store:          store,
+		Store:          st.store,
 		Transport:      ns,
 		Subscribers:    []*config.Subscriber{{Name: "down", Dest: "in", Feeds: []string{"F"}}},
-		StagingRoot:    staging,
+		StagingRoot:    st.staging,
 		Backoff:        pol,
 		TriggerInvoker: trigger.InvokerFunc(func(trigger.Invocation) error { return nil }),
 	})
@@ -281,19 +221,10 @@ func e11Probes(window time.Duration, fixed bool) (int, error) {
 	eng.Start()
 	defer eng.Stop()
 
-	payload := []byte("x")
-	if err := os.WriteFile(filepath.Join(staging, "f.csv"), payload, 0o644); err != nil {
-		return 0, err
-	}
-	meta := receipts.FileMeta{
-		Name: "f.csv", StagedPath: "f.csv", Feeds: []string{"F"},
-		Size: 1, Checksum: crc32.ChecksumIEEE(payload), Arrived: start,
-	}
-	id, err := store.RecordArrival(meta)
+	meta, err := st.stage("f.csv", "F", []byte("x"), start)
 	if err != nil {
 		return 0, err
 	}
-	meta.ID = id
 	eng.EnqueueFile(meta)
 
 	steps := int(window / time.Second)

@@ -6,13 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
-	"bistro/internal/config"
 	"bistro/internal/delivery"
 	"bistro/internal/diskfault"
-	"bistro/internal/normalize"
+	"bistro/internal/oracle"
 	"bistro/internal/receipts"
 	"bistro/internal/server"
 	"bistro/internal/subclient"
@@ -92,18 +90,13 @@ func E12CrashConsistency(o Options) (Table, error) {
 	if o.Quick {
 		n = 1500
 	}
-	replay, err := recoveryTime(n, false)
-	if err != nil {
-		return t, err
+	for _, mode := range []string{"full WAL replay", "after checkpoint"} {
+		d, err := recoveryTime(n, mode == "after checkpoint")
+		if err != nil {
+			return t, err
+		}
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("recovery time, %d receipts, %s", n, mode), ms(d)})
 	}
-	ckpt, err := recoveryTime(n, true)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows,
-		[]string{fmt.Sprintf("recovery time, %d receipts, full WAL replay", n), ms(replay)},
-		[]string{fmt.Sprintf("recovery time, %d receipts, after checkpoint", n), ms(ckpt)},
-	)
 	t.Notes = append(t.Notes,
 		"each round arms a random power cut, runs ingest+delivery over the fault filesystem, rolls the disk back to the fsync-covered state, and restarts",
 		"plan rounds run a validate+route plan per arrival: each record must end up in exactly one of primary staging, a derived feed, or the reject quarantine — exactly once — across any number of mid-plan cuts",
@@ -173,34 +166,26 @@ func (r *CrashRoundsResult) Violations() int {
 	return r.LostAcked + r.Divergences + r.Undelivered
 }
 
-const e12Config = `
+// e12ConfigText renders the harness configuration for the requested
+// pipeline shape: the serial shape has no ingest block.
+func e12ConfigText(cfg CrashRoundsConfig) string {
+	text := `
 feed CPU { pattern "CPU_POLL%i_%Y%m%d%H%M.txt" }
 subscriber wh { dest "in" subscribe CPU }
 `
-
-// e12ConfigText renders the harness configuration for the requested
-// pipeline shape. The serial shape is the historical e12Config text.
-func e12ConfigText(cfg CrashRoundsConfig) string {
 	if cfg.Workers <= 1 && !cfg.GroupCommit {
-		return e12Config
+		return text
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	text := fmt.Sprintf("ingest {\n    workers %d\n", workers)
+	ingest := fmt.Sprintf("ingest {\n    workers %d\n", max(cfg.Workers, 1))
 	if cfg.GroupCommit {
 		// A small window so every round crosses many flush boundaries.
-		text += "    group_commit { max_batch 8 max_delay 1ms }\n"
+		ingest += "    group_commit { max_batch 8 max_delay 1ms }\n"
 	}
-	text += "}\n"
+	text = ingest + "}\n" + text
 	if cfg.Workers > 1 {
-		return text + `
-feed CPU { pattern "src%i/CPU_POLL%i_%Y%m%d%H%M.txt" }
-subscriber wh { dest "in" subscribe CPU }
-`
+		text = strings.Replace(text, `"CPU_POLL`, `"src%i/CPU_POLL`, 1)
 	}
-	return text + e12Config
+	return text
 }
 
 // RunCrashRounds executes the crash-restart property loop and checks
@@ -208,7 +193,7 @@ subscriber wh { dest "in" subscribe CPU }
 // experiments package's test surface) so a test can rerun it with a
 // lying fsync and assert the violations become visible.
 func RunCrashRounds(cfg CrashRoundsConfig) (*CrashRoundsResult, error) {
-	root, err := os.MkdirTemp("", "bistro-e12-*")
+	root, err := tempRoot("e12")
 	if err != nil {
 		return nil, err
 	}
@@ -228,94 +213,44 @@ func RunCrashRounds(cfg CrashRoundsConfig) (*CrashRoundsResult, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &CrashRoundsResult{Rounds: cfg.Rounds}
-	acked := make(map[string]string) // original name -> payload
-	var mu sync.Mutex
-	deliveredEvents := 0
-	onEvent := func(ev delivery.Event) {
+	ledger := oracle.New()
+	opts := server.Options{Root: root, ScanInterval: -1, OnEvent: func(ev delivery.Event) {
 		if ev.Kind == delivery.EvDelivered {
-			mu.Lock()
-			deliveredEvents++
-			mu.Unlock()
+			ledger.Deliver(oracle.Push, ev.Subscriber, ev.Name, 0)
 		}
-	}
+	}}
 
 	base := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
-	fileNo := 0
 	for round := 0; round < cfg.Rounds; round++ {
-		dfOpts := cfg.Fault
-		dfOpts.Seed = cfg.Seed + int64(round) + 1
-		dfOpts.PowerCut = true
-		dfOpts.TornWrites = true
-		// NoSync below the fault layer: the simulation tracks durability
-		// itself, so real fsyncs would only slow the harness down.
-		faulty := diskfault.NewFaulty(diskfault.NoSync(diskfault.OS()), dfOpts)
-
-		srv, err := newE12Server(root, confText, faulty, onEvent)
+		faulty := powerCut(cfg.Fault, cfg.Seed+int64(round)+1)
+		opts.FS = faulty
+		srv, err := startServer(confText, opts)
 		if err != nil {
 			return nil, fmt.Errorf("e12 round %d: restart: %w", round, err)
 		}
-		if err := checkInvariants(srv, root, acked, res); err != nil {
-			srv.Stop()
-			return nil, err
-		}
-
-		// Arm the cut somewhere inside this round's operation stream,
-		// then feed deposits; ingest and delivery race the countdown.
+		res.Reingested = checkRecovered(ledger, srv.Store(), root)
 		faulty.SetCrashAfter(3 + rng.Int63n(45))
+
+		// Ingest and delivery race the armed cut. The sharded shape has
+		// three sources deposit concurrently into their own
+		// directories, in per-source order, so cuts land across shard
+		// and flush-window boundaries.
+		nSrc := 1
 		if cfg.Workers > 1 {
-			// Sharded shape: three sources deposit concurrently into
-			// their own directories, in per-source order, racing the
-			// armed cut across shard and flush-window boundaries.
-			const nSrc = 3
-			type dep struct{ name, payload string }
-			plan := make([][]dep, nSrc)
-			for i := 0; i < cfg.PerRound; i++ {
-				s := i % nSrc
-				name := fmt.Sprintf("src%d/CPU_POLL%d_%s.txt", s+1, s+1,
-					base.Add(time.Duration(fileNo)*time.Minute).Format("200601021504"))
-				fileNo++
-				plan[s] = append(plan[s], dep{name,
-					fmt.Sprintf("round=%d file=%d payload=%032d", round, fileNo, fileNo)})
-			}
-			var wg sync.WaitGroup
-			for s := range plan {
-				wg.Add(1)
-				go func(deps []dep) {
-					defer wg.Done()
-					for _, d := range deps {
-						err := srv.Deposit(d.name, []byte(d.payload))
-						mu.Lock()
-						res.Attempted++
-						if err == nil {
-							res.Acked++
-							acked[d.name] = d.payload
-						}
-						mu.Unlock()
-					}
-				}(plan[s])
-			}
-			wg.Wait()
-		} else {
-			for i := 0; i < cfg.PerRound; i++ {
-				name := fmt.Sprintf("CPU_POLL%d_%s.txt", i%3+1, base.Add(time.Duration(fileNo)*time.Minute).Format("200601021504"))
-				fileNo++
-				payload := fmt.Sprintf("round=%d file=%d payload=%032d", round, fileNo, fileNo)
-				res.Attempted++
-				if err := srv.Deposit(name, []byte(payload)); err == nil {
-					res.Acked++
-					acked[name] = payload
+			nSrc = 3
+		}
+		inParallel(nSrc, func(s int) error {
+			for i := s; i < cfg.PerRound; i += nSrc {
+				n := round*cfg.PerRound + i
+				name := fmt.Sprintf("CPU_POLL%d_%s.txt", i%3+1, base.Add(time.Duration(n)*time.Minute).Format("200601021504"))
+				if nSrc > 1 {
+					name = fmt.Sprintf("src%d/%s", i%3+1, name)
 				}
+				deposit(srv, ledger, name, fmt.Sprintf("round=%d file=%d payload=%032d", round, n+1, n+1))
 			}
-		}
-		// Let in-flight deliveries race the countdown briefly.
-		deadline := time.Now().Add(300 * time.Millisecond)
-		for time.Now().Before(deadline) && !faulty.Crashed() {
-			if srv.Store().DeliveredCount("wh") >= len(acked) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if faulty.Crashed() {
+			return nil
+		})
+		if raceTheCut(srv, faulty, ledger, "wh", 300*time.Millisecond) {
 			res.MidOpCrashes++
 		}
 		srv.Stop()
@@ -327,91 +262,24 @@ func RunCrashRounds(cfg CrashRoundsConfig) (*CrashRoundsResult, error) {
 
 	// Final clean run: drain every queue and verify at-least-once
 	// delivery of all acknowledged files.
-	srv, err := newE12Server(root, confText, diskfault.OS(), onEvent)
+	opts.FS = diskfault.OS()
+	srv, err := startServer(confText, opts)
 	if err != nil {
 		return nil, fmt.Errorf("e12 final restart: %w", err)
 	}
 	defer srv.Stop()
-	if err := checkInvariants(srv, root, acked, res); err != nil {
-		return nil, err
-	}
+	res.Reingested = checkRecovered(ledger, srv.Store(), root)
 	st := srv.Store().Stats()
 	res.Quarantined = st.Quarantined
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(srv.Store().PendingFor("wh", []string{"CPU"})) == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for name, payload := range acked {
-		got, err := os.ReadFile(filepath.Join(root, "in", "CPU", name))
-		if err != nil || string(got) != payload {
-			res.Undelivered++
-		}
-	}
+	waitFor(60*time.Second, func() bool { return len(srv.Store().PendingFor("wh", []string{"CPU"})) == 0 })
+	res.Undelivered = ledger.Missing(holdsIn(filepath.Join(root, "in", "CPU")))
 	if daemon != nil {
 		res.Resent = daemon.DuplicatesSuppressed()
 	}
-	mu.Lock()
-	res.Duplicates = deliveredEvents - (st.Files - st.Quarantined)
-	if res.Duplicates < 0 {
-		res.Duplicates = 0
-	}
-	mu.Unlock()
+	res.Attempted, res.Acked = ledger.Attempted(), ledger.Acked()
+	res.LostAcked, res.Divergences = ledger.Lost(), ledger.Diverged()
+	res.Duplicates = max(0, ledger.Deliveries(oracle.Push)-(st.Files-st.Quarantined))
 	return res, nil
-}
-
-func newE12Server(root, confText string, fsys diskfault.FS, onEvent func(delivery.Event)) (*server.Server, error) {
-	cfg, err := config.Parse(confText)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := server.New(server.Options{
-		Config: cfg, Root: root, ScanInterval: -1,
-		FS: fsys, OnEvent: onEvent,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.Start(); err != nil {
-		srv.Stop()
-		return nil, err
-	}
-	return srv, nil
-}
-
-// checkInvariants runs after every restart (reconcile already ran
-// inside Start): every acked arrival must be present, unquarantined,
-// and its staged payload intact; no surviving receipt may point at a
-// missing or corrupt staged file.
-func checkInvariants(srv *server.Server, root string, acked map[string]string, res *CrashRoundsResult) error {
-	store := srv.Store()
-	byName := make(map[string]receipts.FileMeta)
-	res.Reingested = 0
-	for _, meta := range store.AllFiles() {
-		byName[meta.Name] = meta
-		if _, ok := acked[meta.Name]; !ok {
-			// A receipt the depositor never got an ack for: either the
-			// commit raced the cut, or reconcile re-ingested an orphan.
-			res.Reingested++
-		}
-		if store.Quarantined(meta.ID) || store.IsExpired(meta.ID) {
-			continue
-		}
-		staged := filepath.Join(root, "staging", filepath.FromSlash(meta.StagedPath))
-		crc, size, err := normalize.ChecksumFile(staged)
-		if err != nil || size != meta.Size || crc != meta.Checksum {
-			res.Divergences++
-		}
-	}
-	for name := range acked {
-		meta, ok := byName[name]
-		if !ok || store.Quarantined(meta.ID) {
-			res.LostAcked++
-		}
-	}
-	return nil
 }
 
 // e12PlanConfig runs every arrival through a plan exercising the two
@@ -465,9 +333,11 @@ func planPayload(n int) string {
 // after the final clean restart. Deterministic output paths make the
 // exactly-once claim checkable as plain content equality: a replayed
 // half-finished plan overwrites, so any append-or-duplicate bug shows
-// up as drift from the expected bytes.
+// up as drift from the expected bytes. Two ledgers take each acked
+// arrival's outputs as deposits under their paths below root: one the
+// staged and quarantined outputs, one the delivered copies.
 func RunPlanCrashRounds(cfg CrashRoundsConfig) (*PlanCrashResult, error) {
-	root, err := os.MkdirTemp("", "bistro-e12p-*")
+	root, err := tempRoot("e12p")
 	if err != nil {
 		return nil, err
 	}
@@ -475,22 +345,18 @@ func RunPlanCrashRounds(cfg CrashRoundsConfig) (*PlanCrashResult, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &PlanCrashResult{Rounds: cfg.Rounds}
-	acked := make(map[string]int) // deposit name -> unique payload number
+	staged, delivered := oracle.New(), oracle.New()
 	base := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
 	fileNo := 0
 	for round := 0; round < cfg.Rounds; round++ {
-		dfOpts := cfg.Fault
-		dfOpts.Seed = cfg.Seed + int64(round) + 1
-		dfOpts.PowerCut = true
-		dfOpts.TornWrites = true
-		faulty := diskfault.NewFaulty(diskfault.NoSync(diskfault.OS()), dfOpts)
-		srv, err := newE12Server(root, e12PlanConfig, faulty, nil)
-		if err != nil {
-			return nil, fmt.Errorf("e12 plan round %d: restart: %w", round, err)
-		}
 		// The plan path does several durable commits per arrival
 		// (primary, derived, reject, receipt batch), so a wider window
 		// still lands cuts inside the seams.
+		faulty := powerCut(cfg.Fault, cfg.Seed+int64(round)+1)
+		srv, err := startServer(e12PlanConfig, server.Options{Root: root, ScanInterval: -1, FS: faulty})
+		if err != nil {
+			return nil, fmt.Errorf("e12 plan round %d: restart: %w", round, err)
+		}
 		faulty.SetCrashAfter(3 + rng.Int63n(60))
 		for i := 0; i < cfg.PerRound; i++ {
 			name := fmt.Sprintf("CPU_POLL%d_%s.txt", i%3+1,
@@ -499,14 +365,16 @@ func RunPlanCrashRounds(cfg CrashRoundsConfig) (*PlanCrashResult, error) {
 			res.Attempted++
 			if err := srv.Deposit(name, []byte(planPayload(fileNo))); err == nil {
 				res.Acked++
-				acked[name] = fileNo
+				p, d := crcOf(fmt.Sprintf("p,keep%032d\n", fileNo)), crcOf(fmt.Sprintf("d,route%032d\n", fileNo))
+				staged.Deposit("staging/CPU/"+name, p, true)
+				staged.Deposit("staging/DERIV/"+name, d, true)
+				staged.Deposit("quarantine/_plan/CPU/"+name+".rejects", crcOf(fmt.Sprintf("bad%d\t# reject: columns 1 (want 2)\n", fileNo)), true)
+				delivered.Deposit("in/CPU/"+name, p, true)
+				delivered.Deposit("ind/DERIV/"+name, d, true)
 			}
 		}
 		// Let in-flight deliveries race the countdown briefly.
-		deadline := time.Now().Add(150 * time.Millisecond)
-		for time.Now().Before(deadline) && !faulty.Crashed() {
-			time.Sleep(2 * time.Millisecond)
-		}
+		waitFor(150*time.Millisecond, faulty.Crashed)
 		if faulty.Crashed() {
 			res.MidOpCrashes++
 		}
@@ -517,19 +385,15 @@ func RunPlanCrashRounds(cfg CrashRoundsConfig) (*PlanCrashResult, error) {
 	}
 
 	// Final clean run: reconcile, drain, then check record placement.
-	srv, err := newE12Server(root, e12PlanConfig, diskfault.OS(), nil)
+	srv, err := startServer(e12PlanConfig, server.Options{Root: root, ScanInterval: -1})
 	if err != nil {
 		return nil, fmt.Errorf("e12 plan final restart: %w", err)
 	}
 	defer srv.Stop()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(srv.Store().PendingFor("wh", []string{"CPU"})) == 0 &&
-			len(srv.Store().PendingFor("whd", []string{"DERIV"})) == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(60*time.Second, func() bool {
+		return len(srv.Store().PendingFor("wh", []string{"CPU"})) == 0 &&
+			len(srv.Store().PendingFor("whd", []string{"DERIV"})) == 0
+	})
 
 	// Provenance: every derived receipt's Origin must resolve to a
 	// parent arrival — the WAL batch carried both or neither across
@@ -547,38 +411,19 @@ func RunPlanCrashRounds(cfg CrashRoundsConfig) (*PlanCrashResult, error) {
 		}
 	}
 
-	for name, n := range acked {
-		wantP := fmt.Sprintf("p,keep%032d\n", n)
-		wantD := fmt.Sprintf("d,route%032d\n", n)
-		wantR := fmt.Sprintf("bad%d\t# reject: columns 1 (want 2)\n", n)
-		// Staged outputs: deterministic names, so exactly-once is
-		// content equality.
-		if got, err := os.ReadFile(filepath.Join(root, "staging", "CPU", name)); err != nil || string(got) != wantP {
-			res.RecordViolations++
-		}
-		if got, err := os.ReadFile(filepath.Join(root, "staging", "DERIV", name)); err != nil || string(got) != wantD {
-			res.RecordViolations++
-		}
-		if got, err := os.ReadFile(filepath.Join(root, "quarantine", "_plan", "CPU", name+".rejects")); err != nil || string(got) != wantR {
-			res.RecordViolations++
-		}
-		// Delivered outputs: at-least-once redelivery overwrites in
-		// place, so the final copy must equal the expected bytes.
-		if got, err := os.ReadFile(filepath.Join(root, "in", "CPU", name)); err != nil || string(got) != wantP {
-			res.Undelivered++
-		}
-		if got, err := os.ReadFile(filepath.Join(root, "ind", "DERIV", name)); err != nil || string(got) != wantD {
-			res.Undelivered++
-		}
-	}
-	res.RecordViolations += res.BrokenProvenance
+	// Staged outputs and rejects: deterministic names, so exactly-once
+	// is content equality. Delivered outputs: at-least-once
+	// redelivery overwrites in place, so the final copy must equal the
+	// expected bytes.
+	res.RecordViolations = staged.Missing(holdsIn(root)) + res.BrokenProvenance
+	res.Undelivered = delivered.Missing(holdsIn(root))
 	return res, nil
 }
 
 // recoveryTime measures receipts.Open over a store holding n arrivals,
 // with or without a checkpoint taken before the crash point.
 func recoveryTime(n int, checkpoint bool) (time.Duration, error) {
-	dir, err := os.MkdirTemp("", "bistro-e12-rec-*")
+	dir, err := tempRoot("e12-rec")
 	if err != nil {
 		return 0, err
 	}

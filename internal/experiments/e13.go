@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +11,6 @@ import (
 	"bistro/internal/config"
 	"bistro/internal/delivery"
 	"bistro/internal/metrics"
-	"bistro/internal/pattern"
 	"bistro/internal/receipts"
 	"bistro/internal/transport"
 )
@@ -128,28 +124,10 @@ func E13ClassifierTrial(clFeeds, clNames, chunks int) (bare, instr time.Duration
 	return e13MinPair(chunks, run(cBare), run(cInstr))
 }
 
-// e13Classifier builds the classifier workload: clFeeds one-pattern
-// feeds and clNames file names, every tenth of which matches nothing.
-// Its metrics are nil when instrument is false.
+// e13Classifier builds the classifier workload of classifierWorkload;
+// its metrics are nil when instrument is false.
 func e13Classifier(clFeeds, clNames int, instrument bool) (*classifier.Classifier, []string, *classifier.Metrics) {
-	feeds := make([]*config.Feed, clFeeds)
-	for i := range feeds {
-		feeds[i] = &config.Feed{
-			Name: fmt.Sprintf("F%04d", i),
-			Path: fmt.Sprintf("F%04d", i),
-			Patterns: []*pattern.Pattern{
-				pattern.MustCompile(fmt.Sprintf("FEED%04d_poller%%i_%%Y%%m%%d%%H.csv.gz", i)),
-			},
-		}
-	}
-	names := make([]string, clNames)
-	for i := range names {
-		if i%10 == 9 {
-			names[i] = fmt.Sprintf("unknown-junk-%d.tmp", i)
-		} else {
-			names[i] = fmt.Sprintf("FEED%04d_poller%d_2010092504.csv.gz", i%clFeeds, i%7+1)
-		}
-	}
+	feeds, names := classifierWorkload(clFeeds, clNames)
 	opts := classifier.Options{}
 	if instrument {
 		opts.Metrics = classifier.NewMetrics(metrics.NewRegistry())
@@ -193,9 +171,7 @@ var e13Payload = []byte("a,b,c\n1,2,3\n")
 // e13Delivery is a started engine with one local-directory subscriber
 // over a receipt store that does not sync; metrics is nil when bare.
 type e13Delivery struct {
-	dir     string
-	staging string
-	store   *receipts.Store
+	*stagedStore
 	engine  *delivery.Engine
 	metrics *delivery.Metrics
 	staged  int
@@ -205,21 +181,13 @@ type e13Delivery struct {
 }
 
 func newE13Delivery(instrument bool) (*e13Delivery, error) {
-	dir, err := os.MkdirTemp("", "bistro-e13-*")
+	st, err := newStagedStore("e13")
 	if err != nil {
 		return nil, err
 	}
-	d := &e13Delivery{dir: dir, staging: filepath.Join(dir, "staging"), done: make(chan struct{}, 1)}
-	if d.store, err = receipts.Open(filepath.Join(dir, "db"), receipts.Options{NoSync: true}); err != nil {
-		os.RemoveAll(dir)
-		return nil, err
-	}
-	if err := os.MkdirAll(filepath.Join(d.staging, "F"), 0o755); err != nil {
-		d.close()
-		return nil, err
-	}
+	d := &e13Delivery{stagedStore: st, done: make(chan struct{}, 1)}
 	lt := transport.NewLocalDir()
-	lt.Register("wh", dir)
+	lt.Register("wh", st.root)
 	if instrument {
 		d.metrics = delivery.NewMetrics(metrics.NewRegistry())
 	}
@@ -248,24 +216,11 @@ func newE13Delivery(instrument bool) (*e13Delivery, error) {
 func (d *e13Delivery) stage(n int) ([]receipts.FileMeta, error) {
 	metas := make([]receipts.FileMeta, n)
 	for i := range metas {
-		name := fmt.Sprintf("F/e13-%04d.csv", d.staged)
-		d.staged++
-		if err := os.WriteFile(filepath.Join(d.staging, filepath.FromSlash(name)), e13Payload, 0o644); err != nil {
-			return nil, err
-		}
-		meta := receipts.FileMeta{
-			Name:       name,
-			StagedPath: name,
-			Feeds:      []string{"F"},
-			Size:       int64(len(e13Payload)),
-			Checksum:   crc32.ChecksumIEEE(e13Payload),
-			Arrived:    time.Now(),
-		}
-		id, err := d.store.RecordArrival(meta)
+		meta, err := d.stagedStore.stage(fmt.Sprintf("F/e13-%04d.csv", d.staged), "F", e13Payload, time.Now())
 		if err != nil {
 			return nil, err
 		}
-		meta.ID = id
+		d.staged++
 		metas[i] = meta
 	}
 	return metas, nil
@@ -289,6 +244,5 @@ func (d *e13Delivery) close() {
 	if d.engine != nil {
 		d.engine.Stop()
 	}
-	d.store.Close()
-	os.RemoveAll(d.dir)
+	d.stagedStore.close()
 }

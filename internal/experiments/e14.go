@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"bistro/internal/config"
-	"bistro/internal/delivery"
 	"bistro/internal/diskfault"
 	"bistro/internal/receipts"
 	"bistro/internal/server"
@@ -159,7 +155,7 @@ func (f countedFile) Sync() error {
 // depositors over a fixed-fsync-latency filesystem, measuring ingest
 // wall time and source→subscriber propagation.
 func E14IngestTrial(cfg E14TrialConfig) (*E14TrialResult, error) {
-	root, err := os.MkdirTemp("", "bistro-e14-*")
+	root, err := tempRoot("e14")
 	if err != nil {
 		return nil, err
 	}
@@ -173,112 +169,40 @@ func E14IngestTrial(cfg E14TrialConfig) (*E14TrialResult, error) {
 feed CPU { pattern "src%i/CPU_%Y%m%d%H%M%S.txt" }
 subscriber wh { dest "in" subscribe CPU }
 `
-	conf, err := config.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-
-	var (
-		mu        sync.Mutex
-		started   = make(map[string]time.Time) // landing name -> deposit start
-		delivered = make(map[uint64]time.Time) // file id -> delivered at
-	)
+	clock := newPropagationClock()
 	fsys := &fsyncCounter{
 		FS:      diskfault.Latency(diskfault.OS(), cfg.FsyncLatency),
 		staging: filepath.Join(root, "staging"),
 	}
-	var srv *server.Server
-	srv, err = server.New(server.Options{
-		Config: conf, Root: root, ScanInterval: -1,
-		FS: fsys,
-		OnEvent: func(ev delivery.Event) {
-			if ev.Kind != delivery.EvDelivered {
-				return
-			}
-			mu.Lock()
-			delivered[ev.FileID] = time.Now()
-			mu.Unlock()
-		},
-	})
+	srv, err := startServer(text, server.Options{Root: root, ScanInterval: -1, FS: fsys, OnEvent: clock.onEvent})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Stop()
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 
 	base := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
-	payload := []byte("cpu=42 mem=17\n")
 	total := cfg.Sources * cfg.PerSource
 	walSyncs := receipts.NewMetrics(srv.Metrics()).FsyncSeconds // the store's registered histogram
 	stagingN0, walN0, commits0 := fsys.n.Load(), walSyncs.Count(), srv.Store().Stats().Commits
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Sources)
-	for s := 0; s < cfg.Sources; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < cfg.PerSource; i++ {
-				ts := base.Add(time.Duration(s*cfg.PerSource+i) * time.Second)
-				name := fmt.Sprintf("src%d/CPU_%s.txt", s+1, ts.Format("20060102150405"))
-				mu.Lock()
-				started[name] = time.Now()
-				mu.Unlock()
-				if err := srv.Deposit(name, payload); err != nil {
-					errCh <- fmt.Errorf("e14: deposit %s: %w", name, err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	ingestTime := time.Since(start)
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
+	ingestTime, err := clock.depositSources(srv, cfg.Sources, cfg.PerSource, func(s, i int) string {
+		ts := base.Add(time.Duration(s*cfg.PerSource+i) * time.Second)
+		return fmt.Sprintf("src%d/CPU_%s.txt", s+1, ts.Format("20060102150405"))
+	}, []byte("cpu=42 mem=17\n"))
+	if err != nil {
+		return nil, fmt.Errorf("e14: %w", err)
 	}
 
 	// Drain delivery, then pair each receipt with its deposit time.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		mu.Lock()
-		n := len(delivered)
-		mu.Unlock()
-		if n >= total {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("e14: %d of %d delivered before timeout", n, total)
-		}
-		time.Sleep(2 * time.Millisecond)
+	props, err := clock.drained(srv.Store(), total, 60*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("e14: %w", err)
 	}
-	res := &E14TrialResult{
-		IngestTime:    ingestTime,
-		Files:         total,
-		StagingFsyncs: int(fsys.n.Load() - stagingN0),
-		WALFsyncs:     int(walSyncs.Count() - walN0),
-		Commits:       srv.Store().Stats().Commits - commits0,
-	}
-	props := make([]time.Duration, 0, total)
-	mu.Lock()
-	for id, at := range delivered {
-		meta, ok := srv.Store().File(id)
-		if !ok {
-			mu.Unlock()
-			return nil, fmt.Errorf("e14: delivered file %d has no receipt", id)
-		}
-		t0, ok := started[meta.Name]
-		if !ok {
-			mu.Unlock()
-			return nil, fmt.Errorf("e14: delivered %q never deposited", meta.Name)
-		}
-		props = append(props, at.Sub(t0))
-	}
-	mu.Unlock()
-	sort.Slice(props, func(i, j int) bool { return props[i] < props[j] })
-	res.PropagationP95 = props[len(props)*95/100]
-	return res, nil
+	return &E14TrialResult{
+		IngestTime:     ingestTime,
+		Files:          total,
+		StagingFsyncs:  int(fsys.n.Load() - stagingN0),
+		WALFsyncs:      int(walSyncs.Count() - walN0),
+		Commits:        srv.Store().Stats().Commits - commits0,
+		PropagationP95: props[len(props)*95/100],
+	}, nil
 }

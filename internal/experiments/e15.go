@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
-	"bistro/internal/config"
+	"bistro/internal/oracle"
 	"bistro/internal/server"
 	"bistro/internal/subclient"
 )
@@ -102,13 +101,13 @@ type E15TrialResult struct {
 // compact its receipts, then subscribe FROM the past over real TCP
 // while live traffic flows.
 func E15ReplayTrial(cfg E15TrialConfig) (*E15TrialResult, error) {
-	root, err := os.MkdirTemp("", "bistro-e15-*")
+	root, err := tempRoot("e15")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(root)
 
-	text := fmt.Sprintf(`
+	srv, err := startServer(fmt.Sprintf(`
 window 1h
 archive "arch"
 
@@ -117,13 +116,8 @@ replay {
 }
 
 feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M%%S.txt" }
-`, cfg.Rate)
-	conf, err := config.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := server.New(server.Options{
-		Config: conf, Root: root,
+`, cfg.Rate), server.Options{
+		Root:         root,
 		ScanInterval: -1, ExpiryInterval: -1, // expiry driven explicitly
 		Listen: "127.0.0.1:0",
 		NoSync: true,
@@ -132,24 +126,21 @@ feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M%%S.txt" }
 		return nil, err
 	}
 	defer srv.Stop()
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 
 	// Phase 1: the archived past. Data times span HistDays days ending
 	// well outside the 1h staging window; no subscriber exists yet.
 	res := &E15TrialResult{Total: cfg.HistDays * cfg.PerDay}
+	ledger := oracle.New()
 	histStart := time.Now().UTC().Add(-time.Duration(cfg.HistDays+1) * 24 * time.Hour)
 	step := 24 * time.Hour / time.Duration(cfg.PerDay)
-	histNames := make(map[string]bool, res.Total)
 	for d := 0; d < cfg.HistDays; d++ {
 		for i := 0; i < cfg.PerDay; i++ {
 			ts := histStart.Add(time.Duration(d)*24*time.Hour + time.Duration(i)*step)
 			name := fmt.Sprintf("CPU_POLL1_%s.txt", ts.Format("20060102150405"))
-			histNames[name] = true
 			if err := srv.Deposit(name, []byte("hist:"+name)); err != nil {
 				return nil, fmt.Errorf("e15: deposit %s: %w", name, err)
 			}
+			ledger.Deposit(name, crcOf("hist:"+name), true)
 		}
 	}
 	if n, err := srv.Archiver().ExpireOnce(); err != nil {
@@ -158,31 +149,23 @@ feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M%%S.txt" }
 		return nil, fmt.Errorf("e15: expired %d of %d", n, res.Total)
 	}
 	res.ReceiptsBefore = srv.Store().Stats().Files
-	res.ReceiptBytesBefore = receiptBytes(root)
+	res.ReceiptBytesBefore = dirBytes(filepath.Join(root, "receipts"))
 	if n, err := srv.CompactReceipts(); err != nil {
 		return nil, err
 	} else if n != res.Total {
 		return nil, fmt.Errorf("e15: compacted %d of %d", n, res.Total)
 	}
 
-	// Phase 2: subscriber daemon over real TCP, with receive-time taps.
-	var (
-		mu        sync.Mutex
-		received  = make(map[string]int)       // base name -> times received
-		liveSeen  = make(map[string]time.Time) // base name -> daemon write time
-		liveSent  = make(map[string]time.Time) // base name -> deposit time
-		liveNames = make(map[string]bool)
-	)
+	// Phase 2: subscriber daemon over real TCP; every file it writes
+	// goes to the ledger with its content and receive time.
+	liveSent := make(map[string]time.Time) // live name -> deposit time; read once liveDone is received
+	rec := &recorder{ledger: ledger, plane: oracle.Replay, firstOnly: true}
+	dest := filepath.Join(root, "wh-in")
 	daemon, err := subclient.Start("127.0.0.1:0", subclient.Options{
-		Name: "wh", DestDir: filepath.Join(root, "wh-in"),
+		Name: "wh", DestDir: dest,
 		OnFile: func(rel string) {
-			base := filepath.Base(rel)
-			mu.Lock()
-			received[base]++
-			if _, ok := liveSeen[base]; !ok {
-				liveSeen[base] = time.Now()
-			}
-			mu.Unlock()
+			got, _ := os.ReadFile(filepath.Join(dest, rel))
+			rec.observe("wh", rel, crc32.ChecksumIEEE(got), int64(len(got)))
 		},
 	})
 	if err != nil {
@@ -197,14 +180,12 @@ feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M%%S.txt" }
 		for i := 0; i < cfg.LiveFiles; i++ {
 			ts := time.Now().UTC().Add(time.Duration(i) * time.Second)
 			name := fmt.Sprintf("CPU_POLL2_%s.txt", ts.Format("20060102150405"))
-			mu.Lock()
-			liveNames[name] = true
 			liveSent[name] = time.Now()
-			mu.Unlock()
 			if err := srv.Deposit(name, []byte("live:"+name)); err != nil {
 				liveDone <- fmt.Errorf("e15: live deposit %s: %w", name, err)
 				return
 			}
+			ledger.Deposit(name, crcOf("live:"+name), true)
 			time.Sleep(2 * time.Millisecond)
 		}
 		liveDone <- nil
@@ -223,62 +204,36 @@ feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M%%S.txt" }
 
 	// Wait for handoff, then for every file to land at the daemon.
 	deadline := time.Now().Add(120 * time.Second)
-	for {
+	if !waitFor(time.Until(deadline), func() bool {
 		ss := srv.Replay().Sessions()
-		if len(ss) == 1 && ss[0].Done {
-			res.CatchupTime = time.Since(begin)
-			res.Replayed, res.Skipped = ss[0].Streamed, ss[0].Skipped
-			break
+		if len(ss) != 1 || !ss[0].Done {
+			return false
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("e15: replay session did not complete")
-		}
-		time.Sleep(2 * time.Millisecond)
+		res.CatchupTime = time.Since(begin)
+		res.Replayed, res.Skipped = ss[0].Streamed, ss[0].Skipped
+		return true
+	}) {
+		return nil, fmt.Errorf("e15: replay session did not complete")
 	}
 	if err := <-liveDone; err != nil {
 		return nil, err
 	}
 	want := res.Total + cfg.LiveFiles
-	for {
-		mu.Lock()
-		n := len(received)
-		mu.Unlock()
-		if n >= want {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("e15: %d of %d files at the daemon before timeout", n, want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !waitFor(time.Until(deadline), func() bool { return ledger.Delivered(oracle.Replay, "wh") >= want }) {
+		return nil, fmt.Errorf("e15: %d of %d files at the daemon before timeout", ledger.Delivered(oracle.Replay, "wh"), want)
 	}
 	if res.CatchupTime > 0 {
 		res.CatchupRate = float64(res.Replayed) / res.CatchupTime.Seconds()
 	}
 
-	// Exactly-once: every history and live file exactly once, no gaps.
-	mu.Lock()
-	for name := range histNames {
-		if received[name] == 0 {
-			mu.Unlock()
-			return nil, fmt.Errorf("e15: gap: archived %s never delivered", name)
-		}
+	// Exactly-once: every history and live file once, no gaps.
+	if n := ledger.Undelivered(oracle.Replay, "wh") + ledger.Strays(oracle.Replay); n != 0 {
+		return nil, fmt.Errorf("e15: gap: %d files never delivered whole, or delivered unasked", n)
 	}
-	props := make([]time.Duration, 0, cfg.LiveFiles)
-	for name := range liveNames {
-		if received[name] == 0 {
-			mu.Unlock()
-			return nil, fmt.Errorf("e15: gap: live %s never delivered", name)
-		}
-		props = append(props, liveSeen[name].Sub(liveSent[name]))
-	}
-	for _, n := range received {
-		if n > 1 {
-			res.Duplicates += n - 1
-		}
-	}
-	mu.Unlock()
-	sort.Slice(props, func(i, j int) bool { return props[i] < props[j] })
-	res.LiveP99 = props[len(props)*99/100]
+	res.Duplicates = ledger.Duplicates(oracle.Replay)
+	rec.mu.Lock()
+	_, res.LiveP99 = percentiles(latencies(rec.arrivals, liveSent))
+	rec.mu.Unlock()
 
 	// Bounded receipts: fold once more and checkpoint so the on-disk
 	// footprint reflects live state + delivery history, not the
@@ -290,18 +245,6 @@ feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M%%S.txt" }
 		return nil, err
 	}
 	res.ReceiptsAfter = srv.Store().Stats().Files
-	res.ReceiptBytesAfter = receiptBytes(root)
+	res.ReceiptBytesAfter = dirBytes(filepath.Join(root, "receipts"))
 	return res, nil
-}
-
-// receiptBytes sums the receipt store's on-disk footprint (WAL +
-// checkpoint).
-func receiptBytes(root string) int64 {
-	var total int64
-	for _, name := range []string{"receipts.wal", "receipts.ckpt"} {
-		if st, err := os.Stat(filepath.Join(root, "receipts", name)); err == nil {
-			total += st.Size()
-		}
-	}
-	return total
 }

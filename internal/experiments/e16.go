@@ -5,16 +5,13 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"bistro/internal/cluster"
-	"bistro/internal/config"
 	"bistro/internal/diskfault"
-	"bistro/internal/normalize"
+	"bistro/internal/oracle"
 	"bistro/internal/server"
-	"bistro/internal/subclient"
 )
 
 // E16Failover is the clustered extension of the E12 crash property
@@ -119,48 +116,6 @@ func (r *FailoverRoundsResult) Violations() int {
 	return r.LostAcked + r.Divergences + r.Undelivered + r.AppDuplicates
 }
 
-// e16Nodes fixes the two-node topology and reports which node the
-// harness feed hashes to (the shard owner the harness will kill) and
-// which survives. Placeholder addresses are fine: ownership depends
-// only on names and the vnode count.
-func e16Nodes() (owner, survivor string) {
-	sm, err := cluster.NewShardMap(cluster.Topology{Nodes: []cluster.Node{
-		{Name: "a", Addr: "x"}, {Name: "b", Addr: "x"},
-	}})
-	if err != nil {
-		panic(err)
-	}
-	owner = sm.Owner("CPU").Name
-	if owner == "a" {
-		return "a", "b"
-	}
-	return "b", "a"
-}
-
-// e16ConfigText renders the shared cluster configuration: both nodes,
-// the standby attached to the feed's owner, one feed. The same text
-// runs the owner (self) and the promoted survivor (NodeName override).
-func e16ConfigText(owner, survivor, ownerAddr, survivorAddr, standbyAddr string, groupCommit bool) string {
-	text := ""
-	if groupCommit {
-		text += "ingest {\n    group_commit { max_batch 8 max_delay 1ms }\n}\n"
-	}
-	text += fmt.Sprintf(`
-cluster {
-    self "%s"
-    node "%s" {
-        addr "%s"
-        standby "%s"
-    }
-    node "%s" {
-        addr "%s"
-    }
-}
-feed CPU { pattern "CPU_POLL%%i_%%Y%%m%%d%%H%%M.txt" }
-`, owner, owner, ownerAddr, standbyAddr, survivor, survivorAddr)
-	return text
-}
-
 // pickAddr reserves a localhost address for the static topology, which
 // needs the protocol addresses before either server exists. It draws
 // ports from just below the kernel's ephemeral range, checking that
@@ -196,133 +151,42 @@ func RunFailoverRounds(cfg FailoverRoundsConfig) (*FailoverRoundsResult, error) 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &FailoverRoundsResult{Rounds: cfg.Rounds}
 	for round := 0; round < cfg.Rounds; round++ {
-		if err := failoverRound(cfg, rng, res, round); err != nil {
+		if err := e16Round(cfg, rng, res, round); err != nil {
 			return nil, fmt.Errorf("e16 round %d: %w", round, err)
 		}
 	}
 	return res, nil
 }
 
-// failoverRound runs one kill/promote cycle and folds its counters
+// e16Round runs one kill/promote cycle and folds its counters
 // into res.
-func failoverRound(cfg FailoverRoundsConfig, rng *rand.Rand, res *FailoverRoundsResult, round int) error {
-	rootA, err := os.MkdirTemp("", "bistro-e16-owner-*")
+func e16Round(cfg FailoverRoundsConfig, rng *rand.Rand, res *FailoverRoundsResult, round int) error {
+	f, err := newFailoverRound("e16")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(rootA)
-	rootB, err := os.MkdirTemp("", "bistro-e16-standby-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(rootB)
-	subDir, err := os.MkdirTemp("", "bistro-e16-sub-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(subDir)
-
-	// Subscriber daemon with file-id dedup: re-sends after promotion
-	// must not become duplicate writes.
-	daemon, err := subclient.Start("127.0.0.1:0", subclient.Options{
-		Name: "wh", DestDir: subDir, DedupByID: true,
-	})
-	if err != nil {
-		return err
-	}
-	defer daemon.Stop()
-
+	defer f.close()
 	// Warm standby for the owner's shard.
 	standby, err := cluster.StartStandby("127.0.0.1:0", cluster.StandbyOptions{
-		Root: rootB, FS: diskfault.NoSync(diskfault.OS()),
+		Root: f.dir("standby"), FS: diskfault.NoSync(diskfault.OS()),
 	})
 	if err != nil {
 		return err
 	}
 	defer standby.Close()
 
-	ownerName, survivorName := e16Nodes()
-	ownerAddr, err := pickAddr()
-	if err != nil {
+	ownerName, survivorName, _ := shardRoles()
+	confText := f.configText(ownerName, survivorName, standby.Addr(), "", "CPU")
+	if cfg.GroupCommit {
+		confText = "ingest {\n    group_commit { max_batch 8 max_delay 1ms }\n}\n" + confText
+	}
+	if err := f.killOwner(confText, cfg.Seed+int64(round)+1, rng, round, cfg.PerRound, &res.MidOpCrashes); err != nil {
 		return err
 	}
-	survivorAddr, err := pickAddr()
-	if err != nil {
-		return err
-	}
-	confText := e16ConfigText(ownerName, survivorName, ownerAddr, survivorAddr, standby.Addr(), cfg.GroupCommit)
-	ownerCfg, err := config.Parse(confText)
-	if err != nil {
-		return err
-	}
-
-	// The owner's storage runs over the power-cut filesystem; the cut
-	// is armed mid-stream below. NoSync under the fault layer: the
-	// simulation tracks durability itself.
-	faulty := diskfault.NewFaulty(diskfault.NoSync(diskfault.OS()), diskfault.Options{
-		Seed: cfg.Seed + int64(round) + 1, PowerCut: true, TornWrites: true,
-	})
-	owner, err := server.New(server.Options{
-		Config: ownerCfg, Root: rootA, Listen: ownerAddr,
-		ScanInterval: -1, FS: faulty,
-	})
-	if err != nil {
-		return err
-	}
-	if err := owner.Start(); err != nil {
-		owner.Stop()
-		return err
-	}
-
-	// Subscribe through the cluster client: resolve the feed's owner
-	// via any configured node, then subscribe there.
-	cc := &subclient.Cluster{Nodes: []string{ownerAddr, survivorAddr}, Timeout: 2 * time.Second}
-	spec := subclient.SubscribeSpec{
-		Name: "wh", Host: daemon.Addr(), Dest: "in", Feeds: []string{"CPU"},
-	}
-	if err := cc.Subscribe(spec); err != nil {
-		owner.Stop()
-		return fmt.Errorf("subscribe at owner: %w", err)
-	}
-
-	// Deposit with a seeded power cut armed somewhere in the stream;
-	// ingest, replication, and delivery race the countdown.
-	acked := make(map[string]string)
-	base := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
-	faulty.SetCrashAfter(3 + rng.Int63n(45))
-	for i := 0; i < cfg.PerRound; i++ {
-		name := fmt.Sprintf("CPU_POLL%d_%s.txt", i%3+1,
-			base.Add(time.Duration(round*cfg.PerRound+i)*time.Minute).Format("200601021504"))
-		payload := fmt.Sprintf("round=%d file=%d payload=%032d", round, i, i)
-		res.Attempted++
-		if err := owner.Deposit(name, []byte(payload)); err == nil {
-			res.Acked++
-			acked[name] = payload
-		}
-	}
-	// Let in-flight deliveries race the countdown briefly.
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) && !faulty.Crashed() {
-		if owner.Store().DeliveredCount("wh") >= len(acked) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if faulty.Crashed() {
-		res.MidOpCrashes++
-	}
-	// Kill the owner: stop the process and discard its disk wholesale
-	// (the deferred RemoveAll). Nothing of the owner's storage survives
-	// into the promoted node — only what was shipped.
-	owner.Stop()
 
 	// Promote the standby into the surviving node.
-	promotedCfg, err := config.Parse(confText)
-	if err != nil {
-		return err
-	}
 	promoted, takeover, err := server.PromoteStandby(standby, ownerName, server.Options{
-		Config: promotedCfg, NodeName: survivorName, Listen: survivorAddr,
+		Config: parseConfig(confText), NodeName: survivorName, Listen: f.survivorAddr,
 		ScanInterval: -1, NoSync: true,
 	})
 	if err != nil {
@@ -330,77 +194,19 @@ func failoverRound(cfg FailoverRoundsConfig, rng *rand.Rand, res *FailoverRounds
 	}
 	defer promoted.Stop()
 	res.Takeovers = append(res.Takeovers, takeover)
-
-	// Invariants on the promoted store: every acked arrival present,
-	// unquarantined, replicated payload intact.
-	store := promoted.Store()
-	byName := make(map[string]bool)
-	for _, meta := range store.AllFiles() {
-		byName[meta.Name] = !store.Quarantined(meta.ID)
-		if store.Quarantined(meta.ID) || store.IsExpired(meta.ID) {
-			continue
-		}
-		staged := filepath.Join(standby.Root(), "staging", filepath.FromSlash(meta.StagedPath))
-		crc, size, err := normalize.ChecksumFile(staged)
-		if err != nil || size != meta.Size || crc != meta.Checksum {
-			res.Divergences++
-		}
-	}
-	for name := range acked {
-		if !byName[name] {
-			res.LostAcked++
-		}
-	}
-
-	// The subscriber re-resolves through the survivor (the owner's
-	// address is dead) and re-subscribes; backfill drains everything
-	// the crash interrupted.
-	if err := cc.Subscribe(spec); err != nil {
+	// Every acked arrival present and unquarantined on the promoted
+	// store, its replicated payload intact; then the subscriber
+	// re-resolves through the survivor.
+	checkRecovered(f.ledger, promoted.Store(), standby.Root())
+	if err := f.cc.Subscribe(f.spec); err != nil {
 		return fmt.Errorf("re-subscribe after promotion: %w", err)
 	}
-	drain := time.Now().Add(30 * time.Second)
-	for time.Now().Before(drain) {
-		if len(store.PendingFor("wh", []string{"CPU"})) == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for name, payload := range acked {
-		got, err := os.ReadFile(filepath.Join(subDir, "in", "CPU", name))
-		if err != nil || string(got) != payload {
-			res.Undelivered++
-		}
-	}
-	writes := make(map[string]int)
-	for _, n := range daemon.Received() {
-		writes[n]++
-	}
-	for _, c := range writes {
-		if c > 1 {
-			res.AppDuplicates += c - 1
-		}
-	}
-	res.SuppressedDuplicates += daemon.DuplicatesSuppressed()
+	res.Undelivered += f.drain(promoted)
+	res.Attempted += f.ledger.Attempted()
+	res.Acked += f.ledger.Acked()
+	res.LostAcked += f.ledger.Lost()
+	res.Divergences += f.ledger.Diverged()
+	res.AppDuplicates += f.ledger.Duplicates(oracle.Push)
+	res.SuppressedDuplicates += f.daemon.DuplicatesSuppressed()
 	return nil
-}
-
-func meanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
-
-func maxDuration(ds []time.Duration) time.Duration {
-	var max time.Duration
-	for _, d := range ds {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -2,20 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"io/fs"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"bistro/internal/cluster"
-	"bistro/internal/config"
-	"bistro/internal/diskfault"
-	"bistro/internal/normalize"
+	"bistro/internal/oracle"
 	"bistro/internal/server"
 	"bistro/internal/sourceclient"
-	"bistro/internal/subclient"
 )
 
 // E17SelfHealing closes the loop E16 left open: nobody calls the
@@ -143,67 +137,6 @@ func (r *SelfHealingResult) Violations() int {
 		r.LateTakeovers + (r.StaleAttempts - r.StaleRefused) + r.ReseedFailures
 }
 
-// e17Feeds fixes the two-node topology and picks one feed owned by
-// each node: the first node is the kill target (its feed is the one
-// the subscriber follows across the failover), the second survives
-// and is the fence the revived stale owner runs into.
-func e17Feeds() (owner, survivor, ownerFeed, survivorFeed string) {
-	sm, err := cluster.NewShardMap(cluster.Topology{Nodes: []cluster.Node{
-		{Name: "a", Addr: "x"}, {Name: "b", Addr: "x"},
-	}})
-	if err != nil {
-		panic(err)
-	}
-	owner = sm.Owner("CPU").Name
-	survivor = "b"
-	if owner == "b" {
-		survivor = "a"
-	}
-	ownerFeed = "CPU"
-	for _, f := range []string{"BPS", "MEM", "NET", "DISK", "FLOW"} {
-		if sm.Owner(f).Name == survivor {
-			survivorFeed = f
-			return
-		}
-	}
-	panic("e17: no candidate feed hashes to the survivor")
-}
-
-// e17ConfigText renders the shared cluster configuration: automatic
-// failover armed, the standby attached to the kill target, one feed
-// per node. The same text runs every role (NodeName overrides self).
-func e17ConfigText(owner, survivor, ownerAddr, survivorAddr, standbyAddr string, lease time.Duration) string {
-	return fmt.Sprintf(`
-cluster {
-    self "%s"
-    failover {
-        lease %s
-        heartbeat %s
-        auto on
-    }
-    node "%s" {
-        addr "%s"
-        standby "%s"
-    }
-    node "%s" {
-        addr "%s"
-    }
-}
-feed %s { pattern "%s_POLL%%i_%%Y%%m%%d%%H%%M.txt" }
-feed %s { pattern "%s_POLL%%i_%%Y%%m%%d%%H%%M.txt" }
-`, owner, lease, lease/5, owner, ownerAddr, standbyAddr, survivor, survivorAddr,
-		e17Feed(owner), e17Feed(owner), e17Feed(survivor), e17Feed(survivor))
-}
-
-// e17Feed maps a node name to the feed it owns in the fixed topology.
-func e17Feed(node string) string {
-	owner, _, ownerFeed, survivorFeed := e17Feeds()
-	if node == owner {
-		return ownerFeed
-	}
-	return survivorFeed
-}
-
 // RunSelfHealingRounds executes the kill/promote/revive/rejoin
 // property loop. Each round is independent: fresh roots, standby node,
 // and subscriber.
@@ -214,70 +147,41 @@ func RunSelfHealingRounds(cfg SelfHealingConfig) (*SelfHealingResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &SelfHealingResult{Rounds: cfg.Rounds}
 	for round := 0; round < cfg.Rounds; round++ {
-		if err := selfHealingRound(cfg, rng, res, round); err != nil {
+		if err := e17Round(cfg, rng, res, round); err != nil {
 			return nil, fmt.Errorf("e17 round %d: %w", round, err)
 		}
 	}
 	return res, nil
 }
 
-// selfHealingRound runs one full cycle and folds its counters into
-// res.
-func selfHealingRound(cfg SelfHealingConfig, rng *rand.Rand, res *SelfHealingResult, round int) error {
-	rootOwner, err := os.MkdirTemp("", "bistro-e17-owner-*")
+// e17Round runs one full cycle and folds its counters into res.
+func e17Round(cfg SelfHealingConfig, rng *rand.Rand, res *SelfHealingResult, round int) error {
+	ownerName, survivorName, survivorFeed := shardRoles()
+	f, err := newFailoverRound("e17")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(rootOwner)
-	rootStandby, err := os.MkdirTemp("", "bistro-e17-standby-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(rootStandby)
-	rootRejoin, err := os.MkdirTemp("", "bistro-e17-rejoin-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(rootRejoin)
-	subDir, err := os.MkdirTemp("", "bistro-e17-sub-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(subDir)
-
-	daemon, err := subclient.Start("127.0.0.1:0", subclient.Options{
-		Name: "wh", DestDir: subDir, DedupByID: true,
-	})
-	if err != nil {
-		return err
-	}
-	defer daemon.Stop()
-
-	ownerName, survivorName, ownerFeed, _ := e17Feeds()
-	ownerAddr, err := pickAddr()
-	if err != nil {
-		return err
-	}
-	survivorAddr, err := pickAddr()
-	if err != nil {
-		return err
-	}
+	defer f.close()
+	defer func() {
+		res.Attempted += f.ledger.Attempted()
+		res.Acked += f.ledger.Acked()
+	}()
 	standbyAddr, err := pickAddr()
 	if err != nil {
 		return err
 	}
-	confText := e17ConfigText(ownerName, survivorName, ownerAddr, survivorAddr, standbyAddr, cfg.Lease)
-	parse := func() (*config.Config, error) { return config.Parse(confText) }
+	confText := f.configText(ownerName, survivorName, standbyAddr, fmt.Sprintf(`
+    failover {
+        lease %s
+        heartbeat %s
+        auto on
+    }`, cfg.Lease, cfg.Lease/5), "CPU", survivorFeed)
 
 	// The standby node: warm standby plus lease monitor plus the
 	// server options it will promote itself with when the lease lapses.
-	snCfg, err := parse()
-	if err != nil {
-		return err
-	}
-	sn, err := server.StartStandbyNode(standbyAddr, rootStandby, server.StandbyNodeOptions{
+	sn, err := server.StartStandbyNode(standbyAddr, f.dir("standby"), server.StandbyNodeOptions{
 		Server: server.Options{
-			Config: snCfg, NodeName: survivorName, Listen: survivorAddr,
+			Config: parseConfig(confText), NodeName: survivorName, Listen: f.survivorAddr,
 			ScanInterval: -1, NoSync: true,
 		},
 		Failed: ownerName,
@@ -287,134 +191,51 @@ func selfHealingRound(cfg SelfHealingConfig, rng *rand.Rand, res *SelfHealingRes
 	}
 	defer sn.Close()
 
-	// The owner's storage runs over the power-cut filesystem; the cut
-	// is armed mid-stream below.
-	faulty := diskfault.NewFaulty(diskfault.NoSync(diskfault.OS()), diskfault.Options{
-		Seed: cfg.Seed + int64(round) + 1, PowerCut: true, TornWrites: true,
-	})
-	ownerCfg, err := parse()
-	if err != nil {
-		return err
-	}
-	owner, err := server.New(server.Options{
-		Config: ownerCfg, Root: rootOwner, Listen: ownerAddr,
-		ScanInterval: -1, FS: faulty,
-	})
-	if err != nil {
-		return err
-	}
-	if err := owner.Start(); err != nil {
-		owner.Stop()
-		return err
-	}
-
-	cc := &subclient.Cluster{Nodes: []string{ownerAddr, survivorAddr}, Timeout: 2 * time.Second}
-	spec := subclient.SubscribeSpec{
-		Name: "wh", Host: daemon.Addr(), Dest: "in", Feeds: []string{ownerFeed},
-	}
-	if err := cc.Subscribe(spec); err != nil {
-		owner.Stop()
-		return fmt.Errorf("subscribe at owner: %w", err)
-	}
-
-	// Deposit with a seeded power cut armed somewhere in the stream.
-	acked := make(map[string]string)
-	base := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
-	stamp := func(i int) string {
-		return base.Add(time.Duration(round*100+i) * time.Minute).Format("200601021504")
-	}
-	faulty.SetCrashAfter(3 + rng.Int63n(45))
-	for i := 0; i < cfg.PerRound; i++ {
-		name := fmt.Sprintf("%s_POLL%d_%s.txt", ownerFeed, i%3+1, stamp(i))
-		payload := fmt.Sprintf("round=%d file=%d payload=%032d", round, i, i)
-		res.Attempted++
-		if err := owner.Deposit(name, []byte(payload)); err == nil {
-			res.Acked++
-			acked[name] = payload
-		}
-	}
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) && !faulty.Crashed() {
-		if owner.Store().DeliveredCount("wh") >= len(acked) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if faulty.Crashed() {
-		res.MidOpCrashes++
-	}
-
 	// Kill the owner. Nobody is watching: the standby's lease monitor
 	// must notice the silence and promote on its own.
-	killAt := time.Now()
-	owner.Stop()
+	if err := f.killOwner(confText, cfg.Seed+int64(round)+1, rng, round, cfg.PerRound, &res.MidOpCrashes); err != nil {
+		return err
+	}
 	var promoted *server.Server
-	for time.Since(killAt) < 15*time.Second {
-		srv, _, perr, ok := sn.Promoted()
-		if ok {
-			if perr != nil {
-				return fmt.Errorf("automatic promotion: %w", perr)
-			}
-			promoted = srv
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	var perr error
+	waitFor(15*time.Second, func() bool {
+		var ok bool
+		promoted, _, perr, ok = sn.Promoted()
+		return ok
+	})
+	if perr != nil {
+		return fmt.Errorf("automatic promotion: %w", perr)
 	}
 	if promoted == nil {
 		return fmt.Errorf("standby never promoted itself after the kill")
 	}
 	defer promoted.Stop()
-	detect := time.Since(killAt)
+	detect := time.Since(f.killedAt)
 	res.TakeoverDetects = append(res.TakeoverDetects, detect)
 	if detect > 2*cfg.Lease {
 		res.LateTakeovers++
 	}
-
-	// Zero-loss invariants on the promoted store.
-	store := promoted.Store()
-	byName := make(map[string]bool)
-	for _, meta := range store.AllFiles() {
-		byName[meta.Name] = !store.Quarantined(meta.ID)
-		if store.Quarantined(meta.ID) || store.IsExpired(meta.ID) {
-			continue
-		}
-		staged := filepath.Join(rootStandby, "staging", filepath.FromSlash(meta.StagedPath))
-		crc, size, err := normalize.ChecksumFile(staged)
-		if err != nil || size != meta.Size || crc != meta.Checksum {
-			res.Divergences++
-		}
-	}
-	for name := range acked {
-		if !byName[name] {
-			res.LostAcked++
-		}
-	}
-
-	// The subscriber re-resolves; the epoch-preferring Resolve lands it
-	// on the promoted survivor even while the old address lingers dead.
-	if err := cc.Subscribe(spec); err != nil {
+	// Acked loss and replicated-payload divergence on the promoted
+	// store. Then the subscriber re-resolves: the epoch-preferring
+	// Resolve lands it on the promoted survivor even while the old
+	// address lingers dead.
+	checkRecovered(f.ledger, promoted.Store(), f.dir("standby"))
+	if err := f.cc.Subscribe(f.spec); err != nil {
 		return fmt.Errorf("re-subscribe after promotion: %w", err)
 	}
+	res.LostAcked += f.ledger.Lost()
+	res.Divergences += f.ledger.Diverged()
 
 	// Revive the dead node from its stale disk. It still believes it
 	// owns its shard at epoch 1; the survivor is at epoch 2. Writes it
 	// relays through its outdated map must be refused by the fence.
-	revivedCfg, err := parse()
-	if err != nil {
-		return err
-	}
 	// A fresh ephemeral port: nothing needs the revived node at its old
 	// address (the subscriber already re-resolved to the survivor), and
 	// re-binding a just-freed port races other listeners on the host.
-	revived, err := server.New(server.Options{
-		Config: revivedCfg, Root: rootOwner, Listen: "127.0.0.1:0",
-		ScanInterval: -1, NoSync: true,
+	revived, err := startServer(confText, server.Options{
+		Root: f.dir("owner"), Listen: "127.0.0.1:0", ScanInterval: -1, NoSync: true,
 	})
 	if err != nil {
-		return fmt.Errorf("revive stale owner: %w", err)
-	}
-	if err := revived.Start(); err != nil {
-		revived.Stop()
 		return fmt.Errorf("revive stale owner: %w", err)
 	}
 	fencedBefore := promoted.Metrics().Counter("bistro_cluster_fenced_total", "").Value()
@@ -423,10 +244,12 @@ func selfHealingRound(cfg SelfHealingConfig, rng *rand.Rand, res *SelfHealingRes
 		revived.Stop()
 		return err
 	}
+	base := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 2; i++ {
 		// A survivor-owned feed: the revived node forwards it relayed,
 		// stamped with its stale epoch, straight into the fence.
-		name := fmt.Sprintf("%s_POLL1_%s.txt", e17Feed(survivorName), stamp(90+i))
+		name := fmt.Sprintf("%s_POLL1_%s.txt", survivorFeed,
+			base.Add(time.Duration(round*100+90+i)*time.Minute).Format("200601021504"))
 		res.StaleAttempts++
 		err := src.Upload(name, []byte("stale write"))
 		if err != nil && strings.Contains(err.Error(), "fenced") {
@@ -440,13 +263,9 @@ func selfHealingRound(cfg SelfHealingConfig, rng *rand.Rand, res *SelfHealingRes
 	// survivor's new warm standby: fresh snapshot plus staged-payload
 	// walk while the survivor keeps serving, then live shipping.
 	revived.Stop()
-	rejoinCfg, err := parse()
-	if err != nil {
-		return err
-	}
-	sn2, err := server.RejoinAsStandby(survivorAddr, "127.0.0.1:0", rootRejoin, server.StandbyNodeOptions{
+	sn2, err := server.RejoinAsStandby(f.survivorAddr, "127.0.0.1:0", f.dir("rejoin"), server.StandbyNodeOptions{
 		Server: server.Options{
-			Config: rejoinCfg, NodeName: ownerName,
+			Config: parseConfig(confText), NodeName: ownerName,
 			ScanInterval: -1, NoSync: true,
 		},
 		Failed: survivorName,
@@ -459,69 +278,22 @@ func selfHealingRound(cfg SelfHealingConfig, rng *rand.Rand, res *SelfHealingRes
 
 	// Post-reseed traffic: acked at the survivor means shipped to the
 	// rejoined standby.
-	for i := 0; i < cfg.PerRound; i++ {
-		name := fmt.Sprintf("%s_POLL%d_%s.txt", ownerFeed, i%3+1, stamp(50+i))
-		payload := fmt.Sprintf("round=%d post-reseed=%d payload=%032d", round, i, i)
-		res.Attempted++
-		if err := promoted.Deposit(name, []byte(payload)); err == nil {
-			res.Acked++
-			acked[name] = payload
-		}
-	}
-	caughtUp := false
-	catchup := time.Now().Add(15 * time.Second)
-	for time.Now().Before(catchup) {
+	f.deposit(promoted, round, cfg.PerRound, 50, "post-reseed")
+	if waitFor(15*time.Second, func() bool {
 		node := promoted.Status().Node
-		if node.ReplicationOK != nil && *node.ReplicationOK &&
+		staged, _ := dirStats(filepath.Join(f.dir("rejoin"), "staging"))
+		return node.ReplicationOK != nil && *node.ReplicationOK &&
 			node.Standby == sn2.Standby().Addr() &&
-			node.ReplicationHW == sn2.Standby().HW() && node.ReplicationHW > 0 &&
-			e17StagedFiles(rootRejoin) > 0 {
-			caughtUp = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if caughtUp {
+			node.ReplicationHW == sn2.Standby().HW() && node.ReplicationHW > 0 && staged > 0
+	}) {
 		res.Reseeds++
 	} else {
 		res.ReseedFailures++
 	}
 
 	// Final drain and exactly-once accounting across the whole cycle.
-	drain := time.Now().Add(30 * time.Second)
-	for time.Now().Before(drain) {
-		if len(store.PendingFor("wh", []string{ownerFeed})) == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for name, payload := range acked {
-		got, err := os.ReadFile(filepath.Join(subDir, "in", ownerFeed, name))
-		if err != nil || string(got) != payload {
-			res.Undelivered++
-		}
-	}
-	writes := make(map[string]int)
-	for _, n := range daemon.Received() {
-		writes[n]++
-	}
-	for _, c := range writes {
-		if c > 1 {
-			res.AppDuplicates += c - 1
-		}
-	}
-	res.SuppressedDuplicates += daemon.DuplicatesSuppressed()
+	res.Undelivered += f.drain(promoted)
+	res.AppDuplicates += f.ledger.Duplicates(oracle.Push)
+	res.SuppressedDuplicates += f.daemon.DuplicatesSuppressed()
 	return nil
-}
-
-// e17StagedFiles counts staged payload files under a standby root.
-func e17StagedFiles(root string) int {
-	n := 0
-	filepath.WalkDir(filepath.Join(root, "staging"), func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			n++
-		}
-		return nil
-	})
-	return n
 }

@@ -1,19 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
 	"bistro/internal/config"
 	"bistro/internal/delivery"
 	"bistro/internal/metrics"
-	"bistro/internal/receipts"
-	"bistro/internal/transport"
+	"bistro/internal/oracle"
 )
 
 // E18FanOut measures what per-feed delivery channels buy on the
@@ -128,74 +123,15 @@ type E18TrialResult struct {
 	Missed     int
 }
 
-// e18Transport counts transport-level deliveries per (subscriber,
-// file) and stamps each with its arrival time.
-type e18Transport struct {
-	delay time.Duration
-
-	mu    sync.Mutex
-	total int
-	bytes int64
-	got   map[string]map[uint64]int
-	at    []e18Arrival
-}
-
-// e18Arrival pairs one transport delivery with its wall-clock time.
-type e18Arrival struct {
-	id uint64
-	t  time.Time
-}
-
-func newE18Transport(delay time.Duration) *e18Transport {
-	return &e18Transport{delay: delay, got: make(map[string]map[uint64]int)}
-}
-
-func (c *e18Transport) Deliver(sub string, f transport.File) error {
-	if c.delay > 0 {
-		time.Sleep(c.delay)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.got[sub] == nil {
-		c.got[sub] = make(map[uint64]int)
-	}
-	c.got[sub][f.FileID]++
-	c.total++
-	c.bytes += int64(len(f.Data))
-	c.at = append(c.at, e18Arrival{id: f.FileID, t: time.Now()})
-	return nil
-}
-
-func (c *e18Transport) Notify(sub string, f transport.File) error { return c.Deliver(sub, f) }
-
-func (c *e18Transport) Trigger(sub, cmd string, paths []string) error { return nil }
-
-func (c *e18Transport) Ping(sub string) error { return nil }
-
-func (c *e18Transport) delivered() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
 // E18FanOutTrial runs one fan-out trial: N subscribers on one feed,
 // staged files enqueued through the live path, measuring staging reads,
 // propagation, and per-member delivery counts.
 func E18FanOutTrial(cfg E18TrialConfig) (*E18TrialResult, error) {
-	root, err := os.MkdirTemp("", "bistro-e18-*")
+	st, err := newStagedStore("e18")
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(root)
-	store, err := receipts.Open(filepath.Join(root, "db"), receipts.Options{NoSync: true})
-	if err != nil {
-		return nil, err
-	}
-	defer store.Close()
-	staging := filepath.Join(root, "staging", "TICKS")
-	if err := os.MkdirAll(staging, 0o755); err != nil {
-		return nil, err
-	}
+	defer st.close()
 
 	names := make([]string, cfg.Subscribers)
 	subs := make([]*config.Subscriber, cfg.Subscribers)
@@ -208,14 +144,17 @@ func E18FanOutTrial(cfg E18TrialConfig) (*E18TrialResult, error) {
 			Retry: 20 * time.Millisecond,
 		}
 	}
-	trans := newE18Transport(cfg.TransferLatency)
-	reg := metrics.NewRegistry()
+	plane := oracle.Push
+	if cfg.Channel {
+		plane = oracle.Channel
+	}
+	trans := &recorder{ledger: oracle.New(), plane: plane, delay: cfg.TransferLatency}
 	opts := delivery.Options{
-		Store:       store,
+		Store:       st.store,
 		Transport:   trans,
 		Subscribers: subs,
-		StagingRoot: filepath.Join(root, "staging"),
-		Metrics:     delivery.NewMetrics(reg),
+		StagingRoot: st.staging,
+		Metrics:     delivery.NewMetrics(metrics.NewRegistry()),
 	}
 	if cfg.Channel {
 		opts.Channels = []delivery.ChannelSpec{{Name: "fan", Feed: "TICKS", Members: names}}
@@ -230,90 +169,45 @@ func E18FanOutTrial(cfg E18TrialConfig) (*E18TrialResult, error) {
 	}
 	eng.Start()
 	defer eng.Stop()
-	if cfg.Channel {
-		// Every member must ride the fan-out before the clock starts;
-		// a straggler would be caught up per-member (extra reads).
-		deadline := time.Now().Add(120 * time.Second)
-		for {
-			st := eng.ChannelStats()
-			if len(st) == 1 && st[0].Attached == cfg.Subscribers {
-				break
-			}
-			if time.Now().After(deadline) {
-				attached := 0
-				if len(st) == 1 {
-					attached = st[0].Attached
-				}
-				return nil, fmt.Errorf("e18: %d of %d members attached before timeout", attached, cfg.Subscribers)
-			}
-			time.Sleep(2 * time.Millisecond)
+	// Every member must ride the fan-out before the clock starts; a
+	// straggler would be caught up per-member (extra reads).
+	attached := func() int {
+		if st := eng.ChannelStats(); len(st) == 1 {
+			return st[0].Attached
 		}
+		return 0
+	}
+	if cfg.Channel && !waitFor(120*time.Second, func() bool { return attached() == cfg.Subscribers }) {
+		return nil, fmt.Errorf("e18: %d of %d members attached before timeout", attached(), cfg.Subscribers)
 	}
 
-	payload := make([]byte, cfg.FileSize)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	staged := make(map[uint64]time.Time, cfg.Files)
-	ids := make([]uint64, 0, cfg.Files)
+	payload := bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), cfg.FileSize/26+1)[:cfg.FileSize]
+	staged := make(map[string]time.Time, cfg.Files)
 	for i := 0; i < cfg.Files; i++ {
-		name := fmt.Sprintf("TICKS/t%04d.csv", i)
-		if err := os.WriteFile(filepath.Join(root, "staging", filepath.FromSlash(name)), payload, 0o644); err != nil {
-			return nil, err
-		}
-		meta := receipts.FileMeta{
-			Name:       name,
-			StagedPath: name,
-			Feeds:      []string{"TICKS"},
-			Size:       int64(len(payload)),
-			Checksum:   crc32.ChecksumIEEE(payload),
-			Arrived:    time.Now(),
-		}
-		id, err := store.RecordArrival(meta)
+		name := fmt.Sprintf("t%04d.csv", i)
+		meta, err := st.stage("TICKS/"+name, "TICKS", payload, time.Now())
 		if err != nil {
 			return nil, err
 		}
-		meta.ID = id
-		ids = append(ids, id)
-		staged[id] = time.Now()
+		trans.ledger.Deposit(name, meta.Checksum, true)
+		staged[name] = time.Now()
 		eng.EnqueueFile(meta)
 	}
 
-	total := cfg.Subscribers * cfg.Files
-	deadline := time.Now().Add(120 * time.Second)
-	for trans.delivered() < total {
-		if time.Now().After(deadline) {
-			break // missed pairs are counted below, not fatal here
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Missed pairs are counted below, not fatal here.
+	waitFor(120*time.Second, func() bool { return trans.ledger.Deliveries(plane) >= cfg.Subscribers*cfg.Files })
 	// Settle so late duplicates (retries racing the count) surface.
 	time.Sleep(50 * time.Millisecond)
 	eng.Stop()
 
-	res := &E18TrialResult{
-		StagingBytes: opts.Metrics.StagingReadBytes.Value(),
-	}
 	trans.mu.Lock()
-	res.WireBytes = trans.bytes
-	for _, sub := range names {
-		for _, id := range ids {
-			switch n := trans.got[sub][id]; {
-			case n == 0:
-				res.Missed++
-			case n > 1:
-				res.Duplicates += n - 1
-			}
-		}
-	}
-	props := make([]time.Duration, len(trans.at))
-	for i, a := range trans.at {
-		props[i] = a.t.Sub(staged[a.id])
-	}
-	trans.mu.Unlock()
-	sort.Slice(props, func(i, j int) bool { return props[i] < props[j] })
-	if len(props) > 0 {
-		res.PropagationP99 = props[len(props)*99/100]
-	}
-	return res, nil
+	defer trans.mu.Unlock()
+	_, p99 := percentiles(latencies(trans.arrivals, staged))
+	return &E18TrialResult{
+		StagingBytes:   opts.Metrics.StagingReadBytes.Value(),
+		WireBytes:      trans.bytes,
+		PropagationP99: p99,
+		Duplicates:     trans.ledger.Duplicates(plane),
+		Missed:         trans.ledger.Undelivered(plane, names...),
+	}, nil
 }

@@ -1,21 +1,21 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
-	"path"
 	rtmetrics "runtime/metrics"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"bistro/internal/config"
+	"bistro/internal/oracle"
 	"bistro/internal/server"
-	"bistro/internal/transport"
 )
 
 // E19HTTPPull measures the HTTP pull data plane against the push
@@ -120,249 +120,124 @@ func cpuSeconds() float64 {
 	return s[0].Value.Float64()
 }
 
-// e19Transport records push arrivals per subscriber with timestamps.
-type e19Transport struct {
-	mu  sync.Mutex
-	got map[string]map[uint64]int
-	at  []e19Arrival
-}
-
-type e19Arrival struct {
-	name string
-	t    time.Time
-}
-
-func (c *e19Transport) Deliver(sub string, f transport.File) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.got[sub] == nil {
-		c.got[sub] = make(map[uint64]int)
-	}
-	c.got[sub][f.FileID]++
-	c.at = append(c.at, e19Arrival{name: f.Name, t: time.Now()})
-	return nil
-}
-
-func (c *e19Transport) Notify(sub string, f transport.File) error { return c.Deliver(sub, f) }
-
-func (c *e19Transport) Trigger(sub, cmd string, paths []string) error { return nil }
-
-func (c *e19Transport) Ping(sub string) error { return nil }
-
-// e19Config builds the daemon config: one feed, the HTTP plane with
-// one principal, and (push mode) one subscriber block per client.
-func e19Config(mode string, clients int) string {
-	var b strings.Builder
-	b.WriteString("feed TICKS { pattern \"t%i.csv\" }\n")
-	b.WriteString("http {\n    listen \"127.0.0.1:0\"\n    principal poller {\n        token \"e19\"\n        feed TICKS\n    }\n}\n")
-	if mode == "push" {
-		for i := 0; i < clients; i++ {
-			fmt.Fprintf(&b, "subscriber s%05d { dest \"in\" subscribe TICKS retry 20ms }\n", i)
-		}
-	}
-	return b.String()
-}
-
 // E19Trial runs one trial: a full daemon, Clients pollers or push
 // subscribers, Files deposited live, everyone draining to completion.
 func E19Trial(cfg E19TrialConfig) (*E19TrialResult, error) {
-	root, err := os.MkdirTemp("", "bistro-e19-*")
+	root, err := tempRoot("e19")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(root)
-	parsed, err := config.Parse(e19Config(cfg.Mode, cfg.Clients))
-	if err != nil {
-		return nil, err
-	}
-	trans := &e19Transport{got: make(map[string]map[uint64]int)}
-	opts := server.Options{
-		Config:       parsed,
-		Root:         root,
-		ScanInterval: -1,
-		NoSync:       true,
-	}
+	// The daemon: one feed, the HTTP plane with one principal, and
+	// (push mode) one subscriber block per client.
+	var text strings.Builder
+	text.WriteString("feed TICKS { pattern \"t%i.csv\" }\n")
+	text.WriteString("http {\n    listen \"127.0.0.1:0\"\n    principal poller {\n        token \"e19\"\n        feed TICKS\n    }\n}\n")
+	trans := &recorder{ledger: oracle.New(), plane: oracle.HTTP}
+	opts := server.Options{Root: root, ScanInterval: -1, NoSync: true}
+	prefix := "poller"
 	if cfg.Mode == "push" {
-		opts.Transport = trans
+		trans.plane, opts.Transport, prefix = oracle.Push, trans, "s"
 	}
-	srv, err := server.New(opts)
+	plane := trans.plane
+	clients := make([]string, cfg.Clients)
+	for i := range clients {
+		clients[i] = fmt.Sprintf("%s%05d", prefix, i)
+		if cfg.Mode == "push" {
+			fmt.Fprintf(&text, "subscriber %s { dest \"in\" subscribe TICKS retry 20ms }\n", clients[i])
+		}
+	}
+	srv, err := startServer(text.String(), opts)
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Stop()
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 
-	payload := make([]byte, cfg.FileSize)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	deposited := struct {
-		sync.Mutex
-		at map[string]time.Time
-	}{at: make(map[string]time.Time)}
-
+	payload := bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), cfg.FileSize/26+1)[:cfg.FileSize]
 	res := &E19TrialResult{}
 	var wg sync.WaitGroup
+	var requests atomic.Int64
 	cpuBefore := cpuSeconds()
-
 	if cfg.Mode == "poll" {
 		addr := srv.HTTPAddr()
 		client := &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        512,
 			MaxIdleConnsPerHost: 512,
 		}}
-		var reqMu sync.Mutex
-		var requests int64
-		type obs struct {
-			name string
-			t    time.Time
-		}
-		seen := make([][]obs, cfg.Clients)
-		counts := make([]map[uint64]int, cfg.Clients)
-		for p := 0; p < cfg.Clients; p++ {
-			counts[p] = make(map[uint64]int)
+		for p, name := range clients {
 			wg.Add(1)
-			go func(p int) {
+			go func(p int, name string) {
 				defer wg.Done()
 				// Stagger phases so the fleet's polls spread over the
 				// interval instead of arriving as one thundering herd.
 				time.Sleep(time.Duration(p) * cfg.PollInterval / time.Duration(cfg.Clients))
 				var from uint64
 				deadline := time.Now().Add(120 * time.Second)
-				for len(counts[p]) < cfg.Files && time.Now().Before(deadline) {
-					req, err := http.NewRequest("GET", fmt.Sprintf("http://%s/feeds/TICKS?from=%d", addr, from), nil)
-					if err != nil {
-						return
-					}
-					req.Header.Set("Authorization", "Bearer e19")
-					resp, err := client.Do(req)
-					if err != nil {
+				for trans.ledger.Delivered(plane, name) < cfg.Files && time.Now().Before(deadline) {
+					from = e19Poll(client, addr, from, name, trans, &requests)
+					if trans.ledger.Delivered(plane, name) < cfg.Files {
 						time.Sleep(cfg.PollInterval)
-						continue
 					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					reqMu.Lock()
-					requests++
-					reqMu.Unlock()
-					var page struct {
-						Next    uint64 `json:"next"`
-						Entries []struct {
-							Seq  uint64 `json:"seq"`
-							Name string `json:"name"`
-						} `json:"entries"`
-					}
-					if json.Unmarshal(body, &page) != nil || resp.StatusCode != 200 {
-						time.Sleep(cfg.PollInterval)
-						continue
-					}
-					now := time.Now()
-					for _, e := range page.Entries {
-						counts[p][e.Seq]++
-						seen[p] = append(seen[p], obs{name: e.Name, t: now})
-					}
-					from = page.Next
-					if len(counts[p]) >= cfg.Files {
-						return
-					}
-					time.Sleep(cfg.PollInterval)
 				}
-			}(p)
+			}(p, name)
 		}
 		// Let the fleet settle into its polling rhythm, then feed it.
 		time.Sleep(cfg.PollInterval)
-		for i := 0; i < cfg.Files; i++ {
-			name := fmt.Sprintf("t%d.csv", i)
-			deposited.Lock()
-			deposited.at[name] = time.Now()
-			deposited.Unlock()
-			if err := srv.Deposit(name, payload); err != nil {
-				return nil, err
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		wg.Wait()
-		res.CPUPerClient = time.Duration((cpuSeconds() - cpuBefore) / float64(cfg.Clients) * float64(time.Second))
-		res.Requests = requests
-		var props []time.Duration
-		for p := range counts {
-			for _, n := range counts[p] {
-				if n > 1 {
-					res.Duplicates += n - 1
-				}
-			}
-			res.Missed += cfg.Files - len(counts[p])
-			for _, ob := range seen[p] {
-				deposited.Lock()
-				d, ok := deposited.at[ob.name]
-				deposited.Unlock()
-				if ok {
-					props = append(props, ob.t.Sub(d))
-				}
-			}
-		}
-		res.PropagationP50, res.PropagationP99 = percentiles(props)
-		return res, nil
 	}
 
-	// Push mode: deposit, then wait for the engine to hand every file
-	// to every subscriber.
+	// Deposit, then wait for every client to hold every file.
+	sent := make(map[string]time.Time, cfg.Files)
 	for i := 0; i < cfg.Files; i++ {
 		name := fmt.Sprintf("t%d.csv", i)
-		deposited.Lock()
-		deposited.at[name] = time.Now()
-		deposited.Unlock()
+		sent[name] = time.Now()
 		if err := srv.Deposit(name, payload); err != nil {
 			return nil, err
 		}
+		trans.ledger.Deposit(name, crc32.ChecksumIEEE(payload), true)
 		time.Sleep(20 * time.Millisecond)
 	}
-	total := cfg.Clients * cfg.Files
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		trans.mu.Lock()
-		n := len(trans.at)
-		trans.mu.Unlock()
-		if n >= total || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	wg.Wait()
+	if cfg.Mode == "push" {
+		waitFor(120*time.Second, func() bool { return trans.ledger.Deliveries(plane) >= cfg.Clients*cfg.Files })
 	}
 	res.CPUPerClient = time.Duration((cpuSeconds() - cpuBefore) / float64(cfg.Clients) * float64(time.Second))
+	res.Requests = requests.Load()
+	res.Duplicates = trans.ledger.Duplicates(plane)
+	res.Missed = trans.ledger.Undelivered(plane, clients...)
 	trans.mu.Lock()
-	var props []time.Duration
-	for _, a := range trans.at {
-		// Push names arrive as destination paths ("TICKS/t0.csv");
-		// deposits were keyed by bare landing name.
-		deposited.Lock()
-		d, ok := deposited.at[path.Base(a.name)]
-		deposited.Unlock()
-		if ok {
-			props = append(props, a.t.Sub(d))
-		}
-	}
-	for _, perSub := range trans.got {
-		for _, n := range perSub {
-			if n > 1 {
-				res.Duplicates += n - 1
-			}
-		}
-		res.Missed += cfg.Files - len(perSub)
-	}
-	if missing := cfg.Clients - len(trans.got); missing > 0 {
-		res.Missed += missing * cfg.Files
-	}
-	trans.mu.Unlock()
-	res.PropagationP50, res.PropagationP99 = percentiles(props)
+	defer trans.mu.Unlock()
+	res.PropagationP50, res.PropagationP99 = percentiles(latencies(trans.arrivals, sent))
 	return res, nil
 }
 
-func percentiles(props []time.Duration) (p50, p99 time.Duration) {
-	if len(props) == 0 {
-		return 0, 0
+// e19Poll reads one page of the feed's log from cursor from as poller
+// name, counting the request in served once the server answers, and
+// feeds its entries to trans. It returns the cursor to read from next.
+func e19Poll(client *http.Client, addr string, from uint64, name string, trans *recorder, served *atomic.Int64) uint64 {
+	req, err := http.NewRequest("GET", fmt.Sprintf("http://%s/feeds/TICKS?from=%d", addr, from), nil)
+	if err != nil {
+		return from
 	}
-	sort.Slice(props, func(i, j int) bool { return props[i] < props[j] })
-	return props[len(props)/2], props[len(props)*99/100]
+	req.Header.Set("Authorization", "Bearer e19")
+	resp, err := client.Do(req)
+	if err != nil {
+		return from
+	}
+	served.Add(1)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var page struct {
+		Next    uint64 `json:"next"`
+		Entries []struct {
+			Name string `json:"name"`
+			CRC  uint32 `json:"crc"`
+		} `json:"entries"`
+	}
+	if json.Unmarshal(body, &page) != nil || resp.StatusCode != 200 {
+		return from
+	}
+	for _, e := range page.Entries {
+		trans.observe(name, e.Name, e.CRC, 0)
+	}
+	return page.Next
 }

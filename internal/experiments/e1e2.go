@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"bistro/internal/baseline"
@@ -45,20 +44,21 @@ func E1PullScan(o Options) (Table, error) {
 		Header: []string{"history", "poll_entries", "poll_time", "poll_time/new_file", "notify_time_total", "speedup"},
 	}
 	for _, h := range histories {
-		root, err := os.MkdirTemp("", "bistro-e1-*")
+		root, err := tempRoot("e1", "land", "staged")
 		if err != nil {
 			return t, err
 		}
 		defer os.RemoveAll(root)
-		if err := populate(root, h, "hist"); err != nil {
+		hist, land, staged := filepath.Join(root, "hist"), filepath.Join(root, "land"), filepath.Join(root, "staged")
+		if err := populate(hist, h, "hist"); err != nil {
 			return t, err
 		}
-		sub := baseline.NewPullSubscriber(root)
+		sub := baseline.NewPullSubscriber(hist)
 		if _, _, err := sub.Poll(); err != nil { // absorb history
 			return t, err
 		}
 		// Drop newFiles fresh files, then measure the discovery poll.
-		if err := populate(filepath.Join(root, "new"), newFiles, "fresh"); err != nil {
+		if err := populate(filepath.Join(hist, "new"), newFiles, "fresh"); err != nil {
 			return t, err
 		}
 		fresh, stats, err := sub.Poll()
@@ -73,16 +73,6 @@ func E1PullScan(o Options) (Table, error) {
 		// zone; ingest is a constant-cost move per file (modelled here
 		// as the announce + rename, no classification to isolate the
 		// discovery cost both systems pay differently).
-		land, err := os.MkdirTemp("", "bistro-e1-land-*")
-		if err != nil {
-			return t, err
-		}
-		defer os.RemoveAll(land)
-		staged, err := os.MkdirTemp("", "bistro-e1-staged-*")
-		if err != nil {
-			return t, err
-		}
-		defer os.RemoveAll(staged)
 		var notifyTotal time.Duration
 		for i := 0; i < newFiles; i++ {
 			name := fmt.Sprintf("fresh%07d.csv", i)
@@ -96,7 +86,7 @@ func E1PullScan(o Options) (Table, error) {
 			}
 			notifyTotal += time.Since(start)
 		}
-		speedup := float64(stats.Elapsed) / float64(maxDur(notifyTotal, time.Microsecond))
+		speedup := float64(stats.Elapsed) / float64(max(notifyTotal, time.Microsecond))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", h),
 			fmt.Sprintf("%d", stats.Entries),
@@ -110,13 +100,6 @@ func E1PullScan(o Options) (Table, error) {
 		"poll_entries and poll_time grow with history while the per-notification cost is flat",
 		"real deployments amplify the gap: many subscribers scan the same provider concurrently (§2.2.1)")
 	return t, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E2RsyncVsReceipts measures the §2.2.2 claim: rsync-style stateless
@@ -137,16 +120,12 @@ func E2RsyncVsReceipts(o Options) (Table, error) {
 		Header: []string{"history", "rsync_scanned", "rsync_time", "receipts_pending_time", "receipts_queue_len", "ratio"},
 	}
 	for _, h := range histories {
-		src, err := os.MkdirTemp("", "bistro-e2-src-*")
+		root, err := tempRoot("e2", "dst")
 		if err != nil {
 			return t, err
 		}
-		defer os.RemoveAll(src)
-		dst, err := os.MkdirTemp("", "bistro-e2-dst-*")
-		if err != nil {
-			return t, err
-		}
-		defer os.RemoveAll(dst)
+		defer os.RemoveAll(root)
+		src, dst := filepath.Join(root, "src"), filepath.Join(root, "dst")
 		if err := populate(src, h, "hist"); err != nil {
 			return t, err
 		}
@@ -167,32 +146,22 @@ func E2RsyncVsReceipts(o Options) (Table, error) {
 		// Bistro: the receipt store with the same history (delivered)
 		// plus ten new arrivals; the queue computation touches no
 		// filesystem metadata at all.
-		dbDir, err := os.MkdirTemp("", "bistro-e2-db-*")
-		if err != nil {
-			return t, err
-		}
-		defer os.RemoveAll(dbDir)
-		store, err := receipts.Open(dbDir, receipts.Options{NoSync: true})
+		store, err := receipts.Open(filepath.Join(root, "db"), receipts.Options{NoSync: true})
 		if err != nil {
 			return t, err
 		}
 		defer store.Close()
 		at := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
-		for i := 0; i < h; i++ {
-			id, err := store.RecordArrival(receipts.FileMeta{
-				Name: fmt.Sprintf("hist%07d.csv", i), StagedPath: "x", Feeds: []string{"F"}, Arrived: at,
-			})
+		for i := 0; i < h+newFiles; i++ {
+			name := fmt.Sprintf("hist%07d.csv", i)
+			if i >= h {
+				name = fmt.Sprintf("fresh%07d.csv", i-h)
+			}
+			id, err := store.RecordArrival(receipts.FileMeta{Name: name, StagedPath: "x", Feeds: []string{"F"}, Arrived: at})
+			if err == nil && i < h {
+				err = store.RecordDelivery(id, "sub", at)
+			}
 			if err != nil {
-				return t, err
-			}
-			if err := store.RecordDelivery(id, "sub", at); err != nil {
-				return t, err
-			}
-		}
-		for i := 0; i < newFiles; i++ {
-			if _, err := store.RecordArrival(receipts.FileMeta{
-				Name: fmt.Sprintf("fresh%07d.csv", i), StagedPath: "x", Feeds: []string{"F"}, Arrived: at,
-			}); err != nil {
 				return t, err
 			}
 		}
@@ -202,7 +171,7 @@ func E2RsyncVsReceipts(o Options) (Table, error) {
 		if len(pending) != newFiles {
 			return t, fmt.Errorf("e2: pending %d, want %d", len(pending), newFiles)
 		}
-		ratio := float64(stats.Elapsed) / float64(maxDur(pendTime, time.Microsecond))
+		ratio := float64(stats.Elapsed) / float64(max(pendTime, time.Microsecond))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", h),
 			fmt.Sprintf("%d", stats.ScannedSrc+stats.ScannedDst),
@@ -234,16 +203,12 @@ func E2RsyncVsReceipts(o Options) (Table, error) {
 // cronOverlap runs a cron-driven sync over a history tree at a period
 // shorter than one pass, returning (ticks fired, ticks skipped).
 func cronOverlap(history int) (int, int, error) {
-	src, err := os.MkdirTemp("", "bistro-e2cron-src-*")
+	root, err := tempRoot("e2cron", "dst")
 	if err != nil {
 		return 0, 0, err
 	}
-	defer os.RemoveAll(src)
-	dst, err := os.MkdirTemp("", "bistro-e2cron-dst-*")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.RemoveAll(dst)
+	defer os.RemoveAll(root)
+	src, dst := filepath.Join(root, "src"), filepath.Join(root, "dst")
 	if err := populate(src, history, "hist"); err != nil {
 		return 0, 0, err
 	}
@@ -262,17 +227,9 @@ func cronOverlap(history int) (int, int, error) {
 	}
 	c := baseline.NewCron(clock.NewReal(), period)
 	c.SkipOverlap = true
-	var mu sync.Mutex
-	runs := 0
-	c.Start(func() {
-		baseline.Sync(src, dst)
-		mu.Lock()
-		runs++
-		mu.Unlock()
-	})
+	c.Start(func() { baseline.Sync(src, dst) })
 	time.Sleep(10 * period)
 	c.Stop()
 	ticks, skipped := c.Stats()
-	_ = runs
 	return ticks, skipped, nil
 }

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
-	"bistro/internal/config"
-	"bistro/internal/delivery"
 	"bistro/internal/diskfault"
 	"bistro/internal/server"
 )
@@ -103,15 +99,11 @@ const e20Payload = "h1,37,a\nh2,11,b\nh3,5,c\nh1,2,d\nh2,9,e\nh3,4,f\n"
 // side-table enrich, placed per cfg, under concurrent depositors and
 // a fixed-fsync-latency filesystem.
 func E20Trial(cfg E20TrialConfig) (*E20TrialResult, error) {
-	root, err := os.MkdirTemp("", "bistro-e20-*")
+	root, err := tempRoot("e20", "tables")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(root)
-
-	if err := os.MkdirAll(filepath.Join(root, "tables"), 0o755); err != nil {
-		return nil, err
-	}
 	table := "h1,rack1,us\nh2,rack2,eu\nh3,rack3,ap\n"
 	if err := os.WriteFile(filepath.Join(root, "tables", "hosts.csv"), []byte(table), 0o644); err != nil {
 		return nil, err
@@ -140,101 +132,30 @@ feed EV {
 	for i := 1; i <= cfg.Subscribers; i++ {
 		text += fmt.Sprintf("subscriber s%d { dest \"in%d\" subscribe EV }\n", i, i)
 	}
-	conf, err := config.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-
-	var (
-		mu        sync.Mutex
-		started   = make(map[string]time.Time) // landing name -> deposit start
-		delivered = make(map[string]time.Time) // fileID/subscriber -> delivered at
-	)
-	srv, err := server.New(server.Options{
-		Config: conf, Root: root, ScanInterval: -1,
-		FS: diskfault.Latency(diskfault.OS(), cfg.FsyncLatency),
-		OnEvent: func(ev delivery.Event) {
-			if ev.Kind != delivery.EvDelivered {
-				return
-			}
-			mu.Lock()
-			delivered[fmt.Sprintf("%d/%s", ev.FileID, ev.Subscriber)] = time.Now()
-			mu.Unlock()
-		},
+	clock := newPropagationClock()
+	srv, err := startServer(text, server.Options{
+		Root: root, ScanInterval: -1,
+		FS:      diskfault.Latency(diskfault.OS(), cfg.FsyncLatency),
+		OnEvent: clock.onEvent,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Stop()
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 
 	base := time.Date(2010, 9, 25, 0, 0, 0, 0, time.UTC)
-	total := cfg.Sources * cfg.PerSource
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Sources)
-	for s := 0; s < cfg.Sources; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < cfg.PerSource; i++ {
-				ts := base.Add(time.Duration(s*cfg.PerSource+i) * time.Second)
-				name := fmt.Sprintf("src%d/EV_%s.csv", s+1, ts.Format("20060102150405"))
-				mu.Lock()
-				started[name] = time.Now()
-				mu.Unlock()
-				if err := srv.Deposit(name, []byte(e20Payload)); err != nil {
-					errCh <- fmt.Errorf("e20: deposit %s: %w", name, err)
-					return
-				}
-			}
-		}(s)
+	ingestTime, err := clock.depositSources(srv, cfg.Sources, cfg.PerSource, func(s, i int) string {
+		ts := base.Add(time.Duration(s*cfg.PerSource+i) * time.Second)
+		return fmt.Sprintf("src%d/EV_%s.csv", s+1, ts.Format("20060102150405"))
+	}, []byte(e20Payload))
+	if err != nil {
+		return nil, fmt.Errorf("e20: %w", err)
 	}
-	wg.Wait()
-	ingestTime := time.Since(start)
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-
 	// Drain: every file must reach every subscriber.
-	want := total * cfg.Subscribers
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		mu.Lock()
-		n := len(delivered)
-		mu.Unlock()
-		if n >= want {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("e20: %d of %d deliveries before timeout", n, want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	props, err := clock.drained(srv.Store(), cfg.Sources*cfg.PerSource*cfg.Subscribers, 60*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("e20: %w", err)
 	}
-
-	props := make([]time.Duration, 0, want)
-	mu.Lock()
-	for key, at := range delivered {
-		var id uint64
-		fmt.Sscanf(key, "%d/", &id)
-		meta, ok := srv.Store().File(id)
-		if !ok {
-			mu.Unlock()
-			return nil, fmt.Errorf("e20: delivered file %d has no receipt", id)
-		}
-		t0, ok := started[meta.Name]
-		if !ok {
-			mu.Unlock()
-			return nil, fmt.Errorf("e20: delivered %q never deposited", meta.Name)
-		}
-		props = append(props, at.Sub(t0))
-	}
-	mu.Unlock()
-	sort.Slice(props, func(i, j int) bool { return props[i] < props[j] })
 
 	var deliveredBytes int64
 	for i := 1; i <= cfg.Subscribers; i++ {
@@ -255,19 +176,4 @@ feed EV {
 		EnrichJoins:    joins,
 		PropagationP95: props[len(props)*95/100],
 	}, nil
-}
-
-// dirBytes totals regular-file sizes under root (0 if absent).
-func dirBytes(root string) int64 {
-	var n int64
-	filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return nil
-		}
-		if !info.IsDir() {
-			n += info.Size()
-		}
-		return nil
-	})
-	return n
 }

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"sort"
-	"sync"
+	"path/filepath"
 	"time"
 
-	"bistro/internal/config"
-	"bistro/internal/delivery"
 	"bistro/internal/server"
 	"bistro/internal/workload"
 )
@@ -52,57 +49,25 @@ func E3Propagation(o Options) (Table, error) {
 }
 
 func runE3(mode string, sources, intervals, compress int) ([]string, error) {
-	root, err := os.MkdirTemp("", "bistro-e3-*")
+	root, err := tempRoot("e3")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(root)
-
-	cfg, err := config.Parse(`
-feed BPS { pattern "BPS_POLLER%i_%Y%m%d%H_%M.csv.gz" }
-subscriber wh { dest "in" subscribe BPS }
-`)
-	if err != nil {
-		return nil, err
-	}
 	scanInterval := time.Duration(-1)
 	if mode == "scan" {
 		scanInterval = 50 * time.Millisecond
 	}
 
-	type sample struct {
-		deposited time.Time
-		delivered time.Time
-	}
-	var mu sync.Mutex
-	samples := make(map[string]*sample)
-	srv, err := server.New(server.Options{
-		Config:       cfg,
-		Root:         root,
-		ScanInterval: scanInterval,
-		NoSync:       true,
-		OnEvent: func(ev delivery.Event) {
-			if ev.Kind != delivery.EvDelivered {
-				return
-			}
-			mu.Lock()
-			// ev.Name is dest-prefixed; match by suffix below instead.
-			for name, s := range samples {
-				if s.delivered.IsZero() && hasSuffix(ev.Name, name) {
-					s.delivered = time.Now()
-					break
-				}
-			}
-			mu.Unlock()
-		},
-	})
+	clock := newPropagationClock()
+	srv, err := startServer(`
+feed BPS { pattern "BPS_POLLER%i_%Y%m%d%H_%M.csv.gz" }
+subscriber wh { dest "in" subscribe BPS }
+`, server.Options{Root: root, ScanInterval: scanInterval, NoSync: true, OnEvent: clock.onEvent})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Stop()
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 
 	start := time.Date(2010, 9, 25, 4, 0, 0, 0, time.UTC)
 	gen := workload.New(11, workload.FeedSpec{
@@ -110,51 +75,30 @@ subscriber wh { dest "in" subscribe BPS }
 		Convention: workload.ConvUnderscoreTS, SizeBytes: 512,
 	})
 	files := gen.Window(start, start.Add(time.Duration(intervals)*5*time.Minute))
-
 	for _, f := range files {
-		mu.Lock()
-		samples[f.Name] = &sample{deposited: time.Now()}
-		mu.Unlock()
+		clock.mu.Lock()
+		clock.started[f.Name] = time.Now()
+		clock.mu.Unlock()
 		if mode == "notify" {
 			if err := srv.Deposit(f.Name, workload.Payload(f)); err != nil {
 				return nil, err
 			}
 		} else {
-			// Non-cooperating source: drop the file and walk away.
-			if err := writeLanding(srv, f.Name, workload.Payload(f)); err != nil {
+			// Non-cooperating source: drop the file into the landing
+			// directory and walk away.
+			full := filepath.Join(srv.Landing().Dir(), filepath.FromSlash(f.Name))
+			if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(full, workload.Payload(f), 0o644); err != nil {
 				return nil, err
 			}
 		}
 	}
-
-	// Wait for every delivery.
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		done := true
-		for _, s := range samples {
-			if s.delivered.IsZero() {
-				done = false
-				break
-			}
-		}
-		mu.Unlock()
-		if done {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	lats, err := clock.drained(srv.Store(), len(files), 60*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("e3: %s: %w", mode, err)
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	var lats []time.Duration
-	for _, s := range samples {
-		if s.delivered.IsZero() {
-			return nil, fmt.Errorf("e3: %s: undelivered files remain", mode)
-		}
-		lats = append(lats, s.delivered.Sub(s.deposited))
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	p50 := lats[len(lats)/2]
 	p95 := lats[len(lats)*95/100]
 	maxL := lats[len(lats)-1]
@@ -165,34 +109,4 @@ subscriber wh { dest "in" subscribe BPS }
 		ms(p50), ms(p95), ms(maxL),
 		secs(maxL * time.Duration(compress)),
 	}, nil
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
-}
-
-// writeLanding drops a file into the landing directory without any
-// notification (non-cooperating source).
-func writeLanding(srv *server.Server, name string, data []byte) error {
-	dir := srv.Landing().Dir()
-	return writeFileMkdir(dir, name, data)
-}
-
-func writeFileMkdir(dir, name string, data []byte) error {
-	full := dir + "/" + name
-	if i := lastSlash(full); i >= 0 {
-		if err := os.MkdirAll(full[:i], 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(full, data, 0o644)
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

@@ -76,25 +76,15 @@ func E4Scheduler(o Options) (Table, error) {
 		cfg  scheduler.Config
 		subs []sim.Subscriber
 	}
+	// One global queue of two workers under policy p.
+	global := func(name string, p scheduler.PolicyKind) caseDef {
+		return caseDef{name, scheduler.Config{Partitions: []scheduler.PartitionConfig{
+			{Name: "all", Workers: 2, Policy: p}}}, append([]sim.Subscriber{fast}, slows(0)...)}
+	}
 	cases := []caseDef{
-		{
-			name: "global-fifo/2w",
-			cfg: scheduler.Config{Partitions: []scheduler.PartitionConfig{
-				{Name: "all", Workers: 2, Policy: scheduler.FIFO}}},
-			subs: append([]sim.Subscriber{fast}, slows(0)...),
-		},
-		{
-			name: "global-edf/2w",
-			cfg: scheduler.Config{Partitions: []scheduler.PartitionConfig{
-				{Name: "all", Workers: 2, Policy: scheduler.EDF}}},
-			subs: append([]sim.Subscriber{fast}, slows(0)...),
-		},
-		{
-			name: "global-maxbenefit/2w",
-			cfg: scheduler.Config{Partitions: []scheduler.PartitionConfig{
-				{Name: "all", Workers: 2, Policy: scheduler.MaxBenefit}}},
-			subs: append([]sim.Subscriber{fast}, slows(0)...),
-		},
+		global("global-fifo/2w", scheduler.FIFO),
+		global("global-edf/2w", scheduler.EDF),
+		global("global-maxbenefit/2w", scheduler.MaxBenefit),
 		{
 			name: "partitioned-edf/1w+1w",
 			cfg: scheduler.Config{Partitions: []scheduler.PartitionConfig{
@@ -212,8 +202,6 @@ func E5Backfill(o Options) (Table, error) {
 		}
 		arrivals = append(arrivals, sim.Arrival{FileID: uint64(i + 1), Feed: "F", Size: 200 << 10, At: at})
 	}
-	outageFrom := e4start
-	outageTo := e4start.Add(time.Duration(outageMin) * time.Minute)
 
 	for _, mode := range []scheduler.BackfillMode{scheduler.BackfillInOrder, scheduler.BackfillConcurrent} {
 		pc := scheduler.PartitionConfig{Name: "p", Workers: 2, Policy: scheduler.EDF}
@@ -224,7 +212,7 @@ func E5Backfill(o Options) (Table, error) {
 			Scheduler: scheduler.Config{Partitions: []scheduler.PartitionConfig{pc}, Backfill: mode},
 			Subscribers: []sim.Subscriber{{
 				Name: "wh", Bandwidth: 60 << 10,
-				OfflineFrom: outageFrom, OfflineUntil: outageTo,
+				OfflineFrom: e4start, OfflineUntil: e4start.Add(time.Duration(outageMin) * time.Minute),
 			}},
 			Deadline: time.Minute,
 			Start:    e4start,

@@ -128,7 +128,7 @@ func runE6(name string, mk func(clock.Clock, func(batch.Batch)) e6Detector, punc
 	mu.Lock()
 	defer mu.Unlock()
 	broken := 0
-	var totalDelay, maxDelay time.Duration
+	var delays []time.Duration
 	for _, b := range batches {
 		seen := map[time.Time]bool{}
 		var lastArrival time.Time
@@ -141,26 +141,40 @@ func runE6(name string, mk func(clock.Clock, func(batch.Batch)) e6Detector, punc
 		if len(seen) > 1 {
 			broken++
 		}
-		d := b.Closed.Sub(lastArrival)
-		if d < 0 {
-			d = 0
-		}
-		totalDelay += d
-		if d > maxDelay {
-			maxDelay = d
-		}
-	}
-	mean := time.Duration(0)
-	if len(batches) > 0 {
-		mean = totalDelay / time.Duration(len(batches))
+		delays = append(delays, max(b.Closed.Sub(lastArrival), 0))
 	}
 	return []string{
 		name,
 		fmt.Sprintf("%d", len(batches)),
 		fmt.Sprintf("%d", broken),
-		secs(mean),
-		secs(maxDelay),
+		secs(meanDuration(delays)),
+		secs(maxDuration(delays)),
 	}, nil
+}
+
+// classifierWorkload builds nFeeds one-pattern feeds and nNames file
+// names for them: a realistic mix, most files matching some feed and
+// every tenth matching none.
+func classifierWorkload(nFeeds, nNames int) ([]*config.Feed, []string) {
+	feeds := make([]*config.Feed, nFeeds)
+	for i := range feeds {
+		feeds[i] = &config.Feed{
+			Name: fmt.Sprintf("F%04d", i),
+			Path: fmt.Sprintf("F%04d", i),
+			Patterns: []*pattern.Pattern{
+				pattern.MustCompile(fmt.Sprintf("FEED%04d_poller%%i_%%Y%%m%%d%%H.csv.gz", i)),
+			},
+		}
+	}
+	names := make([]string, nNames)
+	for i := range names {
+		if i%10 == 9 {
+			names[i] = fmt.Sprintf("unknown-junk-%d.tmp", i)
+		} else {
+			names[i] = fmt.Sprintf("FEED%04d_poller%d_2010092504.csv.gz", i%nFeeds, i%7+1)
+		}
+	}
+	return feeds, names
 }
 
 // E7Classifier measures the classifier against the paper's deployment
@@ -182,25 +196,7 @@ func E7Classifier(o Options) (Table, error) {
 	}
 
 	for _, nf := range feedCounts {
-		feeds := make([]*config.Feed, nf)
-		for i := range feeds {
-			feeds[i] = &config.Feed{
-				Name: fmt.Sprintf("F%04d", i),
-				Path: fmt.Sprintf("F%04d", i),
-				Patterns: []*pattern.Pattern{
-					pattern.MustCompile(fmt.Sprintf("FEED%04d_poller%%i_%%Y%%m%%d%%H.csv.gz", i)),
-				},
-			}
-		}
-		// A realistic mix: most files match some feed, a tail match none.
-		testNames := make([]string, names)
-		for i := range testNames {
-			if i%10 == 9 {
-				testNames[i] = fmt.Sprintf("unknown-junk-%d.tmp", i)
-			} else {
-				testNames[i] = fmt.Sprintf("FEED%04d_poller%d_2010092504.csv.gz", i%nf, i%7+1)
-			}
-		}
+		feeds, testNames := classifierWorkload(nf, names)
 		for _, indexed := range []bool{true, false} {
 			c := classifier.New(feeds, classifier.Options{DisablePrefixIndex: !indexed})
 			startT := time.Now()

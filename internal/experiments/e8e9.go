@@ -28,14 +28,18 @@ func E8Discovery(o Options) (Table, error) {
 
 	an := discovery.New(discovery.DefaultOptions())
 	byFeed := make(map[string][]string)
+	nameFeed := make(map[string]string)
+	allNames := make([]string, 0, len(files)+25)
 	for _, f := range files {
 		an.Add(discovery.Observation{Name: f.Name, Arrived: f.Arrive, Size: int64(f.Size)})
 		byFeed[f.Feed] = append(byFeed[f.Feed], f.Name)
+		nameFeed[f.Name] = f.Feed
+		allNames = append(allNames, f.Name)
 	}
 	// Junk the analyzer must not absorb into the real feeds.
-	junk := 25
-	for i := 0; i < junk; i++ {
+	for i := 0; i < 25; i++ {
 		an.Add(discovery.Observation{Name: fmt.Sprintf("core.%d.dump", i), Arrived: start})
+		allNames = append(allNames, fmt.Sprintf("core.%d.dump", i))
 	}
 
 	found := an.Feeds()
@@ -44,18 +48,6 @@ func E8Discovery(o Options) (Table, error) {
 		Title:  "new-feed discovery precision/recall",
 		Claim:  "atomic feeds are identified from filename structure alone, including arrival patterns and field domains (§5.1)",
 		Header: []string{"ground_truth_feed", "recovered_pattern", "precision", "recall", "period_ok", "sources_ok"},
-	}
-
-	allNames := make([]string, 0, len(files)+junk)
-	nameFeed := make(map[string]string)
-	for feed, names := range byFeed {
-		for _, n := range names {
-			nameFeed[n] = feed
-			allNames = append(allNames, n)
-		}
-	}
-	for i := 0; i < junk; i++ {
-		allNames = append(allNames, fmt.Sprintf("core.%d.dump", i))
 	}
 
 	matchedGT := make(map[string]bool)
@@ -219,52 +211,41 @@ func E9FalseNegatives(o Options) (Table, error) {
 		"bistro structural similarity",
 		fmt.Sprintf("%.3f", float64(linked)/float64(totalFiles)),
 		fmt.Sprintf("%d", len(reports)),
-		fmt.Sprintf("%.2f", linkScore/float64(maxInt(linkN, 1))),
+		fmt.Sprintf("%.2f", linkScore/float64(max(linkN, 1))),
 		fmt.Sprintf("%.2f", noiseScoreCluster),
-		fmt.Sprintf("%.2f", linkScore/float64(maxInt(linkN, 1))-noiseScoreCluster),
+		fmt.Sprintf("%.2f", linkScore/float64(max(linkN, 1))-noiseScoreCluster),
 	})
 
-	// Method 2: per-file structural similarity (no clustering).
-	correct := 0
-	var perFileScore float64
-	for _, ev := range stream {
-		got, score := analyzer.BestFeedBySimilarity(defs, ev.name)
-		if got == ev.feed {
-			correct++
-		}
-		perFileScore += score
-	}
-	perFileMean := perFileScore / float64(totalFiles)
-	t.Rows = append(t.Rows, []string{
-		"per-file structural similarity",
-		fmt.Sprintf("%.3f", float64(correct)/float64(totalFiles)),
-		fmt.Sprintf("%d", totalFiles),
-		fmt.Sprintf("%.2f", perFileMean),
-		fmt.Sprintf("%.2f", noiseScoreCluster),
-		fmt.Sprintf("%.2f", perFileMean-noiseScoreCluster),
-	})
-
-	// Method 3: baseline — raw edit distance between filename and
+	// Method 2: per-file structural similarity (no clustering), and
+	// method 3, the baseline: raw edit distance between filename and
 	// pattern text.
-	edCorrect := 0
-	var edScore float64
-	for _, ev := range stream {
-		got, score := analyzer.BestFeedByEditDistance(defs, ev.name)
-		if got == ev.feed {
-			edCorrect++
+	for _, m := range []struct {
+		label string
+		best  func([]analyzer.FeedDef, string) (string, float64)
+		noise float64
+	}{
+		{"per-file structural similarity", analyzer.BestFeedBySimilarity, noiseScoreCluster},
+		{"edit-distance baseline", analyzer.BestFeedByEditDistance, meanBestScore(noise, defs, analyzer.BestFeedByEditDistance)},
+	} {
+		correct := 0
+		var score float64
+		for _, ev := range stream {
+			got, s := m.best(defs, ev.name)
+			if got == ev.feed {
+				correct++
+			}
+			score += s
 		}
-		edScore += score
+		mean := score / float64(totalFiles)
+		t.Rows = append(t.Rows, []string{
+			m.label,
+			fmt.Sprintf("%.3f", float64(correct)/float64(totalFiles)),
+			fmt.Sprintf("%d", totalFiles),
+			fmt.Sprintf("%.2f", mean),
+			fmt.Sprintf("%.2f", m.noise),
+			fmt.Sprintf("%.2f", mean-m.noise),
+		})
 	}
-	edMean := edScore / float64(totalFiles)
-	edNoise := meanBestScore(noise, defs, analyzer.BestFeedByEditDistance)
-	t.Rows = append(t.Rows, []string{
-		"edit-distance baseline",
-		fmt.Sprintf("%.3f", float64(edCorrect)/float64(totalFiles)),
-		fmt.Sprintf("%d", totalFiles),
-		fmt.Sprintf("%.2f", edMean),
-		fmt.Sprintf("%.2f", edNoise),
-		fmt.Sprintf("%.2f", edMean-edNoise),
-	})
 	t.Notes = append(t.Notes,
 		"warnings: Bistro generates one report per generalized pattern; per-file methods warn on every file (§5.2)",
 		"margin = mean score of true links minus mean best score of pure-noise files: the usable thresholding window",
@@ -282,11 +263,4 @@ func meanBestScore(names []string, defs []analyzer.FeedDef, best func([]analyzer
 		sum += score
 	}
 	return sum / float64(len(names))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

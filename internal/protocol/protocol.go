@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -729,6 +730,13 @@ func (c *Conn) RecvAck() error {
 type RemoteError struct{ Ack Ack }
 
 func (e *RemoteError) Error() string { return "protocol: remote error: " + e.Ack.Error }
+
+// Refused reports whether err is a peer's refusal (a *RemoteError). Its
+// target is on the heap, so callers ask only once a call has failed.
+func Refused(err error) bool {
+	var refused *RemoteError
+	return errors.As(err, &refused)
+}
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }

@@ -1,7 +1,11 @@
 package receipts
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+
+	"bistro/internal/oracle"
 )
 
 // TestFeedLog checks the consumable-log view the HTTP data plane
@@ -98,5 +102,107 @@ func TestGroupIntrospection(t *testing.T) {
 	}
 	if members["m1"].Attached {
 		t.Fatal("cursor-frozen member reported attached")
+	}
+}
+
+// TestFeedLogNeverShowsAHole commits arrivals into one feed from many
+// goroutines while cursor readers page the feed's log the way an HTTP
+// poller does (from the id after the last one read). Ids are assigned
+// before their commit and commits finish out of order, so a log that
+// listed id n+1 while n was still committing would move a reader past
+// n for good: the oracle counts such ids as cursor holes.
+func TestFeedLogNeverShowsAHole(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{NoSync: true})
+	defer s.Close()
+	const writers, readers = 8, 4
+	perWriter := 500
+	if raceEnabled {
+		perWriter = 150 // the race detector slows each FeedLog copy tenfold
+	}
+	ledger := oracle.New()
+	done := make(chan struct{})
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(reader string) {
+			defer rwg.Done()
+			var from uint64
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var page []uint64
+				for _, f := range s.FeedLog("bps") {
+					if f.ID >= from {
+						page = append(page, f.ID)
+					}
+				}
+				if len(page) > 0 {
+					ledger.Page(reader, page...)
+					from = page[len(page)-1] + 1
+				}
+			}
+		}(fmt.Sprintf("reader%d", r))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := s.RecordArrival(meta(fmt.Sprintf("w%d-%d", w, i), "bps")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	rwg.Wait()
+
+	log := s.FeedLog("bps")
+	settled := make([]uint64, len(log))
+	for i, f := range log {
+		settled[i] = f.ID
+		if f.ID != uint64(i+1) {
+			t.Fatalf("settled log[%d] has id %d, want %d", i, f.ID, i+1)
+		}
+	}
+	if len(settled) != writers*perWriter {
+		t.Fatalf("settled log holds %d ids, want %d", len(settled), writers*perWriter)
+	}
+	if n := ledger.Holes(settled); n != 0 {
+		t.Fatalf("readers passed %d ids the log had not shown yet", n)
+	}
+}
+
+// TestOldCheckpointFeedOrderSortedAtLoad: a checkpoint written while
+// the per-feed lists were kept in apply order, not id order, loads
+// into an id-ordered log.
+func TestOldCheckpointFeedOrderSortedAtLoad(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{NoSync: true})
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := s.RecordArrival(meta(name, "bps")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	s.feedFiles["bps"] = []uint64{3, 1, 2}
+	s.mu.Unlock()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openTest(t, dir, Options{NoSync: true})
+	defer s.Close()
+	log := s.FeedLog("bps")
+	if len(log) != 3 || log[0].ID != 1 || log[1].ID != 2 || log[2].ID != 3 {
+		t.Fatalf("FeedLog after loading an apply-ordered checkpoint = %v, want ids 1 2 3", log)
 	}
 }

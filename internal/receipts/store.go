@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -134,8 +135,16 @@ type Store struct {
 	wal    *wal
 	nextID uint64
 	files  map[uint64]*FileMeta
-	// feedFiles holds file ids per feed in arrival order.
+	// feedFiles holds file ids per feed in id order.
 	feedFiles map[string][]uint64
+	// committing holds the ids of arrivals whose transaction has neither
+	// applied nor failed, ascending (ids are assigned under mu). FeedLog
+	// shows no id at or above its first: commits finish out of order,
+	// and a cursor that read id n+1 while n was committing would pass n
+	// for good. A failed id leaves it unapplied even when its record
+	// may be durable (the local WAL synced, shipping to a standby
+	// failed); a restart's replay then brings it back below later ids.
+	committing []uint64
 	// delivered[sub] is the set of file ids delivered to sub.
 	delivered map[string]map[uint64]time.Time
 	expired   map[uint64]bool
@@ -242,7 +251,10 @@ func (s *Store) applyLocked(o op) {
 		f := o.file
 		s.files[f.ID] = &f
 		for _, feed := range f.Feeds {
-			s.feedFiles[feed] = append(s.feedFiles[feed], f.ID)
+			s.feedFiles[feed] = insertID(s.feedFiles[feed], f.ID)
+		}
+		if o.kind == recArrival && len(s.committing) > 0 {
+			s.settleLocked(f.ID)
 		}
 		if f.ID >= s.nextID {
 			s.nextID = f.ID + 1
@@ -260,6 +272,29 @@ func (s *Store) applyLocked(o op) {
 		s.quarantined[o.id] = true
 	case recGroupDelivery, recGroupCursor, recGroupAttach, recGroupDetach, recGroupForget:
 		s.applyGroupLocked(o)
+	}
+}
+
+// insertID adds id to the ascending ids from the tail: transactions
+// apply nearly in id order, so the walk is short.
+func insertID(ids []uint64, id uint64) []uint64 {
+	ids = append(ids, id)
+	i := len(ids) - 1
+	for ; i > 0 && ids[i-1] > id; i-- {
+		ids[i] = ids[i-1]
+	}
+	ids[i] = id
+	return ids
+}
+
+// settleLocked takes id out of committing, if it is there. Caller
+// holds mu.
+func (s *Store) settleLocked(id uint64) {
+	for i, c := range s.committing {
+		if c == id {
+			s.committing = append(s.committing[:i], s.committing[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -470,6 +505,7 @@ func (s *Store) RecordArrivalDerived(parent FileMeta, derived []FileMeta) (uint6
 	s.mu.Lock()
 	parent.ID = s.nextID
 	s.nextID += uint64(1 + len(derived))
+	s.committing = append(s.committing, parent.ID)
 	s.mu.Unlock()
 	ops[0] = op{kind: recArrival, file: parent}
 	for i, d := range derived {
@@ -478,6 +514,10 @@ func (s *Store) RecordArrivalDerived(parent FileMeta, derived []FileMeta) (uint6
 		ops[1+i] = op{kind: recDerived, file: d}
 	}
 	if err := s.commit(ops); err != nil {
+		// Applied already if only the checkpoint behind it failed.
+		s.mu.Lock()
+		s.settleLocked(parent.ID)
+		s.mu.Unlock()
 		return 0, err
 	}
 	return parent.ID, nil
@@ -574,7 +614,7 @@ func (s *Store) DeliveredCount(sub string) int {
 }
 
 // FilesInFeed returns the arrival receipts of all unexpired files in a
-// feed, in arrival order.
+// feed, in id order.
 func (s *Store) FilesInFeed(feed string) []FileMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -595,15 +635,25 @@ func (s *Store) FilesInFeed(feed string) []FileMeta {
 // feed in id order, including expired files (their bytes live on in
 // the archive until compaction folds the receipt into the manifest)
 // but excluding quarantined ones (reconciliation withdrew them from
-// every consumer-facing surface). The HTTP data plane merges this with
-// the archive manifest so a seq cursor never observes a transient hole
-// while a file crosses the staging→archive boundary.
+// every consumer-facing surface), and stopping below the first id
+// still committing. The HTTP data plane merges this with the archive
+// manifest so a seq cursor never observes a transient hole, neither
+// while a file crosses the staging→archive boundary nor while an
+// earlier id's commit is still in flight. It does not cover an id whose
+// commit failed after its WAL record became durable: see committing.
 func (s *Store) FeedLog(feed string) []FileMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := s.feedFiles[feed]
+	below := ^uint64(0)
+	if len(s.committing) > 0 {
+		below = s.committing[0]
+	}
 	out := make([]FileMeta, 0, len(ids))
 	for _, id := range ids {
+		if id >= below {
+			break
+		}
 		if s.quarantined[id] {
 			continue
 		}
@@ -611,7 +661,6 @@ func (s *Store) FeedLog(feed string) []FileMeta {
 			out = append(out, *f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -775,6 +824,13 @@ func (s *Store) loadCheckpoint() error {
 	}
 	if st.FeedFiles != nil {
 		s.feedFiles = st.FeedFiles
+		// A checkpoint written before the lists were kept in id order
+		// holds them in apply order.
+		for _, ids := range s.feedFiles {
+			if !slices.IsSorted(ids) {
+				slices.Sort(ids)
+			}
+		}
 	}
 	if st.Delivered != nil {
 		s.delivered = st.Delivered

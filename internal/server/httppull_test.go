@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bistro/internal/oracle"
 	"bistro/internal/workload"
 )
 
@@ -39,6 +41,7 @@ type pullPage struct {
 		Seq      uint64 `json:"seq"`
 		Name     string `json:"name"`
 		Size     int64  `json:"size"`
+		CRC      uint32 `json:"crc"`
 		Archived bool   `json:"archived"`
 	} `json:"entries"`
 }
@@ -148,9 +151,9 @@ func TestHTTPPullEndToEnd(t *testing.T) {
 // TestHTTPChurnExactlyOnce is the race-mode churn guarantee: pollers
 // paginating by cursor against live ingest — while expiry archives
 // staged files and compaction folds their receipts — observe every
-// file id exactly once. The log view must never show a transient hole
-// (a poller's cursor passing an id that is momentarily in neither the
-// staging window nor the manifest).
+// file exactly once, with its content's CRC. The log view must never
+// show a hole: a poller's cursor passing an id that is momentarily in
+// neither the staging window nor the manifest, or still committing.
 func TestHTTPChurnExactlyOnce(t *testing.T) {
 	s := newServer(t, httpPullConfig, func(o *Options) { o.ExpiryInterval = -1 })
 	addr := s.HTTPAddr()
@@ -162,14 +165,14 @@ func TestHTTPChurnExactlyOnce(t *testing.T) {
 	})
 	files := gen.Window(start, start.Add(time.Hour))
 
-	const pollers = 6
+	ledger := oracle.New()
+	pollers := make([]string, 6)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	seen := make([]map[uint64]int, pollers)
-	for p := 0; p < pollers; p++ {
-		seen[p] = make(map[uint64]int)
+	for p := range pollers {
+		pollers[p] = fmt.Sprintf("poller%d", p)
 		wg.Add(1)
-		go func(mine map[uint64]int) {
+		go func(poller string) {
 			defer wg.Done()
 			var from uint64
 			poll := func() int {
@@ -178,9 +181,12 @@ func TestHTTPChurnExactlyOnce(t *testing.T) {
 				if json.Unmarshal(body, &page) != nil {
 					return 0
 				}
-				for _, e := range page.Entries {
-					mine[e.Seq]++
+				ids := make([]uint64, len(page.Entries))
+				for i, e := range page.Entries {
+					ids[i] = e.Seq
+					ledger.Deliver(oracle.HTTP, poller, e.Name, e.CRC)
 				}
+				ledger.Page(poller, ids...)
 				from = page.Next
 				return len(page.Entries)
 			}
@@ -196,7 +202,7 @@ func TestHTTPChurnExactlyOnce(t *testing.T) {
 					poll()
 				}
 			}
-		}(seen[p])
+		}(pollers[p])
 	}
 
 	// Live ingest with expiry + compaction churning underneath: the
@@ -206,6 +212,7 @@ func TestHTTPChurnExactlyOnce(t *testing.T) {
 		if err := s.Deposit(f.Name, workload.Payload(f)); err != nil {
 			t.Fatal(err)
 		}
+		ledger.Deposit(f.Name, crc32.ChecksumIEEE(workload.Payload(f)), true)
 		if i%5 == 0 {
 			if _, err := s.Archiver().ExpireOnce(); err != nil {
 				t.Fatal(err)
@@ -236,26 +243,26 @@ func TestHTTPChurnExactlyOnce(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The settled log is the reference: every deposited file, by id.
-	ref := make(map[uint64]bool)
+	// The settled log is the reference for holes: every deposited
+	// file, by id.
+	var settled []uint64
 	for _, e := range s.FeedHTTPLog("BPS") {
-		ref[e.Seq] = true
+		settled = append(settled, e.Seq)
 	}
-	if len(ref) != len(files) {
-		t.Fatalf("settled log has %d ids, deposited %d", len(ref), len(files))
+	if len(settled) != len(files) {
+		t.Fatalf("settled log has %d ids, deposited %d", len(settled), len(files))
 	}
-	for p, mine := range seen {
-		for id, n := range mine {
-			if n != 1 {
-				t.Errorf("poller %d saw id %d %d times", p, id, n)
-			}
-			if !ref[id] {
-				t.Errorf("poller %d saw unknown id %d", p, id)
-			}
-		}
-		if len(mine) != len(ref) {
-			t.Errorf("poller %d saw %d ids, want %d", p, len(mine), len(ref))
-		}
+	if n := ledger.Undelivered(oracle.HTTP, pollers...); n != 0 {
+		t.Errorf("%d (poller, file) pairs never seen with the deposited content", n)
+	}
+	if n := ledger.Duplicates(oracle.HTTP); n != 0 {
+		t.Errorf("%d (poller, file) pairs seen more than once", n)
+	}
+	if n := ledger.Strays(oracle.HTTP); n != 0 {
+		t.Errorf("pollers saw %d files never deposited", n)
+	}
+	if n := ledger.Holes(settled); n != 0 {
+		t.Errorf("poller cursors passed %d ids without reading them", n)
 	}
 }
 

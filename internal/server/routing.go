@@ -180,7 +180,7 @@ func (s *Server) forward(owner cluster.Node, name, path string, crc uint32, size
 		return conn.RecvAck()
 	}
 	err := s.pool.withConn(owner.Addr, send)
-	if err != nil && connected && !refusal(err) {
+	if err != nil && connected && !protocol.Refused(err) {
 		err = s.pool.withConn(owner.Addr, send)
 	}
 	return err

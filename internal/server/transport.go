@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -151,19 +150,11 @@ func (t *tcpTransport) withConn(host string, fn func(*protocol.Conn) error) erro
 		h.conn = conn
 	}
 	err := fn(h.conn)
-	if err != nil && !refusal(err) {
+	if err != nil && !protocol.Refused(err) {
 		h.conn.Close()
 		h.conn = nil
 	}
 	return err
-}
-
-// refusal reports whether err is a peer's refusal (a
-// *protocol.RemoteError). Its target is on the heap, so it is asked
-// only once a call has failed.
-func refusal(err error) bool {
-	var refused *protocol.RemoteError
-	return errors.As(err, &refused)
 }
 
 // call sends a request and awaits the Ack.

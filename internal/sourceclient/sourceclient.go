@@ -26,24 +26,63 @@ import (
 // errors (wrapped not-exist shapes in particular).
 var walkDir = filepath.WalkDir
 
-// Client is a connection from a data source to a Bistro server.
+// Client is a connection from a data source to a Bistro server. A call
+// that fails with anything but the server's refusal may have left the
+// connection mid-frame, so the client closes it and the next call dials
+// the same address again: a server restart or a file cut short
+// mid-upload costs the calls in flight, not the client.
 type Client struct {
-	conn *protocol.Conn
-	name string
+	conn    *protocol.Conn // nil = dial before the next call
+	addr    string
+	name    string
+	timeout time.Duration
 }
 
 // Dial connects and identifies the source.
 func Dial(addr, name string, timeout time.Duration) (*Client, error) {
-	conn, err := protocol.Dial(addr, timeout)
+	c := &Client{addr: addr, name: name, timeout: timeout}
+	if _, err := c.connect(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// connect returns the client's connection, dialing it and sending
+// Hello first when the last call dropped it.
+func (c *Client) connect() (*protocol.Conn, error) {
+	if c.conn != nil {
+		return c.conn, nil
+	}
+	conn, err := protocol.Dial(c.addr, c.timeout)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, name: name}
-	if err := conn.Call(protocol.Hello{Role: "source", Name: name}); err != nil {
+	if err := conn.Call(protocol.Hello{Role: "source", Name: c.name}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("sourceclient: hello: %w", err)
 	}
-	return c, nil
+	c.conn = conn
+	return conn, nil
+}
+
+// settle passes on a call's error, first dropping the connection after
+// any error but a refusal (a *protocol.RemoteError: the server
+// answered, the stream is in frame sync).
+func (c *Client) settle(err error) error {
+	if err != nil && !protocol.Refused(err) {
+		c.conn.Close()
+		c.conn = nil
+	}
+	return err
+}
+
+// call sends a request and awaits the Ack.
+func (c *Client) call(msg any) error {
+	conn, err := c.connect()
+	if err != nil {
+		return err
+	}
+	return c.settle(conn.Call(msg))
 }
 
 // DialRetry dials with an exponential-backoff retry schedule: sources
@@ -79,7 +118,7 @@ func DialRetry(addr, name string, timeout time.Duration, pol backoff.Policy, clk
 // Upload ships file content to the server's landing zone (sources
 // without a shared filesystem).
 func (c *Client) Upload(name string, data []byte) error {
-	return c.conn.Call(protocol.Upload{
+	return c.call(protocol.Upload{
 		Name: name,
 		Data: data,
 		CRC:  crc32.ChecksumIEEE(data),
@@ -102,27 +141,38 @@ func (c *Client) UploadFile(name, path string) error {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	if err := c.conn.SendFrom(protocol.Upload{Name: name, CRC: crc}, f, size); err != nil {
+	conn, err := c.connect()
+	if err != nil {
 		return err
 	}
-	return c.conn.RecvAck()
+	if err := conn.SendFrom(protocol.Upload{Name: name, CRC: crc}, f, size); err != nil {
+		return c.settle(err)
+	}
+	return c.settle(conn.RecvAck())
 }
 
 // FileReady announces a file the source already deposited into the
 // landing directory via a shared filesystem.
 func (c *Client) FileReady(relPath string) error {
-	return c.conn.Call(protocol.FileReady{Path: relPath})
+	return c.call(protocol.FileReady{Path: relPath})
 }
 
 // EndOfBatch marks source punctuation for a feed ("" = all feeds this
 // source contributes to), enabling per-batch subscriber triggers
 // without count/timeout guessing.
 func (c *Client) EndOfBatch(feed string) error {
-	return c.conn.Call(protocol.EndOfBatch{Feed: feed})
+	return c.call(protocol.EndOfBatch{Feed: feed})
 }
 
 // Close terminates the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error {
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn = nil
+	return err
+}
 
 // WatchOptions configure WatchDir.
 type WatchOptions struct {

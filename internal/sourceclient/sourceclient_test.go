@@ -18,16 +18,20 @@ import (
 // fakeServer accepts one connection and records the messages, acking
 // each.
 type fakeServer struct {
-	ln   net.Listener
-	mu   sync.Mutex
-	msgs []any
-	fail bool
-	wg   sync.WaitGroup
+	ln    net.Listener
+	mu    sync.Mutex
+	msgs  []any
+	fail  bool
+	conns []net.Conn
+	wg    sync.WaitGroup
 }
 
-func newFakeServer(t *testing.T) *fakeServer {
+func newFakeServer(t *testing.T) *fakeServer { return fakeServerAt(t, "127.0.0.1:0") }
+
+// fakeServerAt is newFakeServer listening on addr.
+func fakeServerAt(t *testing.T, addr string) *fakeServer {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +44,9 @@ func newFakeServer(t *testing.T) *fakeServer {
 			if err != nil {
 				return
 			}
+			fs.mu.Lock()
+			fs.conns = append(fs.conns, c)
+			fs.mu.Unlock()
 			fs.wg.Add(1)
 			go func() {
 				defer fs.wg.Done()
@@ -65,11 +72,20 @@ func newFakeServer(t *testing.T) *fakeServer {
 			}()
 		}
 	}()
-	t.Cleanup(func() {
-		ln.Close()
-		fs.wg.Wait()
-	})
+	t.Cleanup(fs.kill)
 	return fs
+}
+
+// kill stops the server the way a crash does: the listener and every
+// open connection close.
+func (fs *fakeServer) kill() {
+	fs.ln.Close()
+	fs.mu.Lock()
+	for _, c := range fs.conns {
+		c.Close()
+	}
+	fs.mu.Unlock()
+	fs.wg.Wait()
 }
 
 func (fs *fakeServer) messages() []any {
@@ -336,4 +352,71 @@ func waitCond(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached")
+}
+
+// TestWatchDirSurvivesServerRestart: the server dies under a watching
+// client and comes back on the same address. The upload that hit the
+// dead connection fails; a later scan redials, says Hello again and
+// uploads the file.
+func TestWatchDirSurvivesServerRestart(t *testing.T) {
+	first := newFakeServer(t)
+	addr := first.ln.Addr().String()
+	c, err := Dial(addr, "agent", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dir := t.TempDir()
+	os.WriteFile(filepath.Join(dir, "a.csv"), []byte("1"), 0o644)
+
+	var mu sync.Mutex
+	results := map[string][]error{}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- c.WatchDir(dir, WatchOptions{
+			Interval: 5 * time.Millisecond,
+			Stop:     stop,
+			OnUpload: func(name string, err error) {
+				mu.Lock()
+				results[name] = append(results[name], err)
+				mu.Unlock()
+			},
+			Backoff: backoff.Policy{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, NoJitter: true},
+		})
+	}()
+	uploaded := func(name string, wantFailure bool) func() bool {
+		return func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			errs := results[name]
+			failed := false
+			for _, err := range errs {
+				failed = failed || err != nil
+			}
+			return len(errs) > 0 && errs[len(errs)-1] == nil && failed == wantFailure
+		}
+	}
+	waitCond(t, uploaded("a.csv", false))
+
+	first.kill()
+	os.WriteFile(filepath.Join(dir, "b.csv"), []byte("2"), 0o644)
+	waitCond(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(results["b.csv"]) > 0
+	})
+	second := fakeServerAt(t, addr)
+	waitCond(t, uploaded("b.csv", true))
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	msgs := second.messages()
+	if h, ok := msgs[0].(protocol.Hello); !ok || h.Name != "agent" {
+		t.Fatalf("first message after the restart = %#v, want the agent's Hello", msgs[0])
+	}
+	if up, ok := msgs[len(msgs)-1].(protocol.Upload); !ok || up.Name != "b.csv" {
+		t.Fatalf("last message after the restart = %#v, want the b.csv upload", msgs[len(msgs)-1])
+	}
 }
