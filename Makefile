@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-harness cluster-race fmt loc
+.PHONY: build test race bench-harness cluster-race fmt loc
 
 build:
 	$(GO) build ./...
@@ -18,16 +18,6 @@ fmt:
 # simplicity changes report.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
-
-# One iteration of the full-server experiment benchmarks (E14 ingest
-# scaling, E15 historical replay, E16 standby failover, E17
-# self-healing failover, E18 channel fan-out, E19 HTTP pull plane,
-# E20 plan enrichment placement) as a smoke test that the
-# quantitative harness runs end to end. BENCH_10.json at the repo
-# root is the tracked record of the last run, diffable across
-# changes; CI regenerates and uploads it as an artifact.
-bench-smoke:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkE1[4589]|BenchmarkE16|BenchmarkE17|BenchmarkE20' -benchtime=1x . | tee BENCH_10.json
 
 # Race-mode pass over the clustering layer and its replication stress
 # tests: concurrent group-commit shipping, the standby's streamed spool

@@ -8,6 +8,7 @@
 package archive
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -17,8 +18,10 @@ import (
 	"sync"
 	"time"
 
+	"bistro/internal/backoff"
 	"bistro/internal/clock"
 	"bistro/internal/diskfault"
+	"bistro/internal/metrics"
 	"bistro/internal/receipts"
 )
 
@@ -210,17 +213,65 @@ func (a *Archiver) ReconcileManifest(lookup func(stagedPath string) (receipts.Fi
 	return repaired, nil
 }
 
-// Open serves a file from long-term storage (long-horizon analysis
-// subscribers whose range exceeds the server window).
+// Open opens a stored file by its staged-relative path: the staged
+// copy while there is one, else the archived copy (expired into
+// long-term storage). It is the one reader of stored files: delivery,
+// hybrid-pull fetches, HTTP content reads and replication all go
+// through it. Only a missing staged file goes to the archive; any other
+// error is the answer. Every open or read error it returns is permanent
+// (backoff.Permanent): a stored file that cannot be read is this
+// server's fault, and a retry will not mend the disk.
 func (a *Archiver) Open(stagedPath string) (io.ReadCloser, error) {
-	if a.archiveRoot == "" {
-		return nil, fmt.Errorf("archive: no archive configured")
+	return a.open(stagedPath, nil)
+}
+
+// Opener returns Open with the bytes its readers read counted into
+// read: the delivery engine's staged-read figure.
+func (a *Archiver) Opener(read *metrics.Counter) func(stagedPath string) (io.ReadCloser, error) {
+	return func(stagedPath string) (io.ReadCloser, error) { return a.open(stagedPath, read) }
+}
+
+func (a *Archiver) open(stagedPath string, read *metrics.Counter) (io.ReadCloser, error) {
+	rel := filepath.FromSlash(stagedPath)
+	f, err := a.FS.Open(filepath.Join(a.stagingRoot, rel))
+	if errors.Is(err, fs.ErrNotExist) && a.archiveRoot != "" {
+		f, err = a.FS.Open(filepath.Join(a.archiveRoot, rel))
 	}
-	f, err := a.FS.Open(filepath.Join(a.archiveRoot, filepath.FromSlash(stagedPath)))
 	if err != nil {
-		return nil, fmt.Errorf("archive: open: %w", err)
+		return nil, backoff.Permanent(err)
 	}
-	return f, nil
+	r := storedFiles.Get().(*storedFile)
+	r.f, r.read = f, read
+	return r, nil
+}
+
+// storedFile is a stored file open for reading. Closed ones wait in
+// storedFiles for the next open, so reading a file into memory costs no
+// reader allocation; one must not be used after Close.
+type storedFile struct {
+	f    diskfault.File
+	read *metrics.Counter
+}
+
+var storedFiles = sync.Pool{New: func() any { return new(storedFile) }}
+
+func (r *storedFile) Read(p []byte) (int, error) {
+	n, err := r.f.Read(p)
+	r.read.Add(int64(n))
+	if err != nil && err != io.EOF {
+		err = backoff.Permanent(err)
+	}
+	return n, err
+}
+
+func (r *storedFile) Close() error {
+	if r.f == nil {
+		return os.ErrClosed
+	}
+	err := r.f.Close()
+	*r = storedFile{}
+	storedFiles.Put(r)
+	return err
 }
 
 // BackupReceipts snapshots the receipt database (checkpoint + WAL)

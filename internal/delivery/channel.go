@@ -27,7 +27,6 @@ package delivery
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -661,8 +660,7 @@ func (e *Engine) catchupDeliver(ch *channel, sub string, id uint64) (ok, fatal b
 		e.emit(Event{Kind: EvDeliveryFailed, Subscriber: sub, Feed: ch.feed, Name: ch.name, FileID: id, Err: ErrReceiptMissing})
 		return false, false
 	}
-	abs := filepath.Join(e.opts.StagingRoot, filepath.FromSlash(meta.StagedPath))
-	data, err := e.readStaged(meta.StagedPath, abs, nil)
+	data, err := e.read(meta.StagedPath, meta.Size, nil)
 	if err != nil {
 		// Expired mid-lag with no archive copy: the bytes no longer
 		// exist anywhere; skipping is the only way the member (and

@@ -64,8 +64,21 @@ func (c *countTrans) Deliver(sub string, f transport.File) error {
 	if c.got[sub] == nil {
 		c.got[sub] = make(map[uint64]int)
 	}
+	n := int64(len(f.Data))
+	if f.Data == nil && f.Stored != nil {
+		// A streamed file: read it as a subscriber would.
+		rc, err := f.Stored()
+		if err != nil {
+			return err
+		}
+		n, err = io.Copy(io.Discard, rc)
+		rc.Close()
+		if err != nil {
+			return err
+		}
+	}
 	c.got[sub][f.FileID]++
-	c.bytes[sub] += int64(len(f.Data))
+	c.bytes[sub] += n
 	if c.ledger != nil {
 		c.ledger.Deliver(oracle.Channel, sub, path.Base(f.Name), f.CRC)
 	}
@@ -251,7 +264,7 @@ func channelEngine(t *testing.T, store *receipts.Store, staging string, trans tr
 		Store:        store,
 		Transport:    trans,
 		Subscribers:  subs,
-		StagingRoot:  staging,
+		Open:         storedOpener(t, store, staging, "", nil, nil),
 		OfflineAfter: 2,
 		OnEvent:      evs.add,
 		Channels:     []ChannelSpec{{Name: "c1", Feed: "BPS", Members: []string{"m1", "m2"}}},
@@ -453,9 +466,9 @@ func TestStreamRoutesOnReceiptSize(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("transfers = %d, want 1", len(files))
 	}
-	if files[0].Data != nil || files[0].Path == "" {
-		t.Fatalf("file over threshold delivered in-memory (Data=%d bytes, Path=%q); want streamed",
-			len(files[0].Data), files[0].Path)
+	if files[0].Data != nil || files[0].Stored == nil {
+		t.Fatalf("file over threshold delivered in-memory (Data=%d bytes, stored opener %v); want streamed",
+			len(files[0].Data), files[0].Stored != nil)
 	}
 }
 
@@ -505,14 +518,16 @@ func TestReceiptWriteFailureSingleOutcome(t *testing.T) {
 }
 
 // vanishFS wraps a filesystem and reports wrapped fs.ErrNotExist for
-// paths under a prefix — the error shape os.IsNotExist does NOT see
+// paths holding a fragment — the error shape os.IsNotExist does NOT see
 // through, which errors.Is must.
 type vanishFS struct {
 	diskfault.FS
-	prefix string
+	fragment string
 }
 
-func (v vanishFS) vanished(name string) bool { return strings.HasPrefix(name, v.prefix) }
+func (v vanishFS) vanished(name string) bool {
+	return strings.Contains(filepath.ToSlash(name), v.fragment)
+}
 
 func (v vanishFS) Open(name string) (diskfault.File, error) {
 	if v.vanished(name) {
@@ -534,17 +549,13 @@ func (v vanishFS) Stat(name string) (os.FileInfo, error) {
 // an archived file into a delivery failure.
 func TestReadStagedWrappedNotExistFallsBackToArchive(t *testing.T) {
 	ct := newCountTrans()
-	var h *harness
-	h = newHarness(t, ct, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-		o.FS = vanishFS{FS: diskfault.OS(), prefix: filepath.Join(o.StagingRoot, "BPS")}
-		o.ArchiveOpen = func(stagedPath string) (io.ReadCloser, error) {
-			return io.NopCloser(strings.NewReader("from-archive")), nil
-		}
-	})
+	h := newHarnessStore(t, receipts.Options{NoSync: true}, vanishFS{FS: diskfault.OS(), fragment: "/staging/BPS/"},
+		ct, []*config.Subscriber{sub("wh", "BPS")}, nil)
 	h.engine.Start()
 	defer h.engine.Stop()
 
 	meta := h.stage("BPS/f1.csv", []string{"BPS"}, []byte("from-archive"))
+	h.archived("BPS/f1.csv", []byte("from-archive"))
 	h.engine.EnqueueFile(meta)
 	waitFor(t, "archived delivery", func() bool { return h.store.Delivered(meta.ID, "wh") })
 	ct.mu.Lock()
@@ -554,22 +565,19 @@ func TestReadStagedWrappedNotExistFallsBackToArchive(t *testing.T) {
 	}
 }
 
-// Regression (wrapped errors): the stream-threshold Stat must also see
-// through wrapping — a large archived file falls back to the in-memory
-// archive path rather than failing.
+// Regression (wrapped errors): the streamed path must also see through
+// wrapping — a large file whose staged copy is gone streams from the
+// archive rather than failing.
 func TestStreamStatWrappedNotExistFallsBackToArchive(t *testing.T) {
 	ct := newCountTrans()
-	h := newHarness(t, ct, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-		o.FS = vanishFS{FS: diskfault.OS(), prefix: filepath.Join(o.StagingRoot, "BPS")}
-		o.ArchiveOpen = func(stagedPath string) (io.ReadCloser, error) {
-			return io.NopCloser(strings.NewReader("archived-bytes")), nil
-		}
-	})
+	h := newHarnessStore(t, receipts.Options{NoSync: true}, vanishFS{FS: diskfault.OS(), fragment: "/staging/BPS/"},
+		ct, []*config.Subscriber{sub("wh", "BPS")}, nil)
 	h.engine.streamMin = 4
 	h.engine.Start()
 	defer h.engine.Stop()
 
 	meta := h.stage("BPS/big.csv", []string{"BPS"}, []byte("archived-bytes"))
+	h.archived("BPS/big.csv", []byte("archived-bytes"))
 	h.engine.EnqueueFile(meta)
 	waitFor(t, "archived stream fallback", func() bool { return h.store.Delivered(meta.ID, "wh") })
 	if n := h.events.count(EvDeliveryFailed); n != 0 {

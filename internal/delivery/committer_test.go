@@ -113,7 +113,7 @@ func committerHarness(t *testing.T, faults *walFaults, workers int) (*harness, *
 	ns := netsim.New(clock.NewReal())
 	ns.Register("wh", netsim.HostConfig{})
 	m := NewMetrics(metrics.NewRegistry())
-	h := newHarnessStore(t, receipts.Options{FS: faults}, ns, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
+	h := newHarnessStore(t, receipts.Options{FS: faults}, nil, ns, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
 		o.Scheduler = pool(workers)
 		o.Metrics = m
 	})
@@ -144,7 +144,7 @@ func TestDeliveredEventsFollowWireOrder(t *testing.T) {
 	events := make(map[string][]uint64)
 	m := NewMetrics(metrics.NewRegistry())
 	so := receipts.Options{GroupCommit: receipts.GroupCommitConfig{MaxBatch: 64, MaxDelay: 2 * time.Millisecond}}
-	h := newHarnessStore(t, so, ns, subs, func(o *Options) {
+	h := newHarnessStore(t, so, nil, ns, subs, func(o *Options) {
 		o.Scheduler = pool(4)
 		o.Metrics = m
 		o.OnEvent = func(ev Event) {
@@ -350,7 +350,7 @@ func TestCheckpointFailureKeepsBatchDelivered(t *testing.T) {
 	ns := netsim.New(clock.NewReal())
 	ns.Register("wh", netsim.HostConfig{})
 	so := receipts.Options{FS: faults, CheckpointEvery: 1}
-	h := newHarnessStore(t, so, ns, []*config.Subscriber{sub("wh", "BPS")}, nil)
+	h := newHarnessStore(t, so, nil, ns, []*config.Subscriber{sub("wh", "BPS")}, nil)
 	h.engine.Start()
 	defer h.engine.Stop()
 	metas := h.stageN(3)
@@ -528,7 +528,7 @@ func BenchmarkDeliverSmallFiles(b *testing.B) {
 	ns.Register("wh", netsim.HostConfig{})
 	var delivered atomic.Int64
 	so := receipts.Options{GroupCommit: receipts.GroupCommitConfig{MaxBatch: 64, MaxDelay: 2 * time.Millisecond}}
-	h := newHarnessStore(b, so, ns, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
+	h := newHarnessStore(b, so, nil, ns, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
 		o.OnEvent = func(ev Event) {
 			if ev.Kind == EvDelivered {
 				delivered.Add(1)

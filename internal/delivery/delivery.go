@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
 	"path/filepath"
 	"sync"
 	"time"
@@ -61,10 +60,11 @@ type Metrics struct {
 	// the subscriber until restart replays the gap (safe direction:
 	// re-send).
 	ReceiptWriteFailures *metrics.Counter
-	// StagingReadBytes counts payload bytes read from staging (or the
-	// archive fallback) as they are read, whether whole into memory or
-	// by a transport streaming a large file. Under channel fan-out this
-	// grows O(files), not O(subscribers × files) — the E18 measurement.
+	// StagingReadBytes counts payload bytes read from staging or the
+	// archive as they are read, whether whole into memory or by a
+	// transport streaming a large file (the opener counts them; see
+	// Options.Open). Under channel fan-out this grows O(files), not
+	// O(subscribers × files) — the E18 measurement.
 	StagingReadBytes *metrics.Counter
 	// Retries counts transient failures requeued with a backoff delay.
 	Retries *metrics.Counter
@@ -104,7 +104,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		ReceiptWriteFailures: r.Counter("bistro_delivery_receipt_write_failures_total",
 			"Successful transfers whose delivery receipt failed to commit."),
 		StagingReadBytes: r.Counter("bistro_delivery_staging_read_bytes_total",
-			"Payload bytes read from staging (or archive fallback) for delivery, counted as read (streamed files included), not as declared at open."),
+			"Payload bytes read from staging or the archive for delivery, counted as read (streamed files included), not as declared at open."),
 		Retries: r.Counter("bistro_delivery_retries_total",
 			"Transient failures requeued with a backoff delay."),
 		ChannelFiles: r.CounterVec("bistro_channel_files_total",
@@ -223,8 +223,12 @@ type Options struct {
 	Transport transport.Transport
 	// Subscribers is the configured subscriber set.
 	Subscribers []*config.Subscriber
-	// StagingRoot prefixes staged paths when reading file content.
-	StagingRoot string
+	// Open opens a stored file by its staged-relative path, from
+	// staging or else the archive (archive.Archiver.Opener), counting
+	// the bytes read into Metrics.StagingReadBytes. Its errors are
+	// permanent: a stored file that cannot be read fails its job and
+	// never counts against the subscriber. Required.
+	Open func(stagedPath string) (io.ReadCloser, error)
 	// Scheduler configures the partitioned scheduler. Zero value gets
 	// a sensible two-partition default.
 	Scheduler scheduler.Config
@@ -260,14 +264,6 @@ type Options struct {
 	// receipt store: compacted history being re-streamed by a replay
 	// session. Nil disables the fallback.
 	HistoryMeta func(id uint64) (receipts.FileMeta, bool)
-	// ArchiveOpen reads a staged-relative path from long-term storage
-	// when the staging copy is gone (expired mid-queue, or replay of
-	// archived history). Nil disables the fallback.
-	ArchiveOpen func(stagedPath string) (io.ReadCloser, error)
-	// FS is the filesystem seam for staging reads (nil = the real
-	// filesystem). Fault injection substitutes diskfault
-	// implementations here.
-	FS diskfault.FS
 	// Channels configures shared per-feed delivery channels: one
 	// staging read + one fan-out per file, with group receipts in the
 	// receipt store instead of per-member records.
@@ -292,10 +288,6 @@ type Engine struct {
 	store *receipts.Store
 	trans transport.Transport
 	trig  *trigger.Engine
-	fs    diskfault.FS
-	// streamFS is fs for the transports that stream staged files
-	// (stagingReads).
-	streamFS diskfault.FS
 	// streamMin is streamThreshold, lowered by in-package tests.
 	streamMin int64
 
@@ -331,9 +323,10 @@ type Engine struct {
 	stopped bool
 }
 
-// streamThreshold is the staged size from which a file streams from
-// staging instead of being read into memory once and shared by its
-// group, channel or transform; both put one Deliver frame on the wire.
+// streamThreshold is the stored size from which a file streams from
+// staging or the archive instead of being read into memory once and
+// shared by its group, channel or transform; both put one Deliver frame
+// on the wire.
 const streamThreshold = 4 << 20
 
 // DefaultSchedulerConfig is the production partition layout: an
@@ -361,6 +354,9 @@ func New(opts Options) (*Engine, error) {
 	if opts.Transport == nil {
 		return nil, fmt.Errorf("delivery: transport required")
 	}
+	if opts.Open == nil {
+		return nil, fmt.Errorf("delivery: stored-file opener required")
+	}
 	if opts.Deadline == 0 {
 		opts.Deadline = time.Minute
 	}
@@ -382,22 +378,12 @@ func New(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = diskfault.OS()
-	}
-	var stagingRead *metrics.Counter // nil counts nothing
-	if opts.Metrics != nil {
-		stagingRead = opts.Metrics.StagingReadBytes
-	}
 	e := &Engine{
 		opts:        opts,
 		clk:         opts.Clock,
 		sched:       sched,
 		store:       opts.Store,
 		trans:       opts.Transport,
-		fs:          fsys,
-		streamFS:    stagingReads{FS: fsys, read: stagingRead},
 		streamMin:   streamThreshold,
 		subs:        make(map[string]*config.Subscriber),
 		offline:     make(map[string]bool),
@@ -703,9 +689,10 @@ func (e *Engine) worker(part int, lane scheduler.Lane) {
 
 // execute performs one claimed job group. Small files are read once
 // and fanned out in memory; files at or above the stream threshold are
-// delivered by streaming straight from staging (each transport opens
-// its own reader). Channel jobs always take the in-memory path: the
-// whole point is one read shared across every attached member.
+// streamed from staging or the archive (each transport opens its own
+// reader). Channel and transformed jobs always take the in-memory
+// path: a channel shares one read across every attached member, and a
+// transform rewrites the bytes.
 //
 // buf is the calling worker's read buffer: a file delivered from
 // memory is read into it when it fits, and execute returns the buffer
@@ -714,7 +701,6 @@ func (e *Engine) worker(part int, lane scheduler.Lane) {
 // ran past its deadline: backoff.Do leaves that attempt running, still
 // reading them.
 func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
-	abs := filepath.Join(e.opts.StagingRoot, filepath.FromSlash(jobs[0].Path))
 	meta, ok := e.store.File(jobs[0].FileID)
 	if !ok && e.opts.HistoryMeta != nil {
 		// Compacted history: the receipt was folded into the archive
@@ -753,28 +739,18 @@ func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 	// Route on the receipt's size, not the job's: a job submitted with
 	// a stale (or zero) size must not pull a large file through the
 	// in-memory path.
-	if len(subJobs) > 0 && meta.Size >= e.streamMin {
-		if _, err := e.fs.Stat(abs); err == nil {
-			for _, j := range subJobs {
-				e.deliverOne(j, nil, abs, meta)
-			}
-			subJobs = nil
-		} else if !(errors.Is(err, fs.ErrNotExist) && e.opts.ArchiveOpen != nil) {
-			for _, j := range subJobs {
-				e.failJob(j, err)
-				e.sched.Done(j)
-			}
-			subJobs = nil
+	if meta.Size >= e.streamMin {
+		for _, j := range subJobs {
+			e.deliverOne(j, nil, meta)
 		}
-		// Staging copy gone but an archive is configured: fall through
-		// to the in-memory path, which reads from long-term storage.
+		subJobs = nil
 	}
 	if len(subJobs) == 0 && len(chJobs) == 0 && len(xformJobs) == 0 {
 		return buf
 	}
-	data, err := e.readStaged(jobs[0].Path, abs, buf)
+	data, err := e.read(jobs[0].Path, meta.Size, buf)
 	if err != nil {
-		// Staged file vanished (expired mid-queue, no archive):
+		// Stored file gone from staging and archive, or unreadable:
 		// complete the jobs without delivery; receipts keep the truth.
 		for _, j := range append(append(subJobs, chJobs...), xformJobs...) {
 			e.failJob(j, err)
@@ -789,7 +765,7 @@ func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 		}
 	}
 	for _, j := range subJobs {
-		if errors.Is(e.deliverOne(j, data, "", meta), backoff.ErrDeadline) {
+		if errors.Is(e.deliverOne(j, data, meta), backoff.ErrDeadline) {
 			keep = false
 		}
 	}
@@ -824,71 +800,25 @@ func (e *Engine) deliverTransformed(j *scheduler.Job, data []byte, meta receipts
 	}
 	meta.Checksum = crc32.ChecksumIEEE(out)
 	meta.Size = int64(len(out))
-	return e.deliverOne(j, out, "", meta)
+	return e.deliverOne(j, out, meta)
 }
 
-// readStaged reads a staged file's content through the FS seam, into
-// buf when it fits (buf may be nil), falling back to the archive when
-// the staging copy is gone, and accounts the bytes read — the figure
-// channel fan-out keeps O(files).
-func (e *Engine) readStaged(stagedPath, abs string, buf []byte) ([]byte, error) {
-	data, err := diskfault.ReadFile(e.fs, abs, buf)
-	if err != nil && errors.Is(err, fs.ErrNotExist) && e.opts.ArchiveOpen != nil {
-		// Expired mid-queue, or a replay job for archived history: the
-		// archiver holds the content now.
-		if rc, aerr := e.opts.ArchiveOpen(stagedPath); aerr == nil {
-			data, err = io.ReadAll(rc)
-			rc.Close()
-		}
-	}
+// read reads a stored file's content through the opener, into buf
+// when it holds size bytes (buf may be nil).
+func (e *Engine) read(stagedPath string, size int64, buf []byte) ([]byte, error) {
+	rc, err := e.opts.Open(stagedPath)
 	if err != nil {
 		return nil, err
 	}
-	if m := e.opts.Metrics; m != nil {
-		m.StagingReadBytes.Add(int64(len(data)))
-	}
-	return data, nil
-}
-
-// stagingReads opens staged files for the transports that stream them
-// through the engine's FS seam, and counts what they read into
-// StagingReadBytes as readStaged does for files read into memory. A
-// staged file that fails to open or read is this server's fault, not
-// the subscriber's: the error is permanent for the job (retrying will
-// not mend the disk) and never counts against the subscriber's breaker.
-type stagingReads struct {
-	diskfault.FS
-	read *metrics.Counter
-}
-
-func (s stagingReads) Open(name string) (diskfault.File, error) {
-	f, err := s.FS.Open(name)
-	if err != nil {
-		return nil, backoff.Permanent(err)
-	}
-	return countedFile{File: f, read: s.read}, nil
-}
-
-// countedFile is a staged file whose reads count into a metric.
-type countedFile struct {
-	diskfault.File
-	read *metrics.Counter
-}
-
-func (f countedFile) Read(p []byte) (int, error) {
-	n, err := f.File.Read(p)
-	f.read.Add(int64(n))
-	if err != nil && err != io.EOF {
-		err = backoff.Permanent(err)
-	}
-	return n, err
+	defer rc.Close()
+	return diskfault.ReadSized(rc, size, buf)
 }
 
 // deliverOne is the wire half of a delivery: it pushes one file to one
 // subscriber, updates liveness bookkeeping and, once the subscriber has
 // acked the bytes, hands the receipt to the committer (committer.go)
 // and frees the subscriber's slot. It returns the transfer's error.
-func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, meta receipts.FileMeta) error {
+func (e *Engine) deliverOne(j *scheduler.Job, data []byte, meta receipts.FileMeta) error {
 	s := e.subscriber(j.Subscriber)
 	if s == nil {
 		e.sched.Done(j)
@@ -899,10 +829,11 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, stagedAbs string, met
 		Feed:   j.Feed,
 		Name:   destName(s, j.Path),
 		Data:   data,
-		Path:   stagedAbs,
-		FS:     e.streamFS,
 		CRC:    meta.Checksum,
 		Size:   meta.Size,
+	}
+	if data == nil {
+		f.Stored = func() (io.ReadCloser, error) { return e.opts.Open(j.Path) }
 	}
 	st := e.stateFor(j.Subscriber)
 	started := e.clk.Now()

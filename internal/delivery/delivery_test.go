@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"bistro/internal/archive"
 	"bistro/internal/backoff"
 	"bistro/internal/clock"
 	"bistro/internal/config"
@@ -22,7 +24,8 @@ import (
 	"bistro/internal/trigger"
 )
 
-// harness bundles an engine with its store and staging dir.
+// harness bundles an engine with its store and staging dir (the
+// archive dir is its sibling).
 type harness struct {
 	t       testing.TB
 	engine  *Engine
@@ -56,12 +59,14 @@ func (l *eventLog) count(k EventKind) int {
 
 func newHarness(t *testing.T, trans transport.Transport, subs []*config.Subscriber, mutate func(*Options)) *harness {
 	t.Helper()
-	return newHarnessStore(t, receipts.Options{NoSync: true}, trans, subs, mutate)
+	return newHarnessStore(t, receipts.Options{NoSync: true}, nil, trans, subs, mutate)
 }
 
 // newHarnessStore is newHarness over a receipt store opened with so
-// (real fsyncs, a flush window, a fault-injecting FS).
-func newHarnessStore(t testing.TB, so receipts.Options, trans transport.Transport, subs []*config.Subscriber, mutate func(*Options)) *harness {
+// (real fsyncs, a flush window, a fault-injecting FS), with the
+// engine's opener reading staging and the archive through fsys (nil =
+// the real filesystem) unless mutate sets Options.Open.
+func newHarnessStore(t testing.TB, so receipts.Options, fsys diskfault.FS, trans transport.Transport, subs []*config.Subscriber, mutate func(*Options)) *harness {
 	t.Helper()
 	dir := t.TempDir()
 	store, err := receipts.Open(filepath.Join(dir, "db"), so)
@@ -69,7 +74,7 @@ func newHarnessStore(t testing.TB, so receipts.Options, trans transport.Transpor
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	staging := filepath.Join(dir, "staging")
+	staging, archive := filepath.Join(dir, "staging"), filepath.Join(dir, "archive")
 	os.MkdirAll(staging, 0o755)
 	evs := &eventLog{}
 	opts := Options{
@@ -77,7 +82,6 @@ func newHarnessStore(t testing.TB, so receipts.Options, trans transport.Transpor
 		Store:        store,
 		Transport:    trans,
 		Subscribers:  subs,
-		StagingRoot:  staging,
 		OfflineAfter: 2,
 		OnEvent:      evs.add,
 		TriggerInvoker: trigger.InvokerFunc(func(trigger.Invocation) error {
@@ -87,11 +91,44 @@ func newHarnessStore(t testing.TB, so receipts.Options, trans transport.Transpor
 	if mutate != nil {
 		mutate(&opts)
 	}
+	if opts.Open == nil {
+		opts.Open = storedOpener(t, store, staging, archive, fsys, opts.Metrics)
+	}
 	e, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &harness{t: t, engine: e, store: store, staging: staging, events: evs}
+}
+
+// storedOpener is the archiver's opener over staging and archive, read
+// through fsys (nil = the real filesystem) and counted into m's staged
+// reads when m is set.
+func storedOpener(t testing.TB, store *receipts.Store, staging, archiveRoot string, fsys diskfault.FS, m *Metrics) func(string) (io.ReadCloser, error) {
+	t.Helper()
+	arch, err := archive.New(store, clock.NewReal(), staging, archiveRoot, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fsys != nil {
+		arch.FS = fsys
+	}
+	var read *metrics.Counter
+	if m != nil {
+		read = m.StagingReadBytes
+	}
+	return arch.Opener(read)
+}
+
+// archived writes content as the archived copy of the staged-relative
+// name, as an expiry would leave it.
+func (h *harness) archived(name string, content []byte) {
+	h.t.Helper()
+	p := filepath.Join(filepath.Dir(h.staging), "archive", filepath.FromSlash(name))
+	os.MkdirAll(filepath.Dir(p), 0o755)
+	if err := os.WriteFile(p, content, 0o644); err != nil {
+		h.t.Fatal(err)
+	}
 }
 
 // stage writes a staged file and records its arrival.
@@ -792,9 +829,7 @@ func (f *brokenFile) Read(p []byte) (int, error) {
 func TestStagedReadErrorFailsJobNotSubscriber(t *testing.T) {
 	lt := transport.NewLocalDir()
 	lt.Register("wh", t.TempDir())
-	h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-		o.FS = brokenReads{FS: diskfault.OS(), after: 64 << 10}
-	})
+	h := newHarnessStore(t, receipts.Options{NoSync: true}, brokenReads{FS: diskfault.OS(), after: 64 << 10}, lt, []*config.Subscriber{sub("wh", "BPS")}, nil)
 	h.engine.streamMin = 1 // everything streams
 	h.engine.Start()
 	defer h.engine.Stop()

@@ -3,45 +3,84 @@ package delivery
 import (
 	"bytes"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bistro/internal/config"
+	"bistro/internal/metrics"
 	"bistro/internal/receipts"
 	"bistro/internal/scheduler"
 	"bistro/internal/transport"
 )
 
 // TestArchiveOpenFallback: a job whose staged copy is gone (expired
-// mid-queue) is served from long-term storage when ArchiveOpen is
-// wired, instead of being dropped.
+// mid-queue) is served from long-term storage by the opener, instead of
+// being dropped.
 func TestArchiveOpenFallback(t *testing.T) {
 	dest := t.TempDir()
 	lt := transport.NewLocalDir()
 	lt.Register("wh", dest)
 	content := []byte("archived,payload\n")
-	h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-		o.ArchiveOpen = func(staged string) (io.ReadCloser, error) {
-			if staged != "BPS/old.csv" {
-				t.Errorf("ArchiveOpen(%q)", staged)
-			}
-			return io.NopCloser(bytes.NewReader(content)), nil
-		}
-	})
+	h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BPS")}, nil)
 	h.engine.Start()
 	defer h.engine.Stop()
 
 	meta := h.stage("BPS/old.csv", []string{"BPS"}, content)
-	// Simulate expiry: staged copy removed after the receipt exists.
+	// Simulate expiry: staged copy moved to the archive after the
+	// receipt exists.
+	h.archived("BPS/old.csv", content)
 	os.Remove(filepath.Join(h.staging, "BPS", "old.csv"))
 	h.engine.EnqueueFile(meta)
 	waitFor(t, "delivery from archive", func() bool { return h.store.Delivered(meta.ID, "wh") })
 	got, err := os.ReadFile(filepath.Join(dest, "in", "BPS", "old.csv"))
 	if err != nil || string(got) != string(content) {
 		t.Fatalf("content = %q err=%v", got, err)
+	}
+}
+
+// TestArchivedLargeFileStreams: a file at or above the stream
+// threshold whose staged copy is gone (expired mid-queue, or replayed
+// from the archive) streams from the archive like a staged one. It
+// reaches the transport with no bytes in memory, and the subscriber
+// gets the archived copy, counted as read.
+func TestArchivedLargeFileStreams(t *testing.T) {
+	dest := t.TempDir()
+	lt := transport.NewLocalDir()
+	lt.Register("wh", dest)
+	var inMemory atomic.Int32
+	capture := transportFunc(func(sub string, f transport.File) error {
+		if f.Data != nil {
+			inMemory.Add(1)
+		}
+		return lt.Deliver(sub, f)
+	})
+	reg := metrics.NewRegistry()
+	h := newHarness(t, capture, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
+		o.Metrics = NewMetrics(reg)
+	})
+	h.engine.Start()
+	defer h.engine.Stop()
+
+	content := bytes.Repeat([]byte("archived\n"), streamThreshold/9+1)
+	meta := h.stage("BPS/big.bin", []string{"BPS"}, content)
+	h.archived("BPS/big.bin", content)
+	os.Remove(filepath.Join(h.staging, "BPS", "big.bin"))
+	h.engine.EnqueueFile(meta)
+	waitFor(t, "delivery from archive", func() bool { return h.store.Delivered(meta.ID, "wh") })
+	if n := inMemory.Load(); n != 0 {
+		t.Fatalf("%d transfers of a %d-byte archived file carried it in memory, want it streamed", n, len(content))
+	}
+	if got, err := os.ReadFile(filepath.Join(dest, "in", "BPS", "big.bin")); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("delivered %d bytes (%v), want the archived %d", len(got), err, len(content))
+	}
+	if got := h.engine.opts.Metrics.StagingReadBytes.Value(); got != int64(len(content)) {
+		t.Fatalf("stored bytes read = %d, want the file's %d", got, len(content))
+	}
+	if n := h.events.count(EvDeliveryFailed); n != 0 {
+		t.Fatalf("delivery failures = %d, want none", n)
 	}
 }
 
@@ -66,10 +105,8 @@ func TestHistoryMetaFallback(t *testing.T) {
 			}
 			return receipts.FileMeta{}, false
 		}
-		o.ArchiveOpen = func(string) (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(content)), nil
-		}
 	})
+	h.archived(hist.StagedPath, content)
 	h.engine.Start()
 	defer h.engine.Stop()
 

@@ -16,6 +16,7 @@ import (
 	"bistro/internal/config"
 	"bistro/internal/diskfault"
 	"bistro/internal/metrics"
+	"bistro/internal/receipts"
 	"bistro/internal/scheduler"
 	"bistro/internal/transport"
 )
@@ -163,8 +164,7 @@ func TestStreamedDeliveryReadsThroughFSSeam(t *testing.T) {
 			lt := transport.NewLocalDir()
 			lt.Register("wh", dest)
 			reg := metrics.NewRegistry()
-			h := newHarness(t, lt, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
-				o.FS = readFault{diskfault.OS()}
+			h := newHarnessStore(t, receipts.Options{NoSync: true}, readFault{diskfault.OS()}, lt, []*config.Subscriber{sub("wh", "BPS")}, func(o *Options) {
 				o.Metrics = NewMetrics(reg)
 			})
 			h.engine.Start()

@@ -148,13 +148,21 @@ func ReadFile(fsys FS, name string, buf []byte) ([]byte, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
+	return ReadSized(f, size, buf)
+}
+
+// ReadSized reads r to EOF, expecting size bytes: into buf when buf's
+// capacity holds them and one spare byte, else into one new allocation.
+// A reader longer than size still comes back whole. buf may be nil;
+// the result may share its memory.
+func ReadSized(r io.Reader, size int64, buf []byte) ([]byte, error) {
 	// One spare byte lets the read that finds EOF fit without growing.
 	data := buf[:0]
 	if int64(cap(data)) < size+1 {
 		data = make([]byte, 0, size+1)
 	}
 	for {
-		n, err := f.Read(data[len(data):cap(data)])
+		n, err := r.Read(data[len(data):cap(data)])
 		data = data[:len(data)+n]
 		if err == io.EOF {
 			return data, nil
@@ -162,7 +170,7 @@ func ReadFile(fsys FS, name string, buf []byte) ([]byte, error) {
 		if err != nil {
 			return data, err
 		}
-		if len(data) == cap(data) { // the file grew since it was sized
+		if len(data) == cap(data) { // longer than size
 			data = append(data, 0)[:len(data)]
 		}
 	}

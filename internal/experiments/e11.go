@@ -106,7 +106,7 @@ func e11Scenario(window time.Duration, flap bool) ([]string, error) {
 		Store:       st.store,
 		Transport:   ns,
 		Subscribers: subs,
-		StagingRoot: st.staging,
+		Open:        st.opener(nil),
 		Deadline:    deadline,
 		// NoJitter keeps the run deterministic for the shape assertions.
 		Backoff: backoff.Policy{Base: time.Second, Max: 30 * time.Second, Multiplier: 2, NoJitter: true, Threshold: 3},
@@ -211,7 +211,7 @@ func e11Probes(window time.Duration, fixed bool) (int, error) {
 		Store:          st.store,
 		Transport:      ns,
 		Subscribers:    []*config.Subscriber{{Name: "down", Dest: "in", Feeds: []string{"F"}}},
-		StagingRoot:    st.staging,
+		Open:           st.opener(nil),
 		Backoff:        pol,
 		TriggerInvoker: trigger.InvokerFunc(func(trigger.Invocation) error { return nil }),
 	})

@@ -188,15 +188,17 @@ func newE13Delivery(instrument bool) (*e13Delivery, error) {
 	d := &e13Delivery{stagedStore: st, done: make(chan struct{}, 1)}
 	lt := transport.NewLocalDir()
 	lt.Register("wh", st.root)
+	var read *metrics.Counter
 	if instrument {
 		d.metrics = delivery.NewMetrics(metrics.NewRegistry())
+		read = d.metrics.StagingReadBytes
 	}
 	d.engine, err = delivery.New(delivery.Options{
 		Clock:       clock.NewReal(),
 		Store:       d.store,
 		Transport:   lt,
 		Subscribers: []*config.Subscriber{{Name: "wh", Dest: "in", Feeds: []string{"F"}, Retry: time.Second}},
-		StagingRoot: d.staging,
+		Open:        d.opener(read),
 		Metrics:     d.metrics,
 		OnEvent: func(ev delivery.Event) {
 			if ev.Kind == delivery.EvDelivered && d.delivered.Add(1) == d.want.Load() {

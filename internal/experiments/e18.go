@@ -149,12 +149,13 @@ func E18FanOutTrial(cfg E18TrialConfig) (*E18TrialResult, error) {
 		plane = oracle.Channel
 	}
 	trans := &recorder{ledger: oracle.New(), plane: plane, delay: cfg.TransferLatency}
+	dm := delivery.NewMetrics(metrics.NewRegistry())
 	opts := delivery.Options{
 		Store:       st.store,
 		Transport:   trans,
 		Subscribers: subs,
-		StagingRoot: st.staging,
-		Metrics:     delivery.NewMetrics(metrics.NewRegistry()),
+		Open:        st.opener(dm.StagingReadBytes),
+		Metrics:     dm,
 	}
 	if cfg.Channel {
 		opts.Channels = []delivery.ChannelSpec{{Name: "fan", Feed: "TICKS", Members: names}}

@@ -8,10 +8,10 @@ import (
 	"io"
 	"net/http"
 	"os"
-	rtmetrics "runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"bistro/internal/oracle"
@@ -76,7 +76,7 @@ func E19HTTPPull(o Options) (Table, error) {
 		fmt.Sprintf("every trial deposits %d files on one feed of a full daemon and waits until every client holds every file id", files),
 		"poll clients paginate GET /feeds/<name>?from=<seq> with bearer auth at a 150ms interval; propagation includes up to one interval of polling delay by design",
 		"push rows ride the delivery engine over an in-process transport; propagation is scheduler-bound",
-		"cpu/client is process CPU (runtime/metrics /cpu/classes/total) divided by clients for the trial; in-process clients inflate it, so read it as an upper bound on the server's share",
+		"cpu/client is process CPU (user + system time, getrusage) divided by clients for the trial; in-process clients inflate it, so read it as an upper bound on the server's share",
 		"dup/missed count (client, file id) observations against exactly one — the no-transient-hole guarantee of the merged staging+manifest log view",
 		"push rows hold standing per-subscriber state (queues, receipts); poll rows hold none — the daemon forgets each request as it answers it")
 	if o.Quick {
@@ -114,10 +114,13 @@ type E19TrialResult struct {
 	Missed     int
 }
 
+// cpuSeconds is the CPU time this process has used, user and system.
 func cpuSeconds() float64 {
-	s := []rtmetrics.Sample{{Name: "/cpu/classes/total:cpu-seconds"}}
-	rtmetrics.Read(s)
-	return s[0].Value.Float64()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
 
 // E19Trial runs one trial: a full daemon, Clients pollers or push

@@ -47,4 +47,15 @@ func TestE19Shape(t *testing.T) {
 	if r.PropagationP99 <= 0 {
 		t.Fatal("no propagation samples")
 	}
+	// Every row of the table measures CPU spent: a push row of 0.00ms
+	// read wall time, not CPU.
+	tab, err := E19HTTPPull(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tab.Rows {
+		if num(t, row[4]) <= 0 {
+			t.Fatalf("%s row with %s clients: cpu/client %s, want > 0: %s", row[0], row[1], row[4], tab.Format())
+		}
+	}
 }

@@ -255,13 +255,13 @@ func TestE10Shape(t *testing.T) {
 		t.Fatalf("duplicates after restart: %s", tab.Format())
 	}
 	// Counted, not timed: per-commit mode pays one WAL fsync per
-	// commit, and group commit shares each fsync among at least two.
+	// commit, and group commit one per lockstep round of all writers.
 	commits := num(t, row(t, tab, "wal commits per run")[1])
 	if got := num(t, row(t, tab, "wal fsyncs, most of 3 runs (fsync per commit")[1]); got != commits {
 		t.Fatalf("per-commit mode: %v fsyncs for %v commits: %s", got, commits, tab.Format())
 	}
-	if got := num(t, row(t, tab, "wal fsyncs, most of 3 runs (group commit")[1]); got > 0.5*commits {
-		t.Fatalf("group commit: %v fsyncs for %v commits, want <= half: %s", got, commits, tab.Format())
+	if got := num(t, row(t, tab, "wal fsyncs, most of 3 runs (group commit")[1]); got != commits/walWriters {
+		t.Fatalf("group commit: %v fsyncs for %v commits, want one per %d: %s", got, commits, walWriters, tab.Format())
 	}
 	group := row(t, tab, "wal commits/sec (group")
 	singles := row(t, tab, "wal commits/sec (fsync")

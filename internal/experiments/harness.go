@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -11,9 +12,12 @@ import (
 	"sync"
 	"time"
 
+	"bistro/internal/archive"
+	"bistro/internal/clock"
 	"bistro/internal/config"
 	"bistro/internal/delivery"
 	"bistro/internal/diskfault"
+	"bistro/internal/metrics"
 	"bistro/internal/normalize"
 	"bistro/internal/oracle"
 	"bistro/internal/receipts"
@@ -278,6 +282,14 @@ func newStagedStore(name string) (*stagedStore, error) {
 		return nil, err
 	}
 	return &stagedStore{root: root, staging: filepath.Join(root, "staging"), store: store}, nil
+}
+
+// opener returns the stored-file opener of an engine over s: staging,
+// no archive, the bytes read counted into read (nil counts nothing).
+func (s *stagedStore) opener(read *metrics.Counter) func(string) (io.ReadCloser, error) {
+	// With no archive root, New has no directory to make and cannot fail.
+	arch, _ := archive.New(s.store, clock.NewReal(), s.staging, "", 0)
+	return arch.Opener(read)
 }
 
 func (s *stagedStore) close() {

@@ -162,6 +162,13 @@ func (t *Transport) Deliver(sub string, f transport.File) error {
 	}
 	bytes := int64(len(f.Data))
 	if f.Data == nil {
+		// A streamed file is opened, as a real transfer would, but not
+		// read: a stored copy that is gone fails the transfer.
+		rc, err := f.Open()
+		if err != nil {
+			return err
+		}
+		rc.Close()
 		bytes = f.Size
 	}
 	d := serviceTime(h.cfg, bytes)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -137,7 +138,7 @@ func TestDeliverAllocs(t *testing.T) {
 			if err := os.WriteFile(staged, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			f.Path, f.FS = staged, diskfault.OS()
+			f.Stored = func() (io.ReadCloser, error) { return diskfault.OS().Open(staged) }
 		} else {
 			f.Data = data
 		}

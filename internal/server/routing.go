@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"path/filepath"
 
 	"bistro/internal/cluster"
@@ -360,7 +359,7 @@ func (s *Server) serveFetch(conn *protocol.Conn, m protocol.Fetch) error {
 	if !ok {
 		return conn.Send(protocol.Ack{OK: false, Error: "unknown file id"})
 	}
-	rc, err := s.openStaged(meta.StagedPath)
+	rc, err := s.arch.Open(meta.StagedPath)
 	if err != nil {
 		return conn.Send(protocol.Ack{OK: false, Error: err.Error()})
 	}
@@ -375,18 +374,6 @@ func (s *Server) serveFetch(conn *protocol.Conn, m protocol.Fetch) error {
 		s.logger.Logf("fetch", "file %d (%s): %v; closing the connection", meta.ID, meta.StagedPath, err)
 	}
 	return err
-}
-
-// openStaged opens a staged file through the filesystem seam, or from
-// the archive once it is no longer staged (expired into it). Only a
-// missing staged file goes to the archive: any other read error is the
-// answer, and an archive miss must not mask it.
-func (s *Server) openStaged(stagedPath string) (io.ReadCloser, error) {
-	f, err := s.fs.Open(filepath.Join(s.stage, filepath.FromSlash(stagedPath)))
-	if errors.Is(err, fs.ErrNotExist) && s.arch != nil {
-		return s.arch.Open(stagedPath)
-	}
-	return f, err
 }
 
 func firstOf(xs []string) string {

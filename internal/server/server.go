@@ -158,7 +158,7 @@ type Server struct {
 
 // New builds a server (directories, receipt store, pipeline). Call
 // Start to begin processing.
-func New(opts Options) (*Server, error) {
+func New(opts Options) (_ *Server, err error) {
 	if opts.Config == nil {
 		return nil, fmt.Errorf("server: config required")
 	}
@@ -261,6 +261,11 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			store.Close()
+		}
+	}()
 	s.store = store
 	s.class = classifier.New(cfg.Feeds, classifier.Options{
 		Metrics: classifier.NewMetrics(s.reg),
@@ -271,10 +276,40 @@ func New(opts Options) (*Server, error) {
 		Metrics: plan.NewMetrics(s.reg),
 	})
 	if err != nil {
-		store.Close()
 		return nil, err
 	}
 	s.plans = plans
+
+	archRoot := ""
+	if cfg.ArchiveDir != "" {
+		archRoot = s.resolveDir(cfg.ArchiveDir, "archive")
+	}
+	arch, err := archive.New(store, s.clk, s.stage, archRoot, cfg.Window)
+	if err != nil {
+		return nil, err
+	}
+	arch.FS = s.fs
+	arch.Metrics = archive.NewMetrics(s.reg)
+	arch.Alarm = func(msg string) { s.logger.Raise("archive", msg) }
+	if s.shard != nil && archRoot != "" {
+		// Ship archive promotions on the replication stream: the standby
+		// mirrors the move (staged copy dropped, archived copy + manifest
+		// entries written), so a promoted standby serves replay history
+		// too. An error aborts the expiry pass and the next pass retries.
+		arch.OnArchived = func(v receipts.FileMeta, archivedAt time.Time) error {
+			sh := s.getShipper()
+			if sh == nil {
+				return nil
+			}
+			return s.shipArchived(sh, v, archivedAt)
+		}
+	}
+	if archRoot != "" && (cfg.Replay == nil || !cfg.Replay.NoManifest) {
+		if err := arch.EnableManifest(); err != nil {
+			return nil, err
+		}
+	}
+	s.arch = arch
 
 	s.pool = newTCPTransport(5*time.Second, s.clk, cfg.Backoff.Policy())
 	trans := opts.Transport
@@ -318,39 +353,32 @@ func New(opts Options) (*Server, error) {
 			})
 		}
 	}
+	dm := delivery.NewMetrics(s.reg)
 	engine, err := delivery.New(delivery.Options{
 		Clock:           s.clk,
 		Store:           store,
 		Transport:       trans,
 		Subscribers:     cfg.Subscribers,
-		StagingRoot:     s.stage,
+		Open:            arch.Opener(dm.StagingReadBytes),
 		Deadline:        opts.Deadline,
 		FeedPriority:    feedPrio,
 		Scheduler:       schedCfg,
 		Backoff:         cfg.Backoff.Policy(),
 		OnEvent:         s.onDeliveryEvent,
-		Metrics:         delivery.NewMetrics(s.reg),
+		Metrics:         dm,
 		ReplayPartition: replayPart,
-		FS:              s.fs,
 		Channels:        chans,
 		Transform:       s.deliveryTransform,
-		// Both seams late-bind through s: the archiver and replay
-		// manager are constructed after the engine.
+		// Late-bound through s: the replay manager is constructed after
+		// the engine.
 		HistoryMeta: func(id uint64) (receipts.FileMeta, bool) {
 			if s.replay == nil {
 				return receipts.FileMeta{}, false
 			}
 			return s.replay.Meta(id)
 		},
-		ArchiveOpen: func(stagedPath string) (io.ReadCloser, error) {
-			if s.arch == nil {
-				return nil, fmt.Errorf("server: no archiver")
-			}
-			return s.arch.Open(stagedPath)
-		},
 	})
 	if err != nil {
-		store.Close()
 		return nil, err
 	}
 	s.engine = engine
@@ -358,44 +386,11 @@ func New(opts Options) (*Server, error) {
 
 	land, err := landing.New(s.resolveDir(cfg.LandingDir, "landing"), s.IngestLanding, s.clk, opts.ScanInterval)
 	if err != nil {
-		store.Close()
 		return nil, err
 	}
 	land.FS = s.fs
 	s.land = land
 
-	archRoot := ""
-	if cfg.ArchiveDir != "" {
-		archRoot = s.resolveDir(cfg.ArchiveDir, "archive")
-	}
-	arch, err := archive.New(store, s.clk, s.stage, archRoot, cfg.Window)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	arch.FS = s.fs
-	arch.Metrics = archive.NewMetrics(s.reg)
-	arch.Alarm = func(msg string) { s.logger.Raise("archive", msg) }
-	if s.shard != nil && archRoot != "" {
-		// Ship archive promotions on the replication stream: the standby
-		// mirrors the move (staged copy dropped, archived copy + manifest
-		// entries written), so a promoted standby serves replay history
-		// too. An error aborts the expiry pass and the next pass retries.
-		arch.OnArchived = func(v receipts.FileMeta, archivedAt time.Time) error {
-			sh := s.getShipper()
-			if sh == nil {
-				return nil
-			}
-			return s.shipArchived(sh, archRoot, v, archivedAt)
-		}
-	}
-	if archRoot != "" && (cfg.Replay == nil || !cfg.Replay.NoManifest) {
-		if err := arch.EnableManifest(); err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-	s.arch = arch
 	if cfg.Replay != nil && arch.Manifest() != nil {
 		s.replay = replay.New(replay.Options{
 			Clock:    s.clk,
@@ -423,7 +418,6 @@ func New(opts Options) (*Server, error) {
 	}
 	pipe, err := ingest.New(ingOpts)
 	if err != nil {
-		store.Close()
 		return nil, err
 	}
 	s.pipe = pipe
@@ -735,7 +729,7 @@ func (s *Server) startHTTPFeed() (*httpfeed.Server, error) {
 		Registry:   s.reg,
 		Clock:      s.clk.Now,
 		Log:        s.FeedHTTPLog,
-		Open:       s.openStaged,
+		Open:       s.arch.Open,
 		Ingest:     s.land.DepositUnchecked,
 		Resolve: func(name string) []string {
 			matches := s.class.Classify(name)
@@ -851,11 +845,7 @@ func (s *Server) bootstrapShipper(sh *cluster.Shipper) error {
 // standby applies archive frames idempotently, so re-shipping after a
 // reconnect is safe.
 func (s *Server) shipArchiveBacklog(sh *cluster.Shipper) error {
-	if s.arch == nil || s.arch.Manifest() == nil {
-		return nil
-	}
-	archRoot := s.resolveDir(s.cfg.ArchiveDir, "archive")
-	if s.cfg.ArchiveDir == "" {
+	if s.arch.Manifest() == nil {
 		return nil
 	}
 	now := s.clk.Now().UTC()
@@ -863,7 +853,7 @@ func (s *Server) shipArchiveBacklog(sh *cluster.Shipper) error {
 		if !s.arch.Manifest().Has(meta.ID) {
 			continue
 		}
-		if err := s.shipArchived(sh, archRoot, meta, now); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := s.shipArchived(sh, meta, now); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 	}
@@ -871,8 +861,8 @@ func (s *Server) shipArchiveBacklog(sh *cluster.Shipper) error {
 }
 
 // shipArchived streams one archived file to the standby.
-func (s *Server) shipArchived(sh *cluster.Shipper, archRoot string, meta receipts.FileMeta, at time.Time) error {
-	f, err := s.fs.Open(filepath.Join(archRoot, filepath.FromSlash(meta.StagedPath)))
+func (s *Server) shipArchived(sh *cluster.Shipper, meta receipts.FileMeta, at time.Time) error {
+	f, err := s.arch.Open(meta.StagedPath)
 	if err != nil {
 		return fmt.Errorf("server: open archived %s for replication: %w", meta.StagedPath, err)
 	}
@@ -1376,7 +1366,7 @@ func (s *Server) shipStaged(meta *receipts.FileMeta) error {
 	if sh == nil {
 		return nil
 	}
-	f, err := s.fs.Open(filepath.Join(s.stage, filepath.FromSlash(meta.StagedPath)))
+	f, err := s.arch.Open(meta.StagedPath)
 	if err != nil {
 		return fmt.Errorf("server: open staged %s for replication: %w", meta.StagedPath, err)
 	}

@@ -165,19 +165,20 @@ func (t *tcpTransport) call(host string, msg any) error {
 }
 
 // deliver pushes one file as one Deliver frame: from memory when the
-// engine read it, else streamed from its staged path, with the Ack
-// awaited under the same connection hold.
+// engine read it, else streamed from its stored copy, with the Ack
+// awaited under the same connection hold. The stored copy is opened
+// first, so one that cannot be read leaves the connection alone.
 func (t *tcpTransport) deliver(host string, f transport.File) error {
 	msg := protocol.Deliver{FileID: f.FileID, Feed: f.Feed, Name: f.Name, Data: f.Data, CRC: f.CRC}
 	if f.Data != nil {
 		return t.call(host, msg)
 	}
+	src, err := f.Open()
+	if err != nil {
+		return err
+	}
+	defer src.Close()
 	return t.withConn(host, func(conn *protocol.Conn) error {
-		src, err := f.Open()
-		if err != nil {
-			return err
-		}
-		defer src.Close()
 		if err := conn.SendFrom(msg, src, f.Size); err != nil {
 			return err
 		}

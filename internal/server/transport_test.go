@@ -209,8 +209,8 @@ func TestRefusedDeliveryKeepsConnection(t *testing.T) {
 		if err := os.WriteFile(staged, make([]byte, 300<<10), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cut := transport.File{FileID: 2, Feed: "BPS", Name: "in/BPS/f2.bin", Path: staged,
-			FS: diskfault.OS(), Size: 1 << 20}
+		cut := transport.File{FileID: 2, Feed: "BPS", Name: "in/BPS/f2.bin", Size: 1 << 20,
+			Stored: func() (io.ReadCloser, error) { return diskfault.OS().Open(staged) }}
 		if err := tr.deliver(host, cut); err == nil || !strings.Contains(err.Error(), "payload cut") {
 			t.Fatalf("cut delivery: err = %v, want the cut payload", err)
 		}

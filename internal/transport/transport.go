@@ -29,13 +29,11 @@ type File struct {
 	// Data is the staged content, inlined for small files; nil for
 	// notifications and for large files delivered by streaming.
 	Data []byte
-	// Path is the absolute staged path; transports stream from it when
-	// Data is nil (large-file delivery).
-	Path string
-	// FS opens Path (nil = the real filesystem): the delivery engine's
-	// filesystem seam, so streamed reads see its fault injection and
-	// its read accounting.
-	FS diskfault.FS
+	// Stored opens the stored content when Data is nil (large-file
+	// delivery): the delivery engine's opener bound to this file, so a
+	// streamed read comes from staging or the archive and counts as a
+	// staged read.
+	Stored func() (io.ReadCloser, error)
 	// CRC is the IEEE CRC32 of the content.
 	CRC uint32
 	// Size is the staged size in bytes.
@@ -43,23 +41,15 @@ type File struct {
 }
 
 // Open returns a reader over the file content regardless of carriage
-// mode (inline data or staged path).
+// mode (inline data or stored file).
 func (f File) Open() (io.ReadCloser, error) {
 	if f.Data != nil {
 		return io.NopCloser(bytes.NewReader(f.Data)), nil
 	}
-	if f.Path == "" {
-		return nil, fmt.Errorf("transport: file %s has neither data nor path", f.Name)
+	if f.Stored == nil {
+		return nil, fmt.Errorf("transport: file %s has neither data nor a stored copy", f.Name)
 	}
-	fsys := f.FS
-	if fsys == nil {
-		fsys = diskfault.OS()
-	}
-	rc, err := fsys.Open(f.Path)
-	if err != nil {
-		return nil, fmt.Errorf("transport: open staged: %w", err)
-	}
-	return rc, nil
+	return f.Stored()
 }
 
 // Transport moves files, notifications, and trigger invocations to
@@ -112,7 +102,7 @@ func (l *LocalDir) dirOf(sub string) (string, error) {
 }
 
 // Deliver writes the file under the subscriber's destination directory
-// with diskfault.Receive, streaming from the staged path for large
+// with diskfault.Receive, streaming the stored copy of large
 // files: a name that would resolve outside the directory is refused,
 // and the file appears only once complete and checksum-verified.
 func (l *LocalDir) Deliver(sub string, f File) error {

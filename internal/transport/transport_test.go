@@ -2,6 +2,7 @@ package transport
 
 import (
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -112,7 +113,7 @@ func benchDeliver(b *testing.B, size int, stream bool) {
 		CRC: crc32.ChecksumIEEE(payload), Size: int64(len(payload)),
 	}
 	if stream {
-		f.Path = staged
+		f.Stored = func() (io.ReadCloser, error) { return os.Open(staged) }
 	} else {
 		f.Data = payload
 	}
