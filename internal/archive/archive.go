@@ -215,23 +215,33 @@ func (a *Archiver) ReconcileManifest(lookup func(stagedPath string) (receipts.Fi
 
 // Open opens a stored file by its staged-relative path: the staged
 // copy while there is one, else the archived copy (expired into
-// long-term storage). It is the one reader of stored files: delivery,
-// hybrid-pull fetches, HTTP content reads and replication all go
-// through it. Only a missing staged file goes to the archive; any other
-// error is the answer. Every open or read error it returns is permanent
-// (backoff.Permanent): a stored file that cannot be read is this
-// server's fault, and a retry will not mend the disk.
+// long-term storage). Only a missing staged file goes to the archive;
+// any other error is the answer. Open errors are permanent
+// (backoff.Permanent): a stored file that cannot be opened is this
+// server's fault, and a retry will not mend the disk. It returns the
+// file itself, so a socket can sendfile it, and its read errors are the
+// file's own: none of its callers (fetch, HTTP, replication) retries.
 func (a *Archiver) Open(stagedPath string) (io.ReadCloser, error) {
-	return a.open(stagedPath, nil)
+	f, err := a.open(stagedPath)
+	return f, err
 }
 
-// Opener returns Open with the bytes its readers read counted into
-// read: the delivery engine's staged-read figure.
+// Opener returns the delivery engine's opener: Open through a pooled
+// reader that counts the bytes read into read and makes read errors
+// permanent too.
 func (a *Archiver) Opener(read *metrics.Counter) func(stagedPath string) (io.ReadCloser, error) {
-	return func(stagedPath string) (io.ReadCloser, error) { return a.open(stagedPath, read) }
+	return func(stagedPath string) (io.ReadCloser, error) {
+		f, err := a.open(stagedPath)
+		if err != nil {
+			return nil, err
+		}
+		r := storedFiles.Get().(*storedFile)
+		r.f, r.read = f, read
+		return r, nil
+	}
 }
 
-func (a *Archiver) open(stagedPath string, read *metrics.Counter) (io.ReadCloser, error) {
+func (a *Archiver) open(stagedPath string) (diskfault.File, error) {
 	rel := filepath.FromSlash(stagedPath)
 	f, err := a.FS.Open(filepath.Join(a.stagingRoot, rel))
 	if errors.Is(err, fs.ErrNotExist) && a.archiveRoot != "" {
@@ -240,9 +250,7 @@ func (a *Archiver) open(stagedPath string, read *metrics.Counter) (io.ReadCloser
 	if err != nil {
 		return nil, backoff.Permanent(err)
 	}
-	r := storedFiles.Get().(*storedFile)
-	r.f, r.read = f, read
-	return r, nil
+	return f, nil
 }
 
 // storedFile is a stored file open for reading. Closed ones wait in

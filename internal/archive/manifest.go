@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -164,37 +166,52 @@ func (m *Manifest) Append(entries []Entry) error {
 			return err
 		}
 	}
-	touched := make(map[string]bool)
+	// Archival order usually tracks id order but is not guaranteed to
+	// (expiry walks by data time): each entry goes into the id-sorted
+	// mirror from the tail, past the few archived after it.
 	for _, e := range entries {
-		if !m.ids[e.ID] {
-			m.byFeed[e.Feed] = append(m.byFeed[e.Feed], e)
-			touched[e.Feed] = true
+		if m.ids[e.ID] {
+			continue
 		}
+		fe := m.byFeed[e.Feed]
+		i := len(fe)
+		for i > 0 && fe[i-1].ID > e.ID {
+			i--
+		}
+		m.byFeed[e.Feed] = slices.Insert(fe, i, e)
 	}
 	for _, e := range entries {
 		m.ids[e.ID] = true
 	}
-	// Archival order usually tracks id order but is not guaranteed to
-	// (expiry walks by data time); keep the mirror sorted for binary
-	// search.
-	for feed := range touched {
-		fe := m.byFeed[feed]
-		sort.Slice(fe, func(i, j int) bool { return fe[i].ID < fe[j].ID })
-	}
 	return nil
 }
 
-// EntriesSince returns the feed's archived entries with id >= fromID,
-// in id order — the manifest half of the HTTP data plane's merged log
-// view. The slice is a copy; callers may retain it.
-func (m *Manifest) EntriesSince(feed string, fromID uint64) []Entry {
+// Page returns at most limit of the feed's archived entries with
+// from <= id < below, in id order, and head, the last archived id below
+// below (0 when none): the manifest half of one HTTP data plane page.
+// The slice is a copy; callers may retain it.
+func (m *Manifest) Page(feed string, from, below uint64, limit int) (page []Entry, head uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fe := m.byFeed[feed]
-	i := sort.Search(len(fe), func(i int) bool { return fe[i].ID >= fromID })
-	out := make([]Entry, len(fe)-i)
-	copy(out, fe[i:])
-	return out
+	i := sort.Search(len(fe), func(i int) bool { return fe[i].ID >= from })
+	end := sort.Search(len(fe), func(i int) bool { return fe[i].ID >= below })
+	if end > 0 {
+		head = fe[end-1].ID
+	}
+	if i < end {
+		page = make([]Entry, min(limit, end-i))
+		copy(page, fe[i:])
+	}
+	return page, head
+}
+
+// EntriesSince returns the feed's archived entries with id >= fromID,
+// in id order, as one unbounded Page. It is kept for the benchmark
+// harness's per-layer walk. The slice is a copy; callers may retain it.
+func (m *Manifest) EntriesSince(feed string, fromID uint64) []Entry {
+	page, _ := m.Page(feed, fromID, math.MaxUint64, math.MaxInt)
+	return page
 }
 
 func (m *Manifest) dayPath(feed string, key time.Time) string {

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -133,5 +134,42 @@ func TestEntriesSinceDedupsTornRetry(t *testing.T) {
 	}
 	if got := sinceIDs(m2.EntriesSince("F", 0)); len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("after torn retry EntriesSince(F, 0) = %v, want [3 4]", got)
+	}
+}
+
+// TestPageStopsBelowBound: a page holds at most limit entries from the
+// cursor on, and no archived id at or above the bound the receipt store
+// passes in (its first id still committing), nor counts one as head.
+func TestPageStopsBelowBound(t *testing.T) {
+	m, err := OpenManifest(nil, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []Entry
+	for _, id := range []uint64{2, 5, 9, 12} {
+		batch = append(batch, sinceEntry(id, "F", t0))
+	}
+	if err := m.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		from, below uint64
+		limit       int
+		want        []uint64
+		head        uint64
+	}{
+		{0, 100, 10, []uint64{2, 5, 9, 12}, 12},
+		{0, 9, 10, []uint64{2, 5}, 5},
+		{0, 10, 10, []uint64{2, 5, 9}, 9},
+		{3, 9, 10, []uint64{5}, 5},
+		{0, 100, 2, []uint64{2, 5}, 12},
+		{9, 9, 10, nil, 5},
+		{0, 2, 10, nil, 0},
+	} {
+		page, head := m.Page("F", c.from, c.below, c.limit)
+		if got := sinceIDs(page); fmt.Sprint(got) != fmt.Sprint(c.want) || head != c.head {
+			t.Errorf("Page(F, from %d, below %d, limit %d) = %v head %d, want %v head %d",
+				c.from, c.below, c.limit, got, head, c.want, c.head)
+		}
 	}
 }

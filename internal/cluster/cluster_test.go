@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -250,7 +251,7 @@ func TestReplicationRoundTrip(t *testing.T) {
 	if !replica.Delivered(ids[0], "wh") {
 		t.Fatalf("replica lost delivery receipt for %d", ids[0])
 	}
-	data, err := diskfault.ReadFile(diskfault.OS(), filepath.Join(st.Root(), "staging", "f", "live0.csv"), nil)
+	data, err := os.ReadFile(filepath.Join(st.Root(), "staging", "f", "live0.csv"))
 	if err != nil || string(data) != "payload" {
 		t.Fatalf("shipped file content = %q, %v", data, err)
 	}

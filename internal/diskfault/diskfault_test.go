@@ -38,7 +38,7 @@ func TestOSRoundTrip(t *testing.T) {
 	if err := writeDurable(fsys, p, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(fsys, p, nil)
+	got, err := os.ReadFile(p)
 	if err != nil || string(got) != "hello" {
 		t.Fatalf("read back %q, %v", got, err)
 	}
@@ -375,11 +375,12 @@ func TestSeekTracking(t *testing.T) {
 	}
 }
 
-// ReadFile sizes its buffer before reading: whatever the file's size,
-// the data costs one allocation on top of opening and closing the
-// handle, or none when the caller's buffer holds it — through the
-// fault-injecting wrapper too — and the bytes come back exact.
-func TestReadFileAllocatesOnce(t *testing.T) {
+// ReadSized reads into one buffer of the size it is told: whatever the
+// file's size, the data costs one allocation on top of opening and
+// closing the handle, or none when the caller's buffer holds it —
+// through the fault-injecting wrapper too — and the bytes come back
+// exact.
+func TestReadSizedAllocatesOnce(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "mib")
 	want := make([]byte, 1<<20)
@@ -390,7 +391,15 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, fsys := range map[string]FS{"os": OS(), "faulty": NewFaulty(OS(), Options{Seed: 1})} {
-		got, err := ReadFile(fsys, p, nil)
+		read := func(buf []byte) ([]byte, error) {
+			f, err := fsys.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			return ReadSized(f, int64(len(want)), buf)
+		}
+		got, err := read(nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: read %d bytes, %v; want the %d written", name, len(got), err, len(want))
 		}
@@ -401,67 +410,41 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 			}
 			f.Close()
 		})
-		read := testing.AllocsPerRun(20, func() {
-			if _, err := ReadFile(fsys, p, nil); err != nil {
+		fresh := testing.AllocsPerRun(20, func() {
+			if _, err := read(nil); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if read-open != 1 {
-			t.Errorf("%s: ReadFile makes %v allocations beyond open+close, want 1", name, read-open)
+		if fresh-open != 1 {
+			t.Errorf("%s: ReadSized makes %v allocations beyond open+close, want 1", name, fresh-open)
 		}
 		// A buffer that holds the file (and the spare byte) is read into
 		// in place; one a byte short is not.
 		buf := make([]byte, 1<<20+1)
-		got, err = ReadFile(fsys, p, buf)
+		got, err = read(buf)
 		if err != nil || !bytes.Equal(got, want) || &got[0] != &buf[0] {
 			t.Fatalf("%s: read into a big enough buffer: %d bytes, %v, in place %v", name, len(got), err, &got[0] == &buf[0])
 		}
 		reuse := testing.AllocsPerRun(20, func() {
-			if _, err := ReadFile(fsys, p, buf); err != nil {
+			if _, err := read(buf); err != nil {
 				t.Fatal(err)
 			}
 		})
 		short := testing.AllocsPerRun(20, func() {
-			if _, err := ReadFile(fsys, p, buf[:0:1<<20]); err != nil {
+			if _, err := read(buf[: 0 : 1<<20]); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if reuse != open || short-open != 1 {
-			t.Errorf("%s: ReadFile into a buffer makes %v allocations beyond open+close (want 0), into a short one %v (want 1)",
+			t.Errorf("%s: ReadSized into a buffer makes %v allocations beyond open+close (want 0), into a short one %v (want 1)",
 				name, reuse-open, short-open)
 		}
 	}
 }
 
-// misSized reports a wrong size for every file it opens (a negative one
-// stands for "cannot tell", as a pipe would say), without moving the
-// read position: ReadFile must still return the whole file.
-type misSized struct {
-	FS
-	size int64
-}
-
-type misSizedFile struct {
-	File
-	size int64
-}
-
-func (m misSized) Open(name string) (File, error) {
-	f, err := m.FS.Open(name)
-	return misSizedFile{f, m.size}, err
-}
-
-func (f misSizedFile) Seek(offset int64, whence int) (int64, error) {
-	if whence != io.SeekEnd {
-		return f.File.Seek(offset, whence)
-	}
-	if f.size < 0 {
-		return 0, errors.New("unseekable")
-	}
-	return f.size, nil
-}
-
-func TestReadFileWrongOrUnknownSize(t *testing.T) {
+// A size that is wrong (the file grew or shrank since it was sized) or
+// unknown (negative) still reads the whole file.
+func TestReadSizedWrongOrUnknownSize(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "f")
 	want := bytes.Repeat([]byte("0123456789"), 5000)
@@ -470,19 +453,17 @@ func TestReadFileWrongOrUnknownSize(t *testing.T) {
 	}
 	// Unknown, grown since sized, shrunk since sized.
 	for _, size := range []int64{-1, 100, int64(len(want)) * 2} {
-		got, err := ReadFile(misSized{OS(), size}, p, nil)
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSized(f, size, nil)
+		f.Close()
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("size reported as %d: read %d bytes, %v; want %d", size, len(got), err, len(want))
+			t.Fatalf("size given as %d: read %d bytes, %v; want %d", size, len(got), err, len(want))
 		}
 	}
-	empty := filepath.Join(dir, "empty")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadFile(OS(), empty, nil); err != nil || len(got) != 0 {
+	if got, err := ReadSized(bytes.NewReader(nil), 0, nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty: read %d bytes, %v", len(got), err)
-	}
-	if _, err := ReadFile(OS(), filepath.Join(dir, "missing"), nil); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file: %v, want not-exist", err)
 	}
 }

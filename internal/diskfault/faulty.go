@@ -194,11 +194,17 @@ func (f *Faulty) state(path string, size int64) *fileState {
 // snapshot reads a file's current content through the base FS for
 // crash rollback. Caller holds f.mu.
 func (f *Faulty) snapshot(path string) ([]byte, bool) {
-	data, err := ReadFile(f.base, path, nil)
+	st, err := f.base.Stat(path)
 	if err != nil {
 		return nil, false
 	}
-	return data, true
+	file, err := f.base.Open(path)
+	if err != nil {
+		return nil, false
+	}
+	defer file.Close()
+	data, err := ReadSized(file, st.Size(), nil)
+	return data, err == nil
 }
 
 func (f *Faulty) OpenFile(name string, flag int, perm os.FileMode) (File, error) {

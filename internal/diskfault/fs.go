@@ -129,28 +129,6 @@ func WriteFile(fsys FS, name string, data []byte, perm os.FileMode) error {
 	return cerr
 }
 
-// ReadFile reads the whole of name via fsys. It sizes the read from the
-// open handle first (two seeks, no allocation) and reads into buf when
-// buf's capacity holds the file and one spare byte, else into one new
-// allocation instead of io.ReadAll's doubling series; a file whose size
-// the seeks cannot tell is read with io.ReadAll. buf may be nil; the
-// result may share its memory.
-func ReadFile(fsys FS, name string, buf []byte) ([]byte, error) {
-	f, err := fsys.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil || size == 0 { // either way still at the start
-		return io.ReadAll(f)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return ReadSized(f, size, buf)
-}
-
 // ReadSized reads r to EOF, expecting size bytes: into buf when buf's
 // capacity holds them and one spare byte, else into one new allocation.
 // A reader longer than size still comes back whole. buf may be nil;

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,9 +80,11 @@ type Options struct {
 	// Clock supplies time (defaults to time.Now).
 	Clock func() time.Time
 
-	// Log returns a feed's consumable log sorted by Seq: the merged
-	// staging + archive view (see MergeLogs).
-	Log func(feed string) []Entry
+	// Log returns one page of a feed's consumable log, the merged
+	// staging + archive view (see MergeLogs): at most limit entries
+	// with Seq >= from, sorted by Seq, and the log's head (its highest
+	// Seq, 0 when empty). A page shorter than limit ends the log.
+	Log func(feed string, from uint64, limit int) (page []Entry, head uint64)
 	// Open reads a file's content by staged-relative path, falling back
 	// to the archive when the staged copy has expired.
 	Open func(stagedPath string) (io.ReadCloser, error)
@@ -222,6 +223,16 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	}
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
+	return n, err
+}
+
+// ReadFrom hands a body to net/http's own ReadFrom, which sends an
+// *os.File with sendfile. io.Copy would reach it only through the
+// file's WriteTo, which hides the file and copies through a fresh
+// 32 KiB buffer.
+func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
+	n, err := w.ResponseWriter.(io.ReaderFrom).ReadFrom(r)
+	w.bytes += n
 	return n, err
 }
 
@@ -389,13 +400,10 @@ func (s *Server) serveLog(w http.ResponseWriter, r *http.Request, feed string) {
 		limit = maxLimit
 	}
 
-	log := s.opts.Log(feed)
+	var entries []Entry
 	var head uint64
-	if len(log) > 0 {
-		head = log[len(log)-1].Seq
-	}
-	var start int
 	if from.BySeq {
+		entries, head = s.opts.Log(feed, from.Seq, limit)
 		if from.Seq > head+1 {
 			// The cursor points past the tail: the poller is ahead of
 			// this server (stale standby, fat-fingered seq). 416 rather
@@ -406,32 +414,26 @@ func (s *Server) serveLog(w http.ResponseWriter, r *http.Request, feed string) {
 				fmt.Sprintf("from %d is past head %d", from.Seq, head))
 			return
 		}
-		start = sort.Search(len(log), func(i int) bool { return log[i].Seq >= from.Seq })
 	} else {
-		// The log is sorted by seq, and data times are NOT monotone in
-		// seq (late-arriving files carry older data times), so a binary
-		// search over Time would land on an arbitrary index and silently
-		// skip entries. Scan for the earliest seq whose time qualifies:
-		// no entry with Time >= from is ever skipped, at the cost of the
-		// page also carrying any older-timed stragglers after it.
-		start = len(log)
-		for i := range log {
-			if !log[i].Time.Before(from.Time) {
-				start = i
-				break
+		// Data times are NOT monotone in seq (late-arriving files carry
+		// older data times), so a binary search over Time would land on
+		// an arbitrary seq and silently skip entries. Scan for the
+		// earliest seq whose time qualifies: no entry with Time >= from
+		// is ever skipped, at the cost of the page also carrying any
+		// older-timed stragglers after it.
+		head = s.scan(feed, func(e Entry) bool {
+			if len(entries) > 0 || !e.Time.Before(from.Time) {
+				entries = append(entries, e)
 			}
-		}
-	}
-	entries := log[start:]
-	if len(entries) > limit {
-		entries = entries[:limit]
+			return len(entries) < limit
+		})
 	}
 
 	page := logPage{Feed: feed, Head: head}
 	if from.BySeq {
 		page.From = from.Seq
-	} else if start < len(log) {
-		page.From = log[start].Seq
+	} else if len(entries) > 0 {
+		page.From = entries[0].Seq
 	} else {
 		page.From = head + 1
 	}
@@ -489,33 +491,49 @@ type feedStats struct {
 }
 
 func (s *Server) serveStats(w http.ResponseWriter, feed string) {
-	log := s.opts.Log(feed)
-	st := feedStats{Feed: feed, Files: len(log), AsOf: s.opts.Clock().UTC()}
-	for _, e := range log {
+	st := feedStats{Feed: feed, AsOf: s.opts.Clock().UTC()}
+	st.Head = s.scan(feed, func(e Entry) bool {
+		st.Files++
 		st.Bytes += e.Size
 		if e.Archived {
 			st.Archived++
 		} else {
 			st.Staged++
 		}
-	}
-	if len(log) > 0 {
-		st.Head = log[len(log)-1].Seq
-	}
+		return true
+	})
 	w.Header().Set("Cache-Control", "no-cache")
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) serveContent(w http.ResponseWriter, r *http.Request, feed string, seq uint64) {
-	log := s.opts.Log(feed)
-	i := sort.Search(len(log), func(i int) bool { return log[i].Seq >= seq })
-	if i == len(log) || log[i].Seq != seq {
+// scan calls fn on the feed's log entries in seq order until fn returns
+// false, reading the log in maxLimit pages so that no single read
+// covers the whole history. It returns the head of the last page read.
+func (s *Server) scan(feed string, fn func(Entry) bool) uint64 {
+	var from uint64
+	for {
+		page, head := s.opts.Log(feed, from, maxLimit)
+		for _, e := range page {
+			if !fn(e) {
+				return head
+			}
+		}
+		if len(page) < maxLimit {
+			return head
+		}
+		from = page[len(page)-1].Seq + 1
+	}
+}
+
+func (s *Server) serveContent(w *statusWriter, r *http.Request, feed string, seq uint64) {
+	page, _ := s.opts.Log(feed, seq, 1)
+	if len(page) == 0 || page[0].Seq != seq {
 		// Unknown, expired-and-gone, or quarantined (the log excludes
 		// quarantined ids).
 		writeErr(w, http.StatusNotFound, "no such file in feed")
 		return
 	}
-	e := log[i]
+	e := page[0]
 	// Bytes for an id never change, but a staged id can still be
 	// withdrawn by quarantine — only archived content is truly closed
 	// history, so only it gets the long immutable lifetime.
@@ -544,7 +562,7 @@ func (s *Server) serveContent(w http.ResponseWriter, r *http.Request, feed strin
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(e.Size, 10))
 	w.WriteHeader(http.StatusOK)
-	io.Copy(w, rc)
+	w.ReadFrom(rc)
 }
 
 func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, feed string, pr *Principal) {

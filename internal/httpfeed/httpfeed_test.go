@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +36,17 @@ func (fx *fixture) setLog(feed string, entries []Entry) {
 	fx.mu.Lock()
 	defer fx.mu.Unlock()
 	fx.log[feed] = entries
+}
+
+// pageOf serves one Options.Log page out of a whole seq-sorted log.
+func pageOf(log []Entry, from uint64, limit int) ([]Entry, uint64) {
+	var head uint64
+	if len(log) > 0 {
+		head = log[len(log)-1].Seq
+	}
+	i := sort.Search(len(log), func(i int) bool { return log[i].Seq >= from })
+	page := log[i:]
+	return page[:min(len(page), limit)], head
 }
 
 func newFixture(t *testing.T, mutate func(*Options)) *fixture {
@@ -66,10 +79,10 @@ func newFixture(t *testing.T, mutate func(*Options)) *fixture {
 			{Name: "wh1", Token: "s3cret", Feeds: []string{"market/BPS"}},
 			{Name: "ops", Token: "t0ken", Feeds: []string{"market/BPS", "ref"}},
 		},
-		Log: func(feed string) []Entry {
+		Log: func(feed string, from uint64, limit int) ([]Entry, uint64) {
 			fx.mu.Lock()
 			defer fx.mu.Unlock()
-			return fx.log[feed]
+			return pageOf(fx.log[feed], from, limit)
 		},
 		Open: func(stagedPath string) (io.ReadCloser, error) {
 			return os.Open(filepath.Join(dir, filepath.FromSlash(stagedPath)))
@@ -384,13 +397,13 @@ func TestTornManifestTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx := newFixture(t, func(o *Options) {
-		o.Log = func(feed string) []Entry {
+		o.Log = func(feed string, from uint64, limit int) ([]Entry, uint64) {
 			var out []Entry
 			for _, e := range man.EntriesSince(feed, 0) {
 				out = append(out, Entry{Seq: e.ID, Name: e.Name, StagedPath: e.StagedPath,
 					Size: e.Size, Checksum: e.Checksum, Time: e.Key(), Archived: true})
 			}
-			return out
+			return pageOf(out, from, limit)
 		}
 	})
 	page := decodePage(t, fx.do("GET", "/feeds/market/BPS", bearer, nil, nil))
@@ -479,5 +492,47 @@ func TestMetricsRegistered(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestContentGetAllocs: a content GET hands the open file to the
+// connection's ReadFrom (sendfile for an *os.File) instead of copying
+// it through a fresh 32 KiB buffer, and still counts its bytes out.
+func TestContentGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	dir := t.TempDir()
+	const size = 1 << 20
+	if err := os.WriteFile(filepath.Join(dir, "big"), bytes.Repeat([]byte("z"), size), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fx := newFixture(t, func(o *Options) {
+		o.Principals = nil
+		o.Open = func(string) (io.ReadCloser, error) { return os.Open(filepath.Join(dir, "big")) }
+	})
+	fx.setLog("market/BPS", []Entry{{Seq: 1, Name: "big", StagedPath: "big", Size: size}})
+	get := func() {
+		resp := fx.do("GET", "/feeds/market/BPS/files/1", "", nil, nil)
+		if n, err := io.Copy(io.Discard, resp.Body); err != nil || n != size {
+			t.Fatalf("content GET read %d bytes, %v", n, err)
+		}
+		resp.Body.Close()
+	}
+	get()
+	const gets = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / gets
+	t.Logf("a 1 MiB content GET allocates %d B", per)
+	if per > 16<<10 {
+		t.Errorf("a 1 MiB content GET allocates %d B, want under 16 KiB", per)
+	}
+	if out := fx.srv.met.Bytes.With("out").Value(); out < (gets+1)*size {
+		t.Errorf("bistro_http_bytes_total{dir=\"out\"} = %d after %d GETs of %d B", out, gets+1, size)
 	}
 }

@@ -1,5 +1,7 @@
 package receipts
 
+import "slices"
+
 // CompactExpired folds expired receipts out of the store so WAL +
 // checkpoint size stays bounded under continuous expiry. The caller's
 // eligibility callback decides which expired files may be dropped —
@@ -35,24 +37,25 @@ func (s *Store) CompactExpired(eligible func(f FileMeta, delivered func(sub stri
 			victims = append(victims, id)
 		}
 	}
+	// Each touched feed's id list is filtered once, so folding k files
+	// out of a feed of n costs O(n), not O(k·n).
+	touched := make(map[string]bool)
 	for _, id := range victims {
-		f := s.files[id]
-		delete(s.files, id)
-		for _, feed := range f.Feeds {
-			ids := s.feedFiles[feed]
-			for i, v := range ids {
-				if v == id {
-					s.feedFiles[feed] = append(ids[:i], ids[i+1:]...)
-					break
-				}
-			}
-			if len(s.feedFiles[feed]) == 0 {
-				delete(s.feedFiles, feed)
-			}
+		for _, feed := range s.files[id].Feeds {
+			touched[feed] = true
 		}
+		delete(s.files, id)
 		delete(s.expired, id)
 		for _, subs := range s.delivered {
 			delete(subs, id)
+		}
+	}
+	for feed := range touched {
+		ids := slices.DeleteFunc(s.feedFiles[feed], func(id uint64) bool { return s.files[id] == nil })
+		if len(ids) == 0 {
+			delete(s.feedFiles, feed)
+		} else {
+			s.feedFiles[feed] = ids
 		}
 	}
 	if len(victims) > 0 {

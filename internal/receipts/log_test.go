@@ -47,6 +47,45 @@ func TestFeedLog(t *testing.T) {
 	}
 }
 
+// TestFeedPage pages the same view: at most limit receipts from the
+// cursor on, a quarantined one skipped without using up the limit, and
+// head the last id the view holds.
+func TestFeedPage(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{NoSync: true})
+	defer s.Close()
+	var ids []uint64
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		id, _ := s.RecordArrival(meta(name, "bps"))
+		ids = append(ids, id)
+	}
+	if err := s.RecordQuarantine(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordQuarantine(ids[4]); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		from  uint64
+		limit int
+		want  []uint64
+	}{
+		{0, 10, []uint64{ids[0], ids[2], ids[3]}},
+		{0, 2, []uint64{ids[0], ids[2]}},
+		{ids[1], 1, []uint64{ids[2]}},
+		{ids[4], 10, nil},
+	} {
+		page, below, head := s.FeedPage("bps", c.from, c.limit)
+		var got []uint64
+		for _, f := range page {
+			got = append(got, f.ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) || head != ids[3] || below != ^uint64(0) {
+			t.Errorf("FeedPage(bps, %d, %d) = %v below %d head %d, want %v below max head %d",
+				c.from, c.limit, got, below, head, c.want, ids[3])
+		}
+	}
+}
+
 func TestDeliveredCount(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{NoSync: true})
 	defer s.Close()

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -631,37 +632,45 @@ func (s *Store) FilesInFeed(feed string) []FileMeta {
 	return out
 }
 
-// FeedLog returns a feed's consumable-log view: every receipt in the
-// feed in id order, including expired files (their bytes live on in
-// the archive until compaction folds the receipt into the manifest)
-// but excluding quarantined ones (reconciliation withdrew them from
-// every consumer-facing surface), and stopping below the first id
-// still committing. The HTTP data plane merges this with the archive
-// manifest so a seq cursor never observes a transient hole, neither
-// while a file crosses the staging→archive boundary nor while an
-// earlier id's commit is still in flight. It does not cover an id whose
-// commit failed after its WAL record became durable: see committing.
-func (s *Store) FeedLog(feed string) []FileMeta {
+// FeedPage returns one page of a feed's consumable-log view: at most
+// limit receipts with id >= from, in id order, expired ones included
+// (their bytes live on in the archive until compaction) and
+// quarantined ones withdrawn. The view stops below the first id still
+// committing, returned as below (the largest id when none): commits
+// finish out of order, and a cursor that read id n+1 while n was
+// committing would pass n for good. head is the view's last id (0 when
+// empty). An id whose commit failed after its WAL record became
+// durable is not covered: see committing.
+func (s *Store) FeedPage(feed string, from uint64, limit int) (page []FileMeta, below, head uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := s.feedFiles[feed]
-	below := ^uint64(0)
+	below = ^uint64(0)
 	if len(s.committing) > 0 {
 		below = s.committing[0]
 	}
-	out := make([]FileMeta, 0, len(ids))
-	for _, id := range ids {
-		if id >= below {
-			break
-		}
-		if s.quarantined[id] {
-			continue
-		}
-		if f, ok := s.files[id]; ok {
-			out = append(out, *f)
+	ids := s.feedFiles[feed]
+	i, _ := slices.BinarySearch(ids, from)
+	end, _ := slices.BinarySearch(ids, below)
+	for j := end - 1; j >= 0 && head == 0; j-- {
+		if !s.quarantined[ids[j]] {
+			head = ids[j]
 		}
 	}
-	return out
+	page = make([]FileMeta, 0, min(limit, max(end-i, 0)))
+	for ; i < end && len(page) < limit; i++ {
+		if f, ok := s.files[ids[i]]; ok && !s.quarantined[ids[i]] {
+			page = append(page, *f)
+		}
+	}
+	return page, below, head
+}
+
+// FeedLog returns a feed's whole consumable-log view (see FeedPage).
+// It is kept, as one unbounded page, for the benchmark harness's
+// per-layer walk.
+func (s *Store) FeedLog(feed string) []FileMeta {
+	page, _, _ := s.FeedPage(feed, 0, math.MaxInt)
+	return page
 }
 
 // PendingFor recomputes a subscriber's delivery queue: every unexpired

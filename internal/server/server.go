@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -728,7 +729,7 @@ func (s *Server) startHTTPFeed() (*httpfeed.Server, error) {
 		MaxBody:    sp.MaxBody,
 		Registry:   s.reg,
 		Clock:      s.clk.Now,
-		Log:        s.FeedHTTPLog,
+		Log:        s.FeedHTTPPage,
 		Open:       s.arch.Open,
 		Ingest:     s.land.DepositUnchecked,
 		Resolve: func(name string) []string {
@@ -742,14 +743,16 @@ func (s *Server) startHTTPFeed() (*httpfeed.Server, error) {
 	})
 }
 
-// FeedHTTPLog builds a feed's consumable-log view for the HTTP data
-// plane: the receipt store's staging window (expired receipts
-// included until compaction folds them away) merged with the archive
-// manifest. Compaction requires manifest membership, so the union
-// covers every non-quarantined id with no transient hole across the
-// staging-to-archive handoff.
-func (s *Server) FeedHTTPLog(feed string) []httpfeed.Entry {
-	staged := s.store.FeedLog(feed)
+// FeedHTTPPage is httpfeed.Options.Log: at most limit entries with
+// seq >= from, merged from the receipt store's staging window and the
+// archive manifest, both below the store's first id still committing,
+// and the log's head.
+func (s *Server) FeedHTTPPage(feed string, from uint64, limit int) ([]httpfeed.Entry, uint64) {
+	// The store is read before the manifest. Compaction folds a receipt
+	// out of the store only once the manifest holds its id, so a file
+	// that leaves the store between the two reads is already in the
+	// manifest when it is read, and the union has no hole.
+	staged, below, head := s.store.FeedPage(feed, from, limit)
 	se := make([]httpfeed.Entry, len(staged))
 	for i, m := range staged {
 		t := m.DataTime
@@ -760,15 +763,24 @@ func (s *Server) FeedHTTPLog(feed string) []httpfeed.Entry {
 			Size: m.Size, Checksum: m.Checksum, Time: t}
 	}
 	var ae []httpfeed.Entry
-	if s.arch != nil && s.arch.Manifest() != nil {
-		archived := s.arch.Manifest().EntriesSince(feed, 0)
+	if man := s.arch.Manifest(); man != nil {
+		archived, ahead := man.Page(feed, from, below, limit)
+		head = max(head, ahead)
 		ae = make([]httpfeed.Entry, len(archived))
 		for i, e := range archived {
 			ae[i] = httpfeed.Entry{Seq: e.ID, Name: e.Name, StagedPath: e.StagedPath,
 				Size: e.Size, Checksum: e.Checksum, Time: e.Key(), Archived: true}
 		}
 	}
-	return httpfeed.MergeLogs(se, ae)
+	page := httpfeed.MergeLogs(se, ae)
+	return page[:min(len(page), limit)], head
+}
+
+// FeedHTTPLog returns a feed's whole HTTP log as one unbounded
+// FeedHTTPPage. It is kept for the benchmark harness's per-layer walk.
+func (s *Server) FeedHTTPLog(feed string) []httpfeed.Entry {
+	page, _ := s.FeedHTTPPage(feed, 0, math.MaxInt)
+	return page
 }
 
 // HTTPAddr returns the HTTP data plane's bound address ("" when the
