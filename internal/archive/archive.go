@@ -219,11 +219,15 @@ func (a *Archiver) ReconcileManifest(lookup func(stagedPath string) (receipts.Fi
 // any other error is the answer. Open errors are permanent
 // (backoff.Permanent): a stored file that cannot be opened is this
 // server's fault, and a retry will not mend the disk. It returns the
-// file itself, so a socket can sendfile it, and its read errors are the
-// file's own: none of its callers (fetch, HTTP, replication) retries.
+// file itself as an *os.File (diskfault.AsOSFile), so a socket can
+// sendfile it, and its read errors are the file's own: none of its
+// callers (fetch, HTTP, replication) retries.
 func (a *Archiver) Open(stagedPath string) (io.ReadCloser, error) {
 	f, err := a.open(stagedPath)
-	return f, err
+	if err != nil {
+		return nil, err
+	}
+	return diskfault.AsOSFile(f), nil
 }
 
 // Opener returns the delivery engine's opener: Open through a pooled

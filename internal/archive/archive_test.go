@@ -111,6 +111,30 @@ func TestOpenArchivedFile(t *testing.T) {
 	}
 }
 
+// Open hands HTTP, fetch and shipping an *os.File over the real
+// filesystem, staged or archived, so net/http can sendfile it.
+func TestOpenGivesAnOSFile(t *testing.T) {
+	f := newFixture(t, time.Hour)
+	f.stage(t, "SNMP/BPS/old.csv", t0.Add(-2*time.Hour))
+	f.stage(t, "SNMP/BPS/new.csv", t0)
+	if _, err := f.arch.ExpireOnce(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"SNMP/BPS/old.csv", "SNMP/BPS/new.csv"} {
+		rc, err := f.arch.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := rc.(*os.File); !ok {
+			t.Errorf("Open(%s) gave a %T, want an *os.File", name, rc)
+		}
+		if data, err := io.ReadAll(rc); err != nil || string(data) != "data-"+name {
+			t.Errorf("Open(%s) read %q, %v", name, data, err)
+		}
+		rc.Close()
+	}
+}
+
 func TestBackupAndRestoreReceipts(t *testing.T) {
 	f := newFixture(t, time.Hour)
 	id := f.stage(t, "f.csv", t0)

@@ -143,15 +143,20 @@ func (e *Engine) queueReceipt(s *config.Subscriber, j *scheduler.Job, d ackedDel
 			// stays taken until the lane has room, but not this worker,
 			// which may hold other subscribers' jobs for the same file.
 			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				d.lane.slots <- struct{}{}
-				e.acked <- d
-				e.sched.Done(j)
-			}()
+			go e.queueWhenLaneFree(j, d)
 			return
 		}
 	}
+	e.acked <- d
+	e.sched.Done(j)
+}
+
+// queueWhenLaneFree is queueReceipt's wait for a full trigger lane. It
+// is a method of its own, not a closure, so that only this rare path
+// moves d to the heap.
+func (e *Engine) queueWhenLaneFree(j *scheduler.Job, d ackedDelivery) {
+	defer e.wg.Done()
+	d.lane.slots <- struct{}{}
 	e.acked <- d
 	e.sched.Done(j)
 }
@@ -189,6 +194,7 @@ func (e *Engine) isUnrecorded(sub string, id uint64) bool {
 func (e *Engine) commitLoop() {
 	defer close(e.commitDone)
 	var ds []ackedDelivery
+	var recs []receipts.DeliveryRecord
 	for d := range e.acked {
 		ds = append(ds[:0], d)
 	drain:
@@ -203,7 +209,7 @@ func (e *Engine) commitLoop() {
 				break drain
 			}
 		}
-		e.commitBatch(ds)
+		recs = e.commitBatch(ds, recs[:0])
 	}
 }
 
@@ -214,10 +220,12 @@ func (e *Engine) commitLoop() {
 // direction) and not accounted as delivered — one outcome per file,
 // the distinct receipt-write-failed counter + event the server alarms
 // on.
-func (e *Engine) commitBatch(ds []ackedDelivery) {
-	recs := make([]receipts.DeliveryRecord, len(ds))
-	for i, d := range ds {
-		recs[i] = receipts.DeliveryRecord{ID: d.fileID, Sub: d.sub, At: d.at}
+//
+// The records are built in recs, which commitBatch returns for the
+// next batch: RecordDeliveryBatch keeps no reference to them.
+func (e *Engine) commitBatch(ds []ackedDelivery, recs []receipts.DeliveryRecord) []receipts.DeliveryRecord {
+	for _, d := range ds {
+		recs = append(recs, receipts.DeliveryRecord{ID: d.fileID, Sub: d.sub, At: d.at})
 	}
 	err := e.store.RecordDeliveryBatch(recs)
 	if errors.Is(err, receipts.ErrCheckpoint) {
@@ -272,4 +280,5 @@ func (e *Engine) commitBatch(ds []ackedDelivery) {
 			}}
 		}
 	}
+	return recs
 }

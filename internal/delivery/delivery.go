@@ -25,6 +25,7 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -291,8 +292,11 @@ type Engine struct {
 	// streamMin is streamThreshold, lowered by in-package tests.
 	streamMin int64
 
-	mu      sync.Mutex
-	subs    map[string]*config.Subscriber
+	mu   sync.Mutex
+	subs map[string]*config.Subscriber
+	// subList holds subs in registration order. It is only appended
+	// to, so a copy of its header is a snapshot that needs no copying.
+	subList []*config.Subscriber
 	offline map[string]bool
 	states  map[string]*subState
 	probing map[string]bool
@@ -402,6 +406,7 @@ func New(opts Options) (*Engine, error) {
 	}
 	for _, s := range opts.Subscribers {
 		e.subs[s.Name] = s
+		e.subList = append(e.subList, s)
 		e.sched.AssignSubscriber(s.Name, e.partitionFor(s))
 	}
 	if err := e.initChannels(opts.Channels); err != nil {
@@ -496,6 +501,7 @@ func (e *Engine) AddSubscriberDeferred(s *config.Subscriber) error {
 		return fmt.Errorf("delivery: subscriber %q already registered", s.Name)
 	}
 	e.subs[s.Name] = s
+	e.subList = append(e.subList, s)
 	e.mu.Unlock()
 	return e.sched.AssignSubscriber(s.Name, e.partitionFor(s))
 }
@@ -603,10 +609,7 @@ func (e *Engine) EnqueueFile(meta receipts.FileMeta) {
 	now := e.clk.Now()
 	e.enqueueChannels(meta, now, false)
 	e.mu.Lock()
-	subs := make([]*config.Subscriber, 0, len(e.subs))
-	for _, s := range e.subs {
-		subs = append(subs, s)
-	}
+	subs := e.subList
 	e.mu.Unlock()
 	for _, s := range subs {
 		if !e.interested(s, meta.Feeds) {
@@ -674,12 +677,14 @@ func (e *Engine) Punctuate(feed string) {
 }
 
 // worker is one partition worker loop. It keeps one read buffer for
-// the files it delivers from memory (see execute).
+// the files it delivers from memory (see execute), and claims each job
+// group into the slice of the group before.
 func (e *Engine) worker(part int, lane scheduler.Lane) {
 	defer e.wg.Done()
 	var buf []byte
+	var jobs []*scheduler.Job
 	for {
-		jobs := e.sched.Next(part, lane)
+		jobs = e.sched.Next(part, lane, jobs[:0]...)
 		if jobs == nil {
 			return
 		}
@@ -699,7 +704,7 @@ func (e *Engine) worker(part int, lane scheduler.Lane) {
 // to keep for the next group. It keeps none after a file larger than
 // streamThreshold, nor after a group in which a transfer of the bytes
 // ran past its deadline: backoff.Do leaves that attempt running, still
-// reading them.
+// reading them. execute may reorder jobs.
 func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 	meta, ok := e.store.File(jobs[0].FileID)
 	if !ok && e.opts.HistoryMeta != nil {
@@ -722,20 +727,19 @@ func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 		return buf
 	}
 	// GroupSameFile may batch channel jobs with individual jobs for the
-	// same file; they take different paths below.
-	var chJobs, subJobs, xformJobs []*scheduler.Job
+	// same file; they take different paths below. Sorted by path, the
+	// group splits into the three in place.
+	slices.SortStableFunc(jobs, func(a, b *scheduler.Job) int { return e.pathOf(a) - e.pathOf(b) })
+	nch, nsub := 0, 0
 	for _, j := range jobs {
-		switch {
-		case j.Channel != "":
-			chJobs = append(chJobs, j)
-		case e.opts.Transform != nil && e.opts.Transform(j.Feed) != nil:
-			// Transformed feeds never stream: the wire bytes are not
-			// the staged bytes.
-			xformJobs = append(xformJobs, j)
-		default:
-			subJobs = append(subJobs, j)
+		switch e.pathOf(j) {
+		case viaChannel:
+			nch++
+		case direct:
+			nsub++
 		}
 	}
+	chJobs, subJobs, xformJobs := jobs[:nch], jobs[nch:nch+nsub], jobs[nch+nsub:]
 	// Route on the receipt's size, not the job's: a job submitted with
 	// a stale (or zero) size must not pull a large file through the
 	// in-memory path.
@@ -752,9 +756,11 @@ func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 	if err != nil {
 		// Stored file gone from staging and archive, or unreadable:
 		// complete the jobs without delivery; receipts keep the truth.
-		for _, j := range append(append(subJobs, chJobs...), xformJobs...) {
-			e.failJob(j, err)
-			e.sched.Done(j)
+		for _, group := range [...][]*scheduler.Job{subJobs, chJobs, xformJobs} {
+			for _, j := range group {
+				e.failJob(j, err)
+				e.sched.Done(j)
+			}
 		}
 		return buf
 	}
@@ -778,6 +784,25 @@ func (e *Engine) execute(jobs []*scheduler.Job, buf []byte) []byte {
 		return nil
 	}
 	return data
+}
+
+// The paths a job of a claimed group takes, in execute's order.
+const (
+	viaChannel = iota
+	direct
+	// Transformed feeds never stream: the wire bytes are not the staged
+	// bytes.
+	transformed
+)
+
+func (e *Engine) pathOf(j *scheduler.Job) int {
+	switch {
+	case j.Channel != "":
+		return viaChannel
+	case e.opts.Transform != nil && e.opts.Transform(j.Feed) != nil:
+		return transformed
+	}
+	return direct
 }
 
 // deliverTransformed applies the feed's delivery transform to one
@@ -838,15 +863,15 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, meta receipts.FileMet
 	st := e.stateFor(j.Subscriber)
 	started := e.clk.Now()
 	// The per-transfer deadline bounds how long one attempt can hold a
-	// worker; a late attempt counts as a transient failure.
-	err := backoff.Do(e.clk, st.pol.TransferDeadline, func() error {
-		if s.Method == config.MethodNotify {
-			nf := f
-			nf.Data = nil
-			return e.trans.Notify(j.Subscriber, nf)
-		}
-		return e.trans.Deliver(j.Subscriber, f)
-	})
+	// worker; a late attempt counts as a transient failure. backoff.Do's
+	// attempt may outlive it, so its closure is built only when there
+	// is a deadline.
+	var err error
+	if d := st.pol.TransferDeadline; d > 0 {
+		err = backoff.Do(e.clk, d, func() error { return e.push(s.Method, j.Subscriber, f) })
+	} else {
+		err = e.push(s.Method, j.Subscriber, f)
+	}
 	if err != nil {
 		// transferFailed either requeues the job or drops it; both
 		// release its scheduler slot.
@@ -873,6 +898,16 @@ func (e *Engine) deliverOne(j *scheduler.Job, data []byte, meta receipts.FileMet
 		backfill: j.Backfill,
 	})
 	return nil
+}
+
+// push is one attempt at sending f to sub: the file, or for a notify
+// subscriber its announcement.
+func (e *Engine) push(method config.Method, sub string, f transport.File) error {
+	if method == config.MethodNotify {
+		f.Data = nil
+		return e.trans.Notify(sub, f)
+	}
+	return e.trans.Deliver(sub, f)
 }
 
 // destName computes the destination-relative path for a staged file.

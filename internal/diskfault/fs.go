@@ -36,7 +36,7 @@ import (
 )
 
 // File is the file-handle surface Bistro's storage path needs;
-// *os.File satisfies it.
+// *os.File satisfies it, and so does the handle OS() opens on Linux.
 type File interface {
 	io.Reader
 	io.Writer
@@ -74,8 +74,10 @@ type FS interface {
 
 // osFS is the passthrough implementation backed by the real
 // filesystem. On linux/amd64 and linux/arm64 its path calls are raw
-// syscalls that allocate only the *os.File an open returns
-// (fs_linux.go); elsewhere they are the os package's (fs_other.go).
+// syscalls and an open returns a handle of the package's own, one
+// object that keeps *os.File's behaviour (fs_linux.go); elsewhere they
+// are the os package's (fs_other.go). AsOSFile turns an opened file into
+// an *os.File where a caller needs one (net/http's sendfile).
 type osFS struct{}
 
 // OS returns the real filesystem.

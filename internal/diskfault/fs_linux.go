@@ -4,18 +4,21 @@ package diskfault
 
 import (
 	"errors"
+	"io"
 	"math/rand/v2"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
 
 // osFS's path calls on Linux are raw *at syscalls with the path copied
-// into a stack array. The os package makes a C string per path, builds
-// each opened file through an O_NONBLOCK/epoll round trip that a
-// regular file fails, and Stats before MkdirAll. Errors are the os
+// into a stack array, and an open returns an *osFile. The os package
+// makes a C string per path, builds each opened file as two objects
+// through an fcntl, an O_NONBLOCK/epoll round trip that a regular file
+// fails and a finalizer, and Stats before MkdirAll. Errors are the os
 // package's *os.PathError and *os.LinkError around the errno.
 
 const (
@@ -66,17 +69,15 @@ func open(name string, flag int, mode uint32) (int, error) {
 	return fd, nil
 }
 
-// OpenFile wraps the fd with os.NewFile, so callers still hold an
-// *os.File (sendfile, Name, append mode, the finalizer); the file is
-// blocking, as os.OpenFile leaves a regular file. Only perm's
-// permission bits are used: no caller asks for setuid, setgid or
-// sticky.
+// OpenFile returns the descriptor as an *osFile; the file is blocking,
+// as os.OpenFile leaves a regular file. Only perm's permission bits are
+// used: no caller asks for setuid, setgid or sticky.
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	fd, err := open(name, flag, uint32(perm.Perm()))
 	if err != nil {
 		return nil, err
 	}
-	return os.NewFile(uintptr(fd), name), nil
+	return &osFile{fd: fd, name: name}, nil
 }
 
 func (fsys osFS) Open(name string) (File, error) { return fsys.OpenFile(name, os.O_RDONLY, 0) }
@@ -196,4 +197,177 @@ func (osFS) SyncDir(dir string) error {
 		return &os.PathError{Op: "close", Path: dir, Err: cerr}
 	}
 	return nil
+}
+
+// osFile is the File an OS() open returns: one object holding the
+// descriptor and the name, where os.NewFile makes two. Its methods are
+// *os.File's for a blocking file: each retries EINTR and fails as the
+// os package does, with an *os.PathError around the errno, io.EOF, or
+// os.ErrClosed once Close has run. It has no finalizer: a file nobody
+// closes keeps its descriptor until the process exits.
+//
+// Close keeps *os.File's guarantee that a call still running keeps the
+// descriptor: state counts the calls in flight in steps of two, and
+// Close sets its low bit. Close releases the descriptor itself only
+// when no call holds it, else the last call out does, so a call never
+// reaches a file that reused the number.
+type osFile struct {
+	fd    int
+	name  string
+	state atomic.Uint64
+}
+
+const (
+	fileClosed = 1
+	maxRW      = 1 << 30 // the most one read or write asks for, as the os package
+)
+
+// acquire takes a reference for one call; false once Close has run.
+func (f *osFile) acquire() bool {
+	for {
+		s := f.state.Load()
+		if s&fileClosed != 0 {
+			return false
+		}
+		if f.state.CompareAndSwap(s, s+2) {
+			return true
+		}
+	}
+}
+
+// release drops a call's reference, closing the descriptor when Close
+// has run and this was the last call out.
+func (f *osFile) release() {
+	if f.state.Add(^uint64(1)) == fileClosed { // subtracts 2
+		syscall.Close(f.fd)
+	}
+}
+
+func (f *osFile) pathErr(op string, err error) error {
+	return &os.PathError{Op: op, Path: f.name, Err: err}
+}
+
+func (f *osFile) Read(p []byte) (int, error) {
+	if !f.acquire() {
+		return 0, f.pathErr("read", os.ErrClosed)
+	}
+	defer f.release()
+	if len(p) == 0 {
+		return 0, nil
+	}
+	n, err := syscall.Read(f.fd, p[:min(len(p), maxRW)])
+	for err == syscall.EINTR {
+		n, err = syscall.Read(f.fd, p[:min(len(p), maxRW)])
+	}
+	switch {
+	case err != nil:
+		return 0, f.pathErr("read", err)
+	case n == 0:
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// Write loops until p is written or a write fails, as *os.File's does.
+func (f *osFile) Write(p []byte) (int, error) {
+	if !f.acquire() {
+		return 0, f.pathErr("write", os.ErrClosed)
+	}
+	defer f.release()
+	nn := 0
+	for {
+		n, err := syscall.Write(f.fd, p[nn:min(len(p), nn+maxRW)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if n > 0 {
+			nn += n
+		}
+		switch {
+		case err != nil:
+			return nn, f.pathErr("write", err)
+		case nn == len(p):
+			return nn, nil
+		case n == 0:
+			return nn, f.pathErr("write", io.ErrUnexpectedEOF)
+		}
+	}
+}
+
+func (f *osFile) Seek(offset int64, whence int) (int64, error) {
+	if !f.acquire() {
+		return 0, f.pathErr("seek", os.ErrClosed)
+	}
+	defer f.release()
+	off, err := syscall.Seek(f.fd, offset, whence)
+	for err == syscall.EINTR {
+		off, err = syscall.Seek(f.fd, offset, whence)
+	}
+	if err != nil {
+		return 0, f.pathErr("seek", err)
+	}
+	return off, nil
+}
+
+func (f *osFile) Truncate(size int64) error {
+	return f.do("truncate", func(fd int) error { return syscall.Ftruncate(fd, size) })
+}
+
+func (f *osFile) Sync() error { return f.do("sync", syscall.Fsync) }
+
+// do runs call on the descriptor, retrying EINTR.
+func (f *osFile) do(op string, call func(fd int) error) error {
+	if !f.acquire() {
+		return f.pathErr(op, os.ErrClosed)
+	}
+	defer f.release()
+	err := call(f.fd)
+	for err == syscall.EINTR {
+		err = call(f.fd)
+	}
+	if err != nil {
+		return f.pathErr(op, err)
+	}
+	return nil
+}
+
+// Close marks the file closed and releases the descriptor, at once
+// when no call holds it, else when the last one returns (and then
+// close(2)'s error is lost, as *os.File's is). A second Close fails
+// with os.ErrClosed.
+func (f *osFile) Close() error {
+	for {
+		s := f.state.Load()
+		if s&fileClosed != 0 {
+			return f.pathErr("close", os.ErrClosed)
+		}
+		if !f.state.CompareAndSwap(s, s|fileClosed) {
+			continue
+		}
+		if s != 0 {
+			return nil
+		}
+		if err := syscall.Close(f.fd); err != nil {
+			return f.pathErr("close", err)
+		}
+		return nil
+	}
+}
+
+// Name is the name the file was opened with, also after Close.
+func (f *osFile) Name() string { return f.name }
+
+// Fd is the descriptor, for tests that inspect its flags.
+func (f *osFile) Fd() uintptr { return uintptr(f.fd) }
+
+// AsOSFile returns f as net/http's sendfile wants it: an OS() file
+// hands its descriptor to an *os.File, and f must not be used after;
+// any other File comes back as it is, as does an OS() file that is
+// closed or in a call.
+func AsOSFile(f File) File {
+	h, ok := f.(*osFile)
+	if !ok || !h.state.CompareAndSwap(0, fileClosed) {
+		return f
+	}
+	return os.NewFile(uintptr(h.fd), h.name)
 }

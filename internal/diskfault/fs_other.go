@@ -15,6 +15,10 @@ func (osFS) Create(name string) (File, error) { return os.Create(name) }
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
 }
+
+// AsOSFile returns f: an OS() file here is already an *os.File.
+func AsOSFile(f File) File { return f }
+
 func (osFS) Rename(oldpath, newpath string) error         { return rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }

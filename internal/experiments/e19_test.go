@@ -58,4 +58,24 @@ func TestE19Shape(t *testing.T) {
 			t.Fatalf("%s row with %s clients: cpu/client %s, want > 0: %s", row[0], row[1], row[4], tab.Format())
 		}
 	}
+	// The paper's direction (§2.2): a pushed subscriber costs the server
+	// less CPU than a poller does at the same fleet size.
+	push := map[string]float64{}
+	for _, row := range tab.Rows {
+		if row[0] == "push" {
+			push[row[1]] = num(t, row[4])
+		}
+	}
+	compared := 0
+	for _, row := range tab.Rows {
+		if p, ok := push[row[1]]; ok && row[0] == "poll" {
+			compared++
+			if p >= num(t, row[4]) {
+				t.Errorf("%s clients: push cpu/client %vms, not below poll's %s: %s", row[1], p, row[4], tab.Format())
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatalf("no push row has a poll row of its size: %s", tab.Format())
+	}
 }

@@ -329,14 +329,42 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 // Send writes one message: its frame and, for a Payloader, the
 // payload's raw bytes, in one write.
 func (c *Conn) Send(msg any) error {
+	switch m := msg.(type) {
+	case Upload:
+		return c.SendUpload(m)
+	case Deliver:
+		return c.SendDeliver(m)
+	}
 	var payload []byte
 	if p, ok := msg.(Payloader); ok {
 		payload = p.PayloadBytes()
 	}
 	if len(payload) > MaxPayload {
-		return fmt.Errorf("protocol: send %T: %d-byte payload over the %d-byte cap", msg, len(payload), MaxPayload)
+		return payloadOverCap(msg, len(payload))
 	}
 	return c.send(c.encode(msg, int64(len(payload))), payload)
+}
+
+// SendUpload is Send for an Upload. A message handed to Send as an
+// interface value is boxed on the heap (the gob branch keeps it), so a
+// per-file Upload goes through here, where it stays a value.
+func (c *Conn) SendUpload(m Upload) error {
+	if len(m.Data) > MaxPayload {
+		return payloadOverCap(m, len(m.Data))
+	}
+	return c.send(m.frame(c, int64(len(m.Data))), m.Data)
+}
+
+// SendDeliver is Send for a Deliver, unboxed as SendUpload.
+func (c *Conn) SendDeliver(m Deliver) error {
+	if len(m.Data) > MaxPayload {
+		return payloadOverCap(m, len(m.Data))
+	}
+	return c.send(m.frame(c, int64(len(m.Data))), m.Data)
+}
+
+func payloadOverCap(msg any, n int) error {
+	return fmt.Errorf("protocol: send %T: %d-byte payload over the %d-byte cap", msg, n, MaxPayload)
 }
 
 // SendAck sends an Ack, the reply to every file, unboxed.
@@ -423,13 +451,9 @@ func (c *Conn) encode(msg any, n int64) fieldsOut {
 	var w fieldsOut
 	switch m := msg.(type) {
 	case Upload:
-		w = c.begin(tagUpload)
-		m.put(&w)
-		w.uvarint(uint64(n))
+		w = m.frame(c, n)
 	case Deliver:
-		w = c.begin(tagDeliver)
-		m.put(&w)
-		w.uvarint(uint64(n))
+		w = m.frame(c, n)
 	case Ack:
 		w = c.begin(tagAck)
 		m.put(&w)
@@ -490,6 +514,22 @@ func (w *fieldsOut) str(s string) {
 func (m Upload) put(w *fieldsOut)  { w.str(m.Name); w.u32(m.CRC); w.bool(m.Relayed); w.uvarint(m.Epoch) }
 func (m Deliver) put(w *fieldsOut) { w.uvarint(m.FileID); w.str(m.Feed); w.str(m.Name); w.u32(m.CRC) }
 func (m Ack) put(w *fieldsOut)     { w.bool(m.OK); w.str(m.Error); w.str(m.Redirect); w.uvarint(m.Epoch) }
+
+// frame starts m's frame in c.out: its tag, its fields, then the
+// length n of the payload behind it.
+func (m Upload) frame(c *Conn, n int64) fieldsOut {
+	w := c.begin(tagUpload)
+	m.put(&w)
+	w.uvarint(uint64(n))
+	return w
+}
+
+func (m Deliver) frame(c *Conn, n int64) fieldsOut {
+	w := c.begin(tagDeliver)
+	m.put(&w)
+	w.uvarint(uint64(n))
+	return w
+}
 
 // fieldsIn reads a tagged frame's fields: the first error sticks, later reads are garbage.
 type fieldsIn struct {

@@ -101,6 +101,36 @@ func TestPerFileFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestTypedSendsAllocateNothing: SendUpload and SendDeliver write a
+// per-file message on a warm Conn without boxing it, so the sending end
+// of a file's frame allocates nothing.
+func TestTypedSendsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations distort the counts")
+	}
+	c := &memConn{Reader: strings.NewReader("")}
+	conn := NewConn(c)
+	data := bytes.Repeat([]byte("bistro!\n"), 4<<10/8)
+	name, feed := "BPS_poller1_2010092504.csv", "SNMP/BPS"
+	for _, tc := range []struct {
+		name string
+		send func() error
+	}{
+		{"SendUpload", func() error { return conn.SendUpload(Upload{Name: name, Data: data, CRC: 7, Epoch: 3}) }},
+		{"SendDeliver", func() error { return conn.SendDeliver(Deliver{FileID: 42, Feed: feed, Name: name, Data: data, CRC: 7}) }},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			c.out.Reset()
+			if err := tc.send(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: %v objects per send, want 0", tc.name, got)
+		}
+	}
+}
+
 // goldenMessages is the fixed value of each per-file message that
 // testdata/tagged.golden holds the frame of.
 var goldenMessages = map[string]any{

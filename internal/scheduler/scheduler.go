@@ -222,32 +222,21 @@ const (
 // backfill queue when idle; dedicated backfill workers serve only
 // backfill so catch-up always makes progress without consuming
 // real-time capacity.
-func (s *Scheduler) Next(part int, lane Lane) []*Job {
+//
+// The group is claimed into buf's array: a worker that passes the
+// group it is done with (Next(part, lane, prev[:0]...)) claims without
+// allocating. Called without buf, Next allocates the group.
+func (s *Scheduler) Next(part int, lane Lane, buf ...*Job) []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return nil
-		}
-		s.promoteDueLocked()
-		p := s.parts[part]
-		var jobs []*Job
-		switch lane {
-		case LaneRealtime:
-			jobs = s.claimLocked(p, p.realtime)
-			if jobs == nil {
-				// Idle real-time worker helps backfill.
-				jobs = s.claimLocked(p, p.backfill)
-			}
-		case LaneBackfill:
-			jobs = s.claimLocked(p, p.backfill)
-		}
-		if jobs != nil {
+	for !s.closed {
+		if jobs := s.claimLaneLocked(part, lane, buf); jobs != nil {
 			return jobs
 		}
 		s.armTimerLocked()
 		s.cond.Wait()
 	}
+	return nil
 }
 
 // TryNext is Next without blocking; nil when nothing is claimable.
@@ -257,19 +246,21 @@ func (s *Scheduler) TryNext(part int, lane Lane) []*Job {
 	if s.closed {
 		return nil
 	}
+	return s.claimLaneLocked(part, lane, nil)
+}
+
+// claimLaneLocked releases the delayed jobs that are due and claims a
+// group for lane of partition part into buf[:0]; nil when there is none.
+func (s *Scheduler) claimLaneLocked(part int, lane Lane, buf []*Job) []*Job {
 	s.promoteDueLocked()
 	p := s.parts[part]
-	var jobs []*Job
-	switch lane {
-	case LaneRealtime:
-		jobs = s.claimLocked(p, p.realtime)
-		if jobs == nil {
-			jobs = s.claimLocked(p, p.backfill)
+	if lane == LaneRealtime {
+		if jobs := s.claimLocked(p.realtime, buf); jobs != nil {
+			return jobs
 		}
-	case LaneBackfill:
-		jobs = s.claimLocked(p, p.backfill)
+		// Idle real-time worker helps backfill.
 	}
-	return jobs
+	return s.claimLocked(p.backfill, buf)
 }
 
 // promoteDueLocked moves delayed jobs whose release time has arrived
@@ -356,8 +347,8 @@ func (s *Scheduler) RequeueAfter(j *Job, notBefore time.Time) {
 
 // claimLocked pops the best eligible job (subscriber under its
 // in-flight cap) and, with GroupSameFile, every other queued job for
-// the same file whose subscriber also has capacity.
-func (s *Scheduler) claimLocked(p *partition, q *queue) []*Job {
+// the same file whose subscriber also has capacity, into buf[:0].
+func (s *Scheduler) claimLocked(q *queue, buf []*Job) []*Job {
 	eligible := func(j *Job) bool {
 		return s.inflight[j.Subscriber] < s.cfg.MaxInFlightPerSubscriber
 	}
@@ -365,7 +356,7 @@ func (s *Scheduler) claimLocked(p *partition, q *queue) []*Job {
 	if j == nil {
 		return nil
 	}
-	jobs := []*Job{j}
+	jobs := append(buf[:0], j)
 	s.inflight[j.Subscriber]++
 	if s.cfg.GroupSameFile {
 		for _, extra := range q.takeFile(j.FileID, eligible) {

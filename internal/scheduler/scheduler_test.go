@@ -187,6 +187,28 @@ func TestGroupSameFile(t *testing.T) {
 	}
 }
 
+// Next claims a group into the buffer it is given: a worker passing
+// its last group's slice back claims without allocating.
+func TestNextClaimsIntoBuffer(t *testing.T) {
+	cfg := onePartition(EDF)
+	cfg.GroupSameFile = true
+	s := mustNew(t, cfg)
+	s.Submit(job("a", 7, t0))
+	s.Submit(job("b", 7, t0.Add(time.Minute)))
+	buf := make([]*Job, 0, 4)
+	js := s.Next(0, LaneRealtime, buf...)
+	if len(js) != 2 || &js[0] != &buf[:1][0] {
+		t.Fatalf("group claim = %v, not in the buffer given", js)
+	}
+	for _, j := range js {
+		s.Done(j)
+	}
+	s.Submit(job("a", 8, t0))
+	if got := s.Next(0, LaneRealtime, js[:0]...); len(got) != 1 || got[0].FileID != 8 || &got[0] != &js[0] {
+		t.Fatalf("claim = %v, not in the last group's slice", got)
+	}
+}
+
 func TestGroupSameFileRespectsCap(t *testing.T) {
 	cfg := onePartition(EDF)
 	cfg.GroupSameFile = true

@@ -171,7 +171,12 @@ func (t *tcpTransport) call(host string, msg any) error {
 func (t *tcpTransport) deliver(host string, f transport.File) error {
 	msg := protocol.Deliver{FileID: f.FileID, Feed: f.Feed, Name: f.Name, Data: f.Data, CRC: f.CRC}
 	if f.Data != nil {
-		return t.call(host, msg)
+		return t.withConn(host, func(conn *protocol.Conn) error {
+			if err := conn.SendDeliver(msg); err != nil {
+				return err
+			}
+			return conn.RecvAck()
+		})
 	}
 	src, err := f.Open()
 	if err != nil {

@@ -118,11 +118,15 @@ func DialRetry(addr, name string, timeout time.Duration, pol backoff.Policy, clk
 // Upload ships file content to the server's landing zone (sources
 // without a shared filesystem).
 func (c *Client) Upload(name string, data []byte) error {
-	return c.call(protocol.Upload{
-		Name: name,
-		Data: data,
-		CRC:  crc32.ChecksumIEEE(data),
-	})
+	conn, err := c.connect()
+	if err != nil {
+		return err
+	}
+	err = conn.SendUpload(protocol.Upload{Name: name, Data: data, CRC: crc32.ChecksumIEEE(data)})
+	if err == nil {
+		err = conn.RecvAck()
+	}
+	return c.settle(err)
 }
 
 // UploadFile streams the file at path to the server's landing zone
